@@ -67,7 +67,11 @@ def _fmt(x: float) -> str:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
 
 
 def _tols_from_args(args) -> tuple[Tolerances, dict]:
@@ -195,6 +199,10 @@ def cmd_haar_experiment(args) -> int:
         overrides=overrides,
         params={"dim": args.dim, "samples": args.samples},
     )
+    if args.dim < 1 or args.samples < 1:
+        raise ValueError(
+            f"--dim and --samples must be at least 1, got {args.dim} and {args.samples}"
+        )
     rng = RngStream(args.seed)
     lines = ["idx,d_u,d_bs,d_unr,abs_bs_unr_gap"]
     max_gap = 0.0
@@ -339,7 +347,7 @@ def cmd_ldp(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=int, default=None,
                    help=f"random seed (default: ${SEED_ENV_VAR} or 0)")
     p.add_argument("--tol-herm", dest="tol_herm", type=float, default=None,
                    help="override the Hermiticity tolerance")
@@ -402,6 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is None:  # read here so a bad value gets the JSON error
+            args.seed = _default_seed()
         return args.func(args)
     except BudgetExceeded as exc:
         _report_error(exc)

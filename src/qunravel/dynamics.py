@@ -8,7 +8,8 @@ The master equation evolved here is
 with Hermitian H, arbitrary jump operators S_j, and nonnegative coupling
 rates gamma_j (units 1 / sqrt(time), so gamma^2 is a rate). Propagation uses
 the matrix exponential of the vectorized generator, which is exact up to the
-exponential's own roundoff at these dimensions.
+exponential's own roundoff at these dimensions. A contraction scan builds the
+generator once and steps both states together, one exponential per distinct gap.
 
 The stochastic counterpart is a diffusive (Brownian-noise) pure-state
 equation, integrated by Euler-Maruyama:
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .matcore import DEFAULT_TOLS, Tolerances, hermitize, hermiticity_defect
 from .states import DensityMatrix, PureState, RngStream, canonical_phase, validate_density
-from .ensembles import DiscreteEnsemble
+from .ensembles import DiscreteEnsemble, _merge_coincident
 
 __all__ = [
     "LindbladModel",
@@ -138,6 +139,20 @@ def lindblad_superop(model: LindbladModel) -> np.ndarray:
     return l
 
 
+def _checked_state(v: np.ndarray, n: int, t: float, tols: Tolerances | None):
+    # drift is read off the raw propagated column, before renormalizing
+    out = hermitize(_unvec(v, n))
+    tr = float(np.real(np.trace(out)))
+    if abs(tr - 1.0) > TRACE_DRIFT_TOL:
+        raise ValidationFailure(
+            f"trace drifted to {tr!r} at t={t} (budget {TRACE_DRIFT_TOL:.1e})"
+        )
+    try:
+        return validate_density(out / tr, tols)
+    except ValidationError as exc:
+        raise ValidationFailure(f"evolved state invalid at t={t}: {exc}") from exc
+
+
 def lindblad_evolve(
     model: LindbladModel,
     rho0: DensityMatrix,
@@ -154,18 +169,8 @@ def lindblad_evolve(
         raise DimMismatch(f"model dim {model.dim} vs state dim {rho0.dim}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    l = lindblad_superop(model)
-    v = expm(t * l) @ _vec(rho0.matrix)
-    out = hermitize(_unvec(v, model.dim))
-    tr = float(np.real(np.trace(out)))
-    if abs(tr - 1.0) > TRACE_DRIFT_TOL:
-        raise ValidationFailure(
-            f"trace drifted to {tr!r} at t={t} (budget {TRACE_DRIFT_TOL:.1e})"
-        )
-    try:
-        return validate_density(out / tr, tols)
-    except ValidationError as exc:
-        raise ValidationFailure(f"evolved state invalid at t={t}: {exc}") from exc
+    v = expm(t * lindblad_superop(model)) @ _vec(rho0.matrix)
+    return _checked_state(v, model.dim, t, tols)
 
 
 def _drift_matrix(model: LindbladModel) -> np.ndarray:
@@ -279,8 +284,9 @@ def evolve_ensemble(
     callers doing their own Monte Carlo alongside should keep clear of those
     stream ids. Each final atom carries its source weight over n_per_atom
     times the path's likelihood weight, normalized across the whole output;
-    final states repeated bit-for-bit (the noiseless case) are merged, so a
-    deterministic flow collapses to one atom per input atom.
+    final states within ``TOL_MATCH`` of each other are merged into one atom
+    with their summed weight, so a deterministic flow collapses to one atom
+    per input atom.
 
     The barycenter of the result tracks ``lindblad_evolve`` of the input
     barycenter within Monte Carlo error O(1/sqrt(n_per_atom)) plus O(dt)
@@ -321,8 +327,12 @@ def evolve_ensemble(
             else:
                 merged[key] = (state, traj_w[b])
 
-    atoms = tuple(entry[0] for entry in merged.values())
-    weights = np.array([entry[1] for entry in merged.values()])
+    # the bytes key merges the noiseless case in linear time; paths that end
+    # distinct but within TOL_MATCH of each other are one ray, merged next
+    atoms, weights = _merge_coincident(
+        [entry[0] for entry in merged.values()],
+        np.array([entry[1] for entry in merged.values()]),
+    )
     return DiscreteEnsemble(atoms, weights / weights.sum())
 
 
@@ -335,22 +345,32 @@ def contraction_scan(
 ) -> list[tuple[float, float]]:
     """BS relative entropy of a co-evolved pair along the flow.
 
-    Returns (t, d_bs) for every requested time. Both states must stay
-    faithful along the scan; a flow that drives one rank-deficient raises
-    ``NotFaithful`` stamped with the failing time. Monotone decrease of the
-    series is the caller's check, not enforced here.
+    Returns (t, d_bs) for every requested time. The generator is built once and
+    both states are stepped together from each time to the next, one propagator
+    per distinct gap, with the checks of ``lindblad_evolve`` at each point.
+    Both states must stay faithful; a flow that drives one rank-deficient
+    raises ``NotFaithful`` stamped with the failing time. Monotone decrease is
+    the caller's check, not enforced here.
     """
     tols = tols or DEFAULT_TOLS
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a nonempty 1-d array")
-    if (ts < 0).any() or (np.diff(ts) <= 0).any():
-        raise ValueError("times must be nonnegative and strictly increasing")
+    if not np.isfinite(ts).all() or (ts < 0).any() or (np.diff(ts) <= 0).any():
+        raise ValueError("times must be finite, nonnegative and strictly increasing")
+    if not model.dim == rho0.dim == sigma0.dim:
+        raise DimMismatch(f"model dim {model.dim} vs states {rho0.dim}, {sigma0.dim}")
 
+    l = lindblad_superop(model)
+    block = np.stack([_vec(rho0.matrix), _vec(sigma0.matrix)], axis=1)
+    propagators: dict[float, np.ndarray] = {}
     out = []
-    for t in ts:
-        rho_t = lindblad_evolve(model, rho0, float(t), tols)
-        sigma_t = lindblad_evolve(model, sigma0, float(t), tols)
+    for gap, t in zip(np.diff(ts, prepend=0.0).tolist(), ts.tolist()):
+        if gap > 0:
+            if gap not in propagators:
+                propagators[gap] = expm(gap * l)
+            block = propagators[gap] @ block
+        rho_t, sigma_t = (_checked_state(v, model.dim, t, tols) for v in block.T)
         for name, state in (("rho", rho_t), ("sigma", sigma_t)):
             if state.min_eigenvalue <= tols.eps_faithful:
                 raise NotFaithful(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -57,27 +57,50 @@ def _atom_array(atoms: Sequence[PureState]) -> np.ndarray:
     return np.stack([a.amplitudes for a in atoms])
 
 
-def _check_pairwise_distinct(amps: np.ndarray, tol: float) -> None:
-    # two-stage: a cheap overlap screen in blocks, then the accurate
-    # angle only for suspicious pairs
-    n_atoms = amps.shape[0]
+def _near_pairs(amps: np.ndarray, tol: float) -> Iterator[tuple[int, int, float]]:
+    """Row pairs i < j within Fubini-Study distance ``tol``, ordered by i then
+    j, each with its distance."""
+    # two-stage: a cheap overlap screen of the upper triangle in blocks, then
+    # the accurate angle only for suspicious pairs
     block = 512
-    suspects = []
-    for start in range(0, n_atoms, block):
-        seg = amps[start : start + block]
-        ov = np.abs(seg.conj() @ amps.T)
+    for start in range(0, amps.shape[0], block):
+        ov = np.abs(amps[start : start + block].conj() @ amps[start:].T)
         rows, cols = np.nonzero(ov >= 1.0 - 1e-12)
-        for r, c in zip(rows, cols):
-            i, j = start + int(r), int(c)
-            if i < j:
-                suspects.append((i, j))
-    for i, j in suspects:
-        d = fubini_study(PureState(amps[i]), PureState(amps[j]))
-        if d <= tol:
-            raise ValueError(
-                f"atoms {i} and {j} coincide up to phase "
-                f"(Fubini-Study distance {d:.3e} <= {tol:.1e})"
-            )
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            if r < c:
+                i, j = start + r, start + c
+                d = fubini_study(PureState(amps[i]), PureState(amps[j]))
+                if d <= tol:
+                    yield i, j, d
+
+
+def _check_pairwise_distinct(amps: np.ndarray, tol: float) -> None:
+    for i, j, d in _near_pairs(amps, tol):
+        raise ValueError(
+            f"atoms {i} and {j} coincide up to phase "
+            f"(Fubini-Study distance {d:.3e} <= {tol:.1e})"
+        )
+
+
+def _merge_coincident(
+    atoms: Sequence[PureState], weights: np.ndarray, tol: float = TOL_MATCH
+) -> tuple[tuple[PureState, ...], np.ndarray]:
+    """Merge every group of atoms linked by distances within ``tol`` into its
+    first atom, which carries the group's summed weight."""
+    root = list(range(len(atoms)))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for i, j, _ in _near_pairs(_atom_array(atoms), tol):
+        lo, hi = sorted((find(i), find(j)))
+        root[hi] = lo
+    groups = np.array([find(k) for k in range(len(atoms))])
+    keep = np.flatnonzero(groups == np.arange(len(atoms)))
+    summed = np.bincount(groups, weights=weights)[keep]
+    return tuple(atoms[k] for k in keep), summed
 
 
 @dataclass(frozen=True)

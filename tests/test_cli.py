@@ -244,3 +244,26 @@ def test_seed_env_var_default(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["metadata"]["seed"] == 123
+
+
+def test_non_integer_seed_env_var_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("QUNRAVEL_SEED", "abc")
+    code, out, err = run(capsys, "entropy", RHO_C, SIGMA_M)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "QUNRAVEL_SEED" in payload["message"]
+
+
+@pytest.mark.parametrize("dim, samples", [("2", "0"), ("0", "2"), ("2", "-1")])
+def test_haar_experiment_rejects_empty_sweep(capsys, tmp_path, dim, samples):
+    csv_path = tmp_path / "sweep.csv"
+    code, out, err = run(
+        capsys, "haar-experiment", "--dim", dim, "--samples", samples,
+        "--out", str(csv_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+    assert not csv_path.exists()

@@ -5,6 +5,7 @@ import pytest
 
 from qunravel import (
     DiscreteEnsemble,
+    bs_entropy,
     LindbladModel,
     PureState,
     RngStream,
@@ -20,11 +21,13 @@ from qunravel import (
     trace_distance,
     validate_density,
 )
+import qunravel.dynamics as dynamics
 from qunravel.errors import (
     DimMismatch,
     NotFaithful,
     NotHermitian,
     StepExplosion,
+    ValidationFailure,
 )
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # qubit lowering operator
@@ -197,6 +200,27 @@ def test_evolve_ensemble_multi_atom_consistency():
     assert trace_distance(realize(out), target) < 0.05
 
 
+def test_evolve_ensemble_merges_paths_on_one_ray():
+    # a jump proportional to the identity moves only the global phase and the
+    # norm, so every path ends on the starting ray, equal up to roundoff
+    noise_only = LindbladModel(np.zeros((2, 2)), (np.eye(2),), (1.0,))
+    plus = PureState(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2))
+    mu0 = DiscreteEnsemble((plus,), np.array([1.0]))
+    out = evolve_ensemble(noise_only, mu0, 0.5, 1e-2, 20, RngStream(1))
+    assert len(out.atoms) == 1
+    assert out.weights[0] == pytest.approx(1.0)
+    assert abs(np.vdot(out.atoms[0].amplitudes, plus.amplitudes)) == pytest.approx(1.0)
+
+
+def test_evolve_ensemble_merges_near_coincident_damped_paths():
+    # two of these paths end 2.4e-11 apart (Fubini-Study), distinct bit for bit
+    mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
+    out = evolve_ensemble(DAMPING, mu0, 1.0, 1e-3, 10_000, RngStream(3193737770))
+    assert len(out.atoms) == 9999
+    rho0 = validate_density(np.diag([0.0, 1.0]), psd_floor=-1e-12)
+    assert trace_distance(realize(out), lindblad_evolve(DAMPING, rho0, 1.0)) < 0.03
+
+
 def test_contraction_identical_inputs_zero_series():
     rng = RngStream(95)
     rho = sample_faithful(2, rng)
@@ -256,3 +280,61 @@ def test_contraction_rejects_bad_time_grids():
         contraction_scan(DEPHASING, rho, sigma, np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         contraction_scan(DEPHASING, rho, sigma, np.array([-1.0, 0.5]))
+    for bad in (np.array([0.0, np.nan]), np.full(3, np.nan), np.array([0.0, np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            contraction_scan(DEPHASING, rho, sigma, bad)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.linspace(0.0, 2.0, 21),
+        np.array([0.0, 0.03, 0.3, 0.31, 1.2, 1.9, 2.0]),
+        np.array([0.7, 0.75, 1.1, 2.5]),
+    ],
+    ids=["uniform", "uneven", "late-start"],
+)
+def test_contraction_matches_per_point_evolution(times):
+    rng = RngStream(99)
+    for dim in (2, 3, 4):
+        model = random_model(dim, rng, 2)
+        rho = sample_faithful(dim, rng)
+        sigma = sample_faithful(dim, rng)
+        series = contraction_scan(model, rho, sigma, times)
+        assert [t for t, _ in series] == times.tolist()
+        for t, d in series:
+            ref = bs_entropy(lindblad_evolve(model, rho, t), lindblad_evolve(model, sigma, t))
+            assert abs(d - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_contraction_builds_one_generator_and_one_propagator_per_gap(monkeypatch):
+    calls = {"superop": 0, "expm": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "lindblad_superop", counted("superop", lindblad_superop))
+    monkeypatch.setattr(dynamics, "expm", counted("expm", dynamics.expm))
+    rng = RngStream(100)
+    times = np.linspace(0.0, 2.0, 21)
+    contraction_scan(
+        random_model(2, rng), sample_faithful(2, rng), sample_faithful(2, rng), times
+    )
+    assert calls["superop"] == 1
+    assert calls["expm"] == len(set(np.diff(times).tolist()))
+
+
+def test_trace_drift_raises_with_time_stamp(monkeypatch):
+    # a generator that leaks trace at rate 0.01, which no LindbladModel builds
+    leaky = lambda model: lindblad_superop(model) - 0.01 * np.eye(model.dim**2)
+    monkeypatch.setattr(dynamics, "lindblad_superop", leaky)
+    rng = RngStream(101)
+    rho = sample_faithful(2, rng)
+    sigma = sample_faithful(2, rng)
+    with pytest.raises(ValidationFailure, match=r"trace drifted .* at t=0\.5 "):
+        contraction_scan(DEPHASING, rho, sigma, np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValidationFailure, match=r"trace drifted .* at t=0\.5 "):
+        lindblad_evolve(DEPHASING, rho, 0.5)

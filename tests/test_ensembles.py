@@ -19,6 +19,7 @@ from qunravel import (
     realize,
     trace_distance,
 )
+from qunravel.ensembles import _merge_coincident
 from qunravel.errors import DimMismatch, EmptyEnsemble, InvalidCoupling
 
 KET0 = PureState(np.array([1.0, 0.0], dtype=complex))
@@ -55,6 +56,21 @@ def test_constructor_rejects_duplicate_rays():
     phase_copy = PureState(KET0.amplitudes * np.exp(0.3j))
     with pytest.raises(ValueError):
         DiscreteEnsemble((KET0, phase_copy), np.array([0.5, 0.5]))
+
+
+def test_merge_coincident_sums_weights_along_chains():
+    # KET0 tilted in steps of 0.6e-10: neighbours lie within TOL_MATCH, the
+    # chain's ends (1.2e-10 apart) do not, and all three become one atom
+    def tilted(angle):
+        return PureState(np.array([math.cos(angle), math.sin(angle)], dtype=complex))
+
+    atoms = [tilted(0.0), KET1, tilted(0.6e-10), PLUS, tilted(1.2e-10)]
+    assert fubini_study(atoms[0], atoms[4]) > 1e-10
+    merged, weights = _merge_coincident(atoms, np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+    assert [a is b for a, b in zip(merged, (atoms[0], KET1, PLUS))] == [True] * 3
+    assert len(merged) == 3
+    assert np.allclose(weights, [0.65, 0.2, 0.15], rtol=0, atol=1e-15)
+    DiscreteEnsemble(merged, weights)
 
 
 def test_realize_single_atom():
