@@ -23,9 +23,9 @@ import numpy as np
 from .commonbasis import common_basis, dual_consistency
 from .dynamics import LindbladModel, contraction_scan
 from .entropy import bs_entropy, umegaki, unr_entropy
-from .errors import BudgetExceeded, QunravelError, ValidationError
+from .errors import BudgetExceeded, NotHermitian, QunravelError, ValidationError
 from .ldp import ball_probability_exact, make_experiment, tolerance_budget
-from .matcore import DEFAULT_TOLS, Tolerances
+from .matcore import DEFAULT_TOLS, Tolerances, hermitize, hermiticity_defect
 from .states import RngStream, sample_faithful, trace_distance, validate_density
 
 __all__ = ["main", "entry", "RunConfig"]
@@ -123,16 +123,21 @@ def _load_density(path: str, tols: Tolerances):
     return validate_density(_parse_matrix(obj["matrix"], dim, path), tols)
 
 
-def _load_model(path: str) -> LindbladModel:
+def _load_model(path: str, tols: Tolerances) -> LindbladModel:
     obj = _load_json(path)
     dim = int(obj["dim"])
     h = _parse_matrix(obj["hamiltonian"], dim, f"{path}:hamiltonian")
+    defect = hermiticity_defect(h)
+    if defect > tols.tol_herm:
+        raise NotHermitian(
+            f"{path}:hamiltonian defect {defect:.3e} exceeds tol_herm={tols.tol_herm:.1e}"
+        )
     jumps = tuple(
         _parse_matrix(rows, dim, f"{path}:jumps[{i}]")
         for i, rows in enumerate(obj.get("jumps", []))
     )
     rates = tuple(float(g) for g in obj.get("rates", []))
-    return LindbladModel(h, jumps, rates)
+    return LindbladModel(hermitize(h), jumps, rates)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -272,7 +277,7 @@ def cmd_contraction(args) -> int:
         overrides=overrides,
         params={"t_max": args.t_max, "steps": args.steps},
     )
-    model = _load_model(args.model)
+    model = _load_model(args.model, tols)
     rho = _load_density(args.rho, tols)
     sigma = _load_density(args.sigma, tols)
     times = np.linspace(0.0, args.t_max, args.steps)

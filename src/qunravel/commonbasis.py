@@ -33,7 +33,7 @@ import numpy as np
 
 from .ensembles import DiscreteEnsemble
 from .errors import BackendFailure, DimMismatch
-from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, herm_inv, hermitize
+from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, hermitize
 from .states import (
     DensityMatrix,
     PureState,
@@ -92,8 +92,7 @@ def common_basis(
     r = rho.matrix
     s = sigma.matrix
 
-    vals_r, vecs_r = herm_eig(r, tols)
-    inv_sqrt_r = (vecs_r / np.sqrt(vals_r)) @ vecs_r.conj().T
+    inv_sqrt_r = rho.eig.inv_sqrt()
     a = hermitize(inv_sqrt_r @ s @ inv_sqrt_r)
     kappa, y = herm_eig(a, tols)
 
@@ -151,7 +150,7 @@ def dual_consistency(
     """
     if cb.dim != rho.dim:
         raise DimMismatch(f"dimensions differ: {cb.dim} vs {rho.dim}")
-    inv = herm_inv(rho.matrix, tols)
+    inv = rho.eig.inv(tols)
     approx = (cb.dual / cb.rho_coeffs) @ cb.dual.conj().T
     return float(np.linalg.norm(approx - inv))
 

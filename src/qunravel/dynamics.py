@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import expm
@@ -143,7 +144,7 @@ def _checked_state(v: np.ndarray, n: int, t: float, tols: Tolerances | None):
     # drift is read off the raw propagated column, before renormalizing
     out = hermitize(_unvec(v, n))
     tr = float(np.real(np.trace(out)))
-    if abs(tr - 1.0) > TRACE_DRIFT_TOL:
+    if not abs(tr - 1.0) <= TRACE_DRIFT_TOL:  # a NaN trace fails here too
         raise ValidationFailure(
             f"trace drifted to {tr!r} at t={t} (budget {TRACE_DRIFT_TOL:.1e})"
         )
@@ -167,8 +168,8 @@ def lindblad_evolve(
     """
     if model.dim != rho0.dim:
         raise DimMismatch(f"model dim {model.dim} vs state dim {rho0.dim}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     v = expm(t * lindblad_superop(model)) @ _vec(rho0.matrix)
     return _checked_state(v, model.dim, t, tols)
 
@@ -188,68 +189,23 @@ def _n_steps(t_final: float, dt: float) -> int:
     return int(round(t_final / dt))
 
 
-def sse_trajectory(
-    model: LindbladModel,
-    psi0: PureState,
-    t_final: float,
-    dt: float,
-    rng: RngStream,
-) -> Trajectory:
-    """Single Euler-Maruyama path of the diffusive unraveling.
-
-    Runs round(t_final / dt) steps of size dt, renormalizing after each one
-    and folding the discarded squared norm into the path's running log
-    weight. A pre-normalization norm outside [0.5, 2] aborts with
-    ``StepExplosion``; that window flags a step size too coarse for the
-    model's rates.
-    """
-    if model.dim != psi0.dim:
-        raise DimMismatch(f"model dim {model.dim} vs state dim {psi0.dim}")
-    steps = _n_steps(t_final, dt)
-    n_jumps = len(model.jumps)
-    noise = rng.gen.standard_normal((steps, n_jumps)) * math.sqrt(dt)
-    drift = _drift_matrix(model)
-
-    psi = psi0.amplitudes.copy()
-    states = [psi0]
-    logw = 0.0
-    log_weights = [0.0]
-    for step in range(steps):
-        dpsi = dt * (drift @ psi)
-        for j, (s, g) in enumerate(zip(model.jumps, model.rates)):
-            dpsi += (1j * g * noise[step, j]) * (s @ psi)
-        psi = psi + dpsi
-        nrm = float(np.linalg.norm(psi))
-        if not 0.5 <= nrm <= 2.0:
-            raise StepExplosion(
-                f"norm {nrm:.3e} left [0.5, 2] at step {step} (t={(step + 1) * dt:.6g})"
-            )
-        psi = psi / nrm
-        logw += 2.0 * math.log(nrm)
-        states.append(PureState(psi))
-        log_weights.append(logw)
-    times = dt * np.arange(steps + 1)
-    return Trajectory(
-        times, tuple(states), np.array(log_weights), rng.seed, rng.stream_id
-    )
-
-
-def _sse_final_batch(
+def _sse_steps(
     model: LindbladModel,
     psi0: np.ndarray,
     noise: np.ndarray,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate a (batch, dim) block of trajectories to the final time.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Euler-Maruyama steps of a (batch, dim) block of trajectories.
 
-    Same scheme and same per-trajectory noise consumption as
-    ``sse_trajectory``, vectorized over the batch; only the final states and
-    final log likelihood weights are kept.
+    ``noise`` holds each trajectory's increments dX, shaped (batch, steps,
+    n_jumps). After every step the renormalized block and the running log
+    likelihood weights are yielded as fresh arrays; ``StepExplosion`` names
+    the trajectory, the step and t.
     """
     steps = noise.shape[1]
     drift_t = _drift_matrix(model).T
     jump_ts = [s.T for s in model.jumps]
-    p = psi0.copy()
+    p = psi0
     logw = np.zeros(p.shape[0])
     for step in range(steps):
         dp = dt * (p @ drift_t)
@@ -265,8 +221,39 @@ def _sse_final_batch(
                 f"(trajectory {k}, t={(step + 1) * dt:.6g})"
             )
         p = p / nrm[:, None]
-        logw += 2.0 * np.log(nrm)
-    return p, logw
+        logw = logw + 2.0 * np.log(nrm)
+        yield p, logw
+
+
+def sse_trajectory(
+    model: LindbladModel,
+    psi0: PureState,
+    t_final: float,
+    dt: float,
+    rng: RngStream,
+) -> Trajectory:
+    """Single Euler-Maruyama path of the diffusive unraveling.
+
+    Runs round(t_final / dt) steps of size dt, renormalizing after each one
+    and folding the discarded squared norm into the path's running log
+    weight. A pre-normalization norm outside [0.5, 2] aborts with
+    ``StepExplosion``; that window flags a step size too coarse for the
+    model's rates. The path is a batch of one through the stepping loop of
+    ``evolve_ensemble``, with the same noise consumption.
+    """
+    if model.dim != psi0.dim:
+        raise DimMismatch(f"model dim {model.dim} vs state dim {psi0.dim}")
+    steps = _n_steps(t_final, dt)
+    noise = rng.gen.standard_normal((1, steps, len(model.jumps))) * math.sqrt(dt)
+    states = [psi0]
+    log_weights = [0.0]
+    for p, logw in _sse_steps(model, psi0.amplitudes[None, :], noise, dt):
+        states.append(PureState(p[0]))
+        log_weights.append(float(logw[0]))
+    times = dt * np.arange(steps + 1)
+    return Trajectory(
+        times, tuple(states), np.array(log_weights), rng.seed, rng.stream_id
+    )
 
 
 def evolve_ensemble(
@@ -299,18 +286,16 @@ def evolve_ensemble(
     if t == 0.0:
         return mu0
     steps = _n_steps(t, dt)
-    n_jumps = len(model.jumps)
+    shape = (steps, len(model.jumps))
 
     blocks = []
-    traj_index = 0
-    for atom, weight in zip(mu0.atoms, mu0.weights):
-        noise = np.empty((n_per_atom, steps, n_jumps))
-        for b in range(n_per_atom):
-            stream = rng.split(traj_index)
-            noise[b] = stream.gen.standard_normal((steps, n_jumps)) * math.sqrt(dt)
-            traj_index += 1
-        block = np.broadcast_to(atom.amplitudes, (n_per_atom, model.dim)).copy()
-        finals, logw = _sse_final_batch(model, block, noise, dt)
+    for a, (atom, weight) in enumerate(zip(mu0.atoms, mu0.weights)):
+        streams = range(a * n_per_atom, (a + 1) * n_per_atom)
+        noise = np.stack([rng.split(g).gen.standard_normal(shape) for g in streams])
+        noise *= math.sqrt(dt)
+        block = np.broadcast_to(atom.amplitudes, (n_per_atom, model.dim))
+        for finals, logw in _sse_steps(model, block, noise, dt):
+            pass  # only the final step is kept
         blocks.append((float(weight), finals, logw))
 
     # common shift keeps exp() tame; it cancels in the final normalization

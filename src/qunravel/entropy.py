@@ -13,6 +13,10 @@ The BS form is evaluated through the Hermitian product
 sqrt(rho) sigma^{-1} sqrt(rho); the similar but non-Hermitian rho sigma^{-1}
 is never diagonalized. ``max_f_divergence`` generalizes the BS construction
 to arbitrary operator-convex generators with f(1) = 0.
+
+Functions of rho and sigma themselves come from the eigendecompositions the
+validated states carry (``DensityMatrix.eig``); only each divergence's core
+matrix is decomposed here.
 """
 from __future__ import annotations
 
@@ -28,16 +32,7 @@ from .errors import (
     NotOperatorConvex,
     NotTracePreserving,
 )
-from .matcore import (
-    DEFAULT_TOLS,
-    Tolerances,
-    herm_eig,
-    herm_inv,
-    herm_log,
-    herm_sqrt,
-    hermitize,
-    spectral_fn,
-)
+from .matcore import DEFAULT_TOLS, Tolerances, herm_log, hermitize, spectral_fn
 from .states import DensityMatrix, RngStream, require_faithful, validate_density
 
 __all__ = [
@@ -106,7 +101,7 @@ def umegaki(
     """Umegaki relative entropy Tr[rho (log rho - log sigma)] in nats."""
     tols = tols or DEFAULT_TOLS
     _check_pair(rho, sigma, tols)
-    diff = herm_log(rho.matrix, tols) - herm_log(sigma.matrix, tols)
+    diff = rho.eig.log(tols) - sigma.eig.log(tols)
     return float(np.real(np.trace(rho.matrix @ diff)))
 
 
@@ -120,8 +115,8 @@ def bs_entropy(
     """
     tols = tols or DEFAULT_TOLS
     _check_pair(rho, sigma, tols)
-    sr = herm_sqrt(rho.matrix, tols)
-    core = hermitize(sr @ herm_inv(sigma.matrix, tols) @ sr)
+    sr = rho.eig.sqrt(tols)
+    core = hermitize(sr @ sigma.eig.inv(tols) @ sr)
     return float(np.real(np.trace(rho.matrix @ herm_log(core, tols))))
 
 
@@ -158,8 +153,7 @@ def max_f_divergence(
         raise NotOperatorConvex(
             f"generator {gen.name!r} is not marked operator convex"
         )
-    vals_s, vecs_s = herm_eig(sigma.matrix, tols)
-    inv_sqrt_s = (vecs_s / np.sqrt(vals_s)) @ vecs_s.conj().T
+    inv_sqrt_s = sigma.eig.inv_sqrt()
     core = hermitize(inv_sqrt_s @ rho.matrix @ inv_sqrt_s)
     fval = spectral_fn(core, gen.f, tols.eps_faithful, tols)
     return float(np.real(np.trace(sigma.matrix @ fval)))

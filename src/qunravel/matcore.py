@@ -6,6 +6,11 @@ every decomposition is checked before anything is built on top of it.
 Matrices are plain complex ``numpy`` arrays; dimensions stay small (tens,
 not thousands), which keeps full dense eigensolves cheap enough to verify
 on every call.
+
+A verified ``SpectralDecomposition`` maps its own spectrum through scalar
+functions, so one decomposition serves every function of a matrix: validated
+states carry theirs (``DensityMatrix.eig``) and the divergences reuse it. The
+matrix entry points (``spectral_fn``, ``herm_sqrt``, ...) decompose afresh.
 """
 from __future__ import annotations
 
@@ -53,8 +58,49 @@ DEFAULT_TOLS = Tolerances()
 
 
 class SpectralDecomposition(NamedTuple):
+    """Verified eigendecomposition, as returned by ``herm_eig``."""
+
     eigenvalues: np.ndarray  # real, ascending
     eigenvectors: np.ndarray  # orthonormal columns, same order
+
+    def apply(self, f: Callable[[np.ndarray], np.ndarray], domain_min: float) -> np.ndarray:
+        """``V f(diag) V^dag``, re-Hermitized, for a vectorized real f.
+
+        An eigenvalue below ``domain_min``, or a non-finite value of f on the
+        spectrum, raises ``DomainViolation`` naming the offender.
+        """
+        vals, vecs = self
+        below = vals < domain_min
+        if below.any():
+            worst = float(vals[below].min())
+            raise DomainViolation(
+                f"eigenvalue {worst:.6e} lies below the domain minimum {domain_min:.6e}"
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fvals = np.asarray(f(vals), dtype=float)
+        if not np.isfinite(fvals).all():
+            raise DomainViolation("scalar function returned a non-finite value on the spectrum")
+        return hermitize((vecs * fvals) @ vecs.conj().T)
+
+    def sqrt(self, tols: Tolerances | None = None) -> np.ndarray:
+        """Principal square root. Eigenvalues may sit a rounding error below zero
+        (validated states allow down to ``-eps_faithful``); they clip to zero."""
+        eps = (tols or DEFAULT_TOLS).eps_faithful
+        return self.apply(lambda x: np.sqrt(np.clip(x, 0.0, None)), -eps)
+
+    def log(self, tols: Tolerances | None = None) -> np.ndarray:
+        """Logarithm; needs every eigenvalue above ``eps_faithful``."""
+        return self.apply(np.log, (tols or DEFAULT_TOLS).eps_faithful)
+
+    def inv(self, tols: Tolerances | None = None) -> np.ndarray:
+        """Inverse; needs every eigenvalue above ``eps_faithful``. Accuracy
+        degrades with the condition number, as for any floating-point inverse."""
+        return self.apply(lambda x: 1.0 / x, (tols or DEFAULT_TOLS).eps_faithful)
+
+    def inv_sqrt(self) -> np.ndarray:
+        """``V diag(w)^{-1/2} V^dag`` of a positive spectrum, not re-Hermitized."""
+        vals, vecs = self
+        return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
 def _as_square(mat: np.ndarray) -> np.ndarray:
@@ -120,60 +166,22 @@ def spectral_fn(
     domain_min: float,
     tols: Tolerances | None = None,
 ) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Parameters
-    ----------
-    mat : array
-        Hermitian matrix (within ``tol_herm``).
-    f : callable
-        Vectorized real function applied to the eigenvalue array.
-    domain_min : float
-        Smallest admissible eigenvalue; anything below raises
-        ``DomainViolation`` naming the offender.
-
-    Returns
-    -------
-    array
-        ``V f(diag) V^dag``, re-Hermitized.
-    """
-    dec = herm_eig(mat, tols)
-    below = dec.eigenvalues < domain_min
-    if below.any():
-        worst = float(dec.eigenvalues[below].min())
-        raise DomainViolation(
-            f"eigenvalue {worst:.6e} lies below the domain minimum {domain_min:.6e}"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fvals = np.asarray(f(dec.eigenvalues), dtype=float)
-    if not np.isfinite(fvals).all():
-        raise DomainViolation("scalar function returned a non-finite value on the spectrum")
-    return hermitize((dec.eigenvectors * fvals) @ dec.eigenvectors.conj().T)
+    """Apply a scalar function to a Hermitian matrix (within ``tol_herm``)
+    through its spectrum; see ``SpectralDecomposition.apply``."""
+    return herm_eig(mat, tols).apply(f, domain_min)
 
 
 def herm_sqrt(mat: np.ndarray, tols: Tolerances | None = None) -> np.ndarray:
-    """Principal square root of a PSD matrix.
-
-    Eigenvalues may sit a rounding error below zero (validated states carry a
-    small negativity allowance); they are clipped to zero before the root.
-    """
-    tols = tols or DEFAULT_TOLS
-    return spectral_fn(
-        mat, lambda x: np.sqrt(np.clip(x, 0.0, None)), -tols.eps_faithful, tols
-    )
+    """Principal square root of a PSD matrix; see ``SpectralDecomposition.sqrt``."""
+    return herm_eig(mat, tols).sqrt(tols)
 
 
 def herm_log(mat: np.ndarray, tols: Tolerances | None = None) -> np.ndarray:
     """Matrix logarithm of a strictly positive matrix."""
-    tols = tols or DEFAULT_TOLS
-    return spectral_fn(mat, np.log, tols.eps_faithful, tols)
+    return herm_eig(mat, tols).log(tols)
 
 
 def herm_inv(mat: np.ndarray, tols: Tolerances | None = None) -> np.ndarray:
-    """Inverse of a strictly positive matrix via its spectrum.
-
-    Accuracy degrades with the condition number, as for any floating-point
-    inverse; callers guard conditioning through the faithfulness floor.
-    """
-    tols = tols or DEFAULT_TOLS
-    return spectral_fn(mat, lambda x: 1.0 / x, tols.eps_faithful, tols)
+    """Inverse of a strictly positive matrix via its spectrum. Callers guard
+    conditioning through the faithfulness floor."""
+    return herm_eig(mat, tols).inv(tols)

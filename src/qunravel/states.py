@@ -4,6 +4,11 @@ Pure states are unit vectors up to a global phase, density matrices are
 validated Hermitian unit-trace PSD matrices, and every sampler draws from an
 explicit, splittable random stream so that Monte Carlo runs are reproducible
 and parallelizable without shared state.
+
+Validation decomposes the matrix once through ``herm_eig``, and the state
+carries that verified eigendecomposition (``DensityMatrix.eig``); every
+function of a validated state downstream (log, square root, inverse,
+inverse square root) is built from it rather than from a fresh eigensolve.
 """
 from __future__ import annotations
 
@@ -11,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotFaithful, NotHermitian, NotPSD, NotTraceOne
-from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, hermitize, hermiticity_defect
+from .errors import DimMismatch, NotFaithful, NotPSD, NotTraceOne
+from .matcore import DEFAULT_TOLS, SpectralDecomposition, Tolerances, herm_eig, hermitize
 
 __all__ = [
     "PureState",
@@ -62,15 +67,19 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix with its cached smallest eigenvalue."""
+    """Validated density matrix with its verified eigendecomposition."""
 
     matrix: np.ndarray
-    min_eigenvalue: float
+    eig: SpectralDecomposition
     faithful: bool
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.eig.eigenvalues[0])
 
 
 def validate_density(
@@ -82,27 +91,22 @@ def validate_density(
     """Check Hermiticity, unit trace, and positivity; return the state.
 
     Checks run in that order so the reported failure names the first violated
-    bound. The returned matrix is re-Hermitized, and the faithfulness flag
-    records whether the smallest eigenvalue clears ``eps_faithful``.
+    bound; non-square or non-finite input fails as ``NotHermitian``. The
+    returned matrix is re-Hermitized and carries the eigendecomposition that
+    ``herm_eig`` verified, and the faithfulness flag records whether the
+    smallest eigenvalue clears ``eps_faithful``.
     """
     tols = tols or DEFAULT_TOLS
     m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > tols.tol_herm:
-        raise NotHermitian(
-            f"max |M - M^dag| entry {defect:.3e} exceeds tol_herm={tols.tol_herm:.1e}"
-        )
-    m = hermitize(m)
+    eig = herm_eig(m, tols)
+    m = hermitize(m)  # the matrix herm_eig decomposed
     tr = float(np.real(np.trace(m)))
     if abs(tr - 1.0) > trace_tol:
         raise NotTraceOne(f"trace {tr!r} deviates from 1 beyond {trace_tol:.1e}")
-    eigvals = np.linalg.eigvalsh(m)
-    lo = float(eigvals[0])
+    lo = float(eig.eigenvalues[0])
     if lo < psd_floor:
         raise NotPSD(f"smallest eigenvalue {lo:.3e} is below the floor {psd_floor:.1e}")
-    return DensityMatrix(matrix=m, min_eigenvalue=lo, faithful=lo > tols.eps_faithful)
+    return DensityMatrix(matrix=m, eig=eig, faithful=lo > tols.eps_faithful)
 
 
 def require_faithful(state: DensityMatrix, name: str, tols: Tolerances | None = None) -> None:

@@ -175,6 +175,40 @@ def test_contraction_unitary_flow_constant(capsys, tmp_path):
     assert max(values) - min(values) < 1e-9
 
 
+def write_model(tmp_path, defect):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "hamiltonian": [[1.0, defect], [0.0, -1.0]],
+        "jumps": [[[0.0, 1.0], [0.0, 0.0]]],
+        "rates": [1.0],
+    }))
+    return str(path)
+
+
+def test_contraction_looser_tol_herm_accepts_model(capsys, tmp_path):
+    model = write_model(tmp_path, 1e-8)
+    code, _, err = run(capsys, "contraction", model, RHO_X, SIGMA_Y, "--steps", "3")
+    assert code == 2
+    assert json.loads(err)["error"] == "NotHermitian"
+    code, out, _ = run(
+        capsys, "contraction", model, RHO_X, SIGMA_Y, "--steps", "3", "--tol-herm", "1e-6"
+    )
+    assert code == 0
+    assert json.loads(out)["metadata"]["tolerance_overrides"] == {"tol_herm": 1e-6}
+
+
+def test_contraction_tighter_tol_herm_rejects_model(capsys, tmp_path):
+    model = write_model(tmp_path, 1e-11)
+    code, _, _ = run(capsys, "contraction", model, RHO_X, SIGMA_Y, "--steps", "3")
+    assert code == 0
+    code, _, err = run(
+        capsys, "contraction", model, RHO_X, SIGMA_Y, "--steps", "3", "--tol-herm", "1e-12"
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "NotHermitian"
+
+
 def test_ldp_command(capsys, tmp_path):
     csv_path = tmp_path / "rates.csv"
     code, out, _ = run(capsys, "ldp", LDP_CFG, "--out", str(csv_path))

@@ -13,6 +13,7 @@ from qunravel import (
     common_basis,
     contraction_scan,
     evolve_ensemble,
+    haar_pure,
     lindblad_evolve,
     lindblad_superop,
     realize,
@@ -99,6 +100,18 @@ def test_evolve_semigroup_property():
     assert np.abs(one_shot.matrix - stepped.matrix).max() < 1e-9
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_evolve_rejects_non_finite_time(t):
+    with pytest.raises(ValueError):
+        lindblad_evolve(DAMPING, validate_density(np.eye(2) / 2), t)
+
+
+def test_evolve_overflowing_time_fails_validation():
+    # t * L overflows; the propagated state is non-finite and must not validate
+    with pytest.raises(ValidationFailure):
+        lindblad_evolve(DAMPING, validate_density(np.eye(2) / 2), 1e308)
+
+
 def test_evolve_preserves_state_invariants():
     rng = RngStream(84)
     for _ in range(5):
@@ -147,6 +160,48 @@ def test_sse_step_explosion():
     fast = LindbladModel(np.diag([30.0, -30.0]).astype(complex))
     with pytest.raises(StepExplosion):
         sse_trajectory(fast, KET1, 1.0, 0.1, RngStream(88))
+
+
+def test_sse_step_explosion_names_step_and_time():
+    fast = LindbladModel(np.zeros((2, 2)), (SM,), (50.0,))
+    with pytest.raises(StepExplosion, match=r"at step 0 .*t=0\.1\)"):
+        sse_trajectory(fast, KET1, 1.0, 0.1, RngStream(88))
+
+
+def scalar_sse_reference(model, psi0, t_final, dt, rng):
+    """One path stepped vector by vector: the scalar Euler-Maruyama loop."""
+    steps = int(round(t_final / dt))
+    noise = rng.gen.standard_normal((steps, len(model.jumps))) * math.sqrt(dt)
+    drift = -1j * model.hamiltonian
+    for s, g in zip(model.jumps, model.rates):
+        drift = drift - 0.5 * (g * g) * (s.conj().T @ s)
+    psi = psi0.amplitudes.copy()
+    states, log_weights, logw = [psi], [0.0], 0.0
+    for step in range(steps):
+        dpsi = dt * (drift @ psi)
+        for j, (s, g) in enumerate(zip(model.jumps, model.rates)):
+            dpsi += (1j * g * noise[step, j]) * (s @ psi)
+        psi = psi + dpsi
+        nrm = float(np.linalg.norm(psi))
+        psi = psi / nrm
+        logw += 2.0 * math.log(nrm)
+        states.append(psi)
+        log_weights.append(logw)
+    return np.array(states), np.array(log_weights)
+
+
+def test_sse_trajectory_matches_scalar_reference():
+    rng = RngStream(90)
+    plus = PureState(np.ones(2, dtype=complex) / math.sqrt(2))
+    cases = [(DAMPING, KET1), (DEPHASING, plus)]
+    cases += [(random_model(d, rng, n_jumps=2), haar_pure(d, rng)) for d in (3, 4)]
+    for k, (model, psi0) in enumerate(cases):
+        traj = sse_trajectory(model, psi0, 0.3, 1e-3, RngStream(91, k))
+        states, log_weights = scalar_sse_reference(model, psi0, 0.3, 1e-3, RngStream(91, k))
+        got = np.array([s.amplitudes for s in traj.states])
+        assert got.shape == states.shape == (301, model.dim)
+        assert np.abs(got - states).max() <= 1e-12
+        assert np.abs(traj.log_weights - log_weights).max() <= 1e-12
 
 
 def test_sse_invalid_steps():

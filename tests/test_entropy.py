@@ -1,8 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qunravel.matcore as matcore
 from qunravel import (
     GENERATORS,
     DivergenceGenerator,
@@ -13,6 +16,10 @@ from qunravel import (
     cb_measures,
     common_basis,
     f_divergence,
+    herm_inv,
+    herm_log,
+    herm_sqrt,
+    hermitize,
     max_f_divergence,
     random_cptp,
     sample_faithful,
@@ -218,3 +225,70 @@ def test_random_cptp_needs_enough_output_room():
     rng = RngStream(72)
     with pytest.raises(DimMismatch):
         random_cptp(4, 1, 2, rng)
+
+
+def seeded_pairs(dims=(2, 3, 4, 8, 32), per_dim=4, seed=67):
+    rng = RngStream(seed)
+    for dim in dims:
+        for _ in range(per_dim):
+            yield sample_faithful(dim, rng), sample_faithful(dim, rng)
+
+
+def test_divergences_equal_their_formulas_from_fresh_decompositions():
+    # the states' stored spectra must give what decomposing from scratch gives
+    for rho, sigma in seeded_pairs():
+        r, s = rho.matrix, sigma.matrix
+        assert umegaki(rho, sigma) == float(np.real(np.trace(r @ (herm_log(r) - herm_log(s)))))
+        sr = herm_sqrt(r)
+        core = hermitize(sr @ herm_inv(s) @ sr)
+        assert bs_entropy(rho, sigma) == float(np.real(np.trace(r @ herm_log(core))))
+
+
+def count_herm_eig(monkeypatch):
+    """Route herm_eig, under every name the package imported it as, through a
+    recorder of the matrices it is asked to decompose."""
+    seen = []
+    orig = matcore.herm_eig
+
+    def counted(mat, tols=None):
+        seen.append(np.array(mat, copy=True))
+        return orig(mat, tols)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qunravel" or name.startswith("qunravel."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return seen
+
+
+def test_each_divergence_decomposes_only_its_core(monkeypatch):
+    rng = RngStream(68)
+    pairs = [(sample_faithful(d, rng), sample_faithful(d, rng)) for d in (2, 3, 8)]
+    seen = count_herm_eig(monkeypatch)
+    calls = [(umegaki, 0), (bs_entropy, 1), (unr_entropy, 1)]
+    calls += [(lambda r, s, g=g: max_f_divergence(r, s, g), 1) for g in GENERATORS.values()]
+    for rho, sigma in pairs:
+        for fn, expected in calls:
+            seen.clear()
+            fn(rho, sigma)
+            assert len(seen) == expected
+            for mat in seen:
+                assert not np.array_equal(mat, rho.matrix)
+                assert not np.array_equal(mat, sigma.matrix)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]))
+def test_property_shared_spectrum_and_divergence_order(seed, dim):
+    rng = RngStream(seed)
+    g = rng.complex_normal((dim, dim))
+    m = g @ g.conj().T
+    m = 0.98 * m / np.real(np.trace(m)) + 0.02 * np.eye(dim) / dim
+    rho = validate_density(m)
+    sigma = sample_faithful(dim, rng)
+    vals, vecs = rho.eig
+    assert np.abs((vecs * vals) @ vecs.conj().T - rho.matrix).max() < 1e-13
+    bs = bs_entropy(rho, sigma)
+    assert bs >= umegaki(rho, sigma) - 1e-9
+    assert abs(bs - unr_entropy(rho, sigma)) <= 1e-8 * max(1.0, bs)

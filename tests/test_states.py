@@ -60,6 +60,27 @@ def test_validate_density_failures_name_first_violation():
         validate_density(np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_density_rejects_non_finite_entries(bad):
+    with pytest.raises(NotHermitian):
+        validate_density(np.full((2, 2), bad))
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(NotHermitian):
+        validate_density(m)
+
+
+def test_validated_state_carries_its_verified_spectrum():
+    rng = RngStream(12)
+    for dim in (1, 2, 5):
+        state = sample_faithful(dim, rng)
+        vals, vecs = state.eig
+        assert np.all(np.diff(vals) >= 0)
+        assert state.min_eigenvalue == vals[0]
+        assert np.abs((vecs * vals) @ vecs.conj().T - state.matrix).max() < 1e-14
+        assert np.abs(vecs.conj().T @ vecs - np.eye(dim)).max() < 1e-14
+
+
 def test_validate_density_round_trip():
     rng = RngStream(11)
     for _ in range(10):
