@@ -108,10 +108,6 @@ def _pairs(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
 
 
-def _vec_pairs(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec)]
-
-
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -153,8 +149,7 @@ def _emit_summary(summary: dict, path: str | None = None) -> None:
 
 
 def _gram_condition(cb) -> float:
-    psis = np.stack([p.amplitudes for p in cb.basis], axis=1)
-    return float(np.linalg.cond(psis.conj().T @ psis))
+    return float(np.linalg.cond(cb.psis.conj().T @ cb.psis))
 
 
 def cmd_entropy(args) -> int:
@@ -247,13 +242,13 @@ def cmd_common_basis(args) -> int:
     sigma = _load_density(args.sigma, tols)
     cb = common_basis(rho, sigma, tols)
 
-    psis = np.stack([p.amplitudes for p in cb.basis], axis=1)
+    psis = cb.psis
     recon_rho = validate_density((psis * cb.rho_coeffs) @ psis.conj().T, tols)
     recon_sigma = validate_density((psis * cb.sigma_coeffs) @ psis.conj().T, tols)
     report = {
         "metadata": cfg.metadata(),
         "dim": cb.dim,
-        "basis": [_vec_pairs(p.amplitudes) for p in cb.basis],
+        "basis": _pairs(psis.T),
         "dual": _pairs(cb.dual.T),
         "rho_coeffs": [float(x) for x in cb.rho_coeffs],
         "sigma_coeffs": [float(x) for x in cb.sigma_coeffs],

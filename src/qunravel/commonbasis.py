@@ -19,6 +19,10 @@ than the similar non-Hermitian rho^{-1} sigma keeps the eigenproblem
 well-behaved and makes the rho-orthogonality <u_i|rho|u_j> = delta_ij
 automatic, degenerate eigenvalues included.
 
+The basis is kept as one d x d matrix ``psis`` whose columns are the psi_i,
+next to the dual matrix and the two weight vectors; ``basis`` rebuilds the
+``PureState`` objects for API callers only.
+
 When the spectrum of A is simple the basis is unique up to permutation and
 phase, which ``basis_match`` recovers; with degeneracies the construction is
 still deterministic but depends on the eigensolver's choice inside each
@@ -31,14 +35,14 @@ from typing import Optional
 
 import numpy as np
 
-from .ensembles import DiscreteEnsemble
+from .ensembles import DiscreteEnsemble, _greedy_plan
 from .errors import BackendFailure, DimMismatch
 from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, hermitize
 from .states import (
     DensityMatrix,
     PureState,
-    canonical_phase,
-    fubini_study,
+    canonical_rows,
+    fs_angles,
     require_faithful,
 )
 
@@ -58,19 +62,27 @@ MATCH_TOL = 1e-8
 class CommonBasis:
     """Shared basis of a faithful pair, with weights and diagnostics.
 
-    ``basis`` holds the pure states psi_i, ``dual`` their unnormalized dual
-    vectors as columns (biorthogonal: <psi_i|dual_j> = delta_ij), and
-    ``eigenvalues`` the ascending spectrum kappa_i of
-    rho^{-1/2} sigma rho^{-1/2}, aligned with the basis order so that
-    sigma_i / rho_i = kappa_i.
+    ``psis`` holds the unit vectors psi_i as columns, ``dual`` their
+    unnormalized dual vectors as columns (biorthogonal:
+    <psi_i|dual_j> = delta_ij), and ``eigenvalues`` the ascending spectrum
+    kappa_i of rho^{-1/2} sigma rho^{-1/2}, aligned with the basis order so
+    that sigma_i / rho_i = kappa_i.
     """
 
-    dim: int
-    basis: tuple[PureState, ...]
+    psis: np.ndarray
     dual: np.ndarray
     rho_coeffs: np.ndarray
     sigma_coeffs: np.ndarray
     eigenvalues: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.psis.shape[0]
+
+    @property
+    def basis(self) -> tuple[PureState, ...]:
+        """The columns of ``psis`` as pure states."""
+        return tuple(PureState(p) for p in self.psis.T)
 
 
 def common_basis(
@@ -88,7 +100,6 @@ def common_basis(
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
     require_faithful(rho, "rho", tols)
     require_faithful(sigma, "sigma", tols)
-    n = rho.dim
     r = rho.matrix
     s = sigma.matrix
 
@@ -109,10 +120,8 @@ def common_basis(
     sigma_coeffs = rho_coeffs * usu / uru
     dual = u * (norms / uru)
 
-    basis = tuple(PureState(psis[:, i]) for i in range(n))
     cb = CommonBasis(
-        dim=n,
-        basis=basis,
+        psis=psis,
         dual=dual,
         rho_coeffs=rho_coeffs,
         sigma_coeffs=sigma_coeffs,
@@ -123,11 +132,10 @@ def common_basis(
 
 
 def _self_check(cb: CommonBasis) -> None:
-    n = cb.dim
-    psis = np.stack([p.amplitudes for p in cb.basis], axis=1)
+    psis = cb.psis
     bio = psis.conj().T @ cb.dual
-    bio_err = float(np.abs(bio - np.eye(n)).max())
-    if bio_err > 1e-9:
+    bio_err = float(np.abs(bio - np.eye(cb.dim)).max())
+    if not bio_err <= 1e-9:  # a NaN defect fails here too
         raise BackendFailure(f"dual basis not biorthogonal (defect {bio_err:.3e})")
     for label, w in (("rho", cb.rho_coeffs), ("sigma", cb.sigma_coeffs)):
         if w.min() < -1e-9 or abs(w.sum() - 1.0) > 1e-9:
@@ -162,7 +170,7 @@ def cb_measures(cb: CommonBasis) -> tuple[DiscreteEnsemble, DiscreteEnsemble]:
     weights below 1e-14 are clamped up and each vector renormalized, so the
     measures stay strictly positive for divergence work.
     """
-    atoms = tuple(canonical_phase(p) for p in cb.basis)
+    atoms = tuple(PureState(a) for a in canonical_rows(cb.psis.T))
 
     def _clean(w: np.ndarray) -> np.ndarray:
         w = np.maximum(w, WEIGHT_CLAMP)
@@ -177,29 +185,15 @@ def basis_match(a: CommonBasis, b: CommonBasis) -> Optional[list[int]]:
     """Permutation pi with b.basis[pi[i]] ~ a.basis[i], or None.
 
     Greedy assignment on the pairwise Fubini-Study table: repeatedly pair the
-    globally closest unmatched rays. Succeeds only if every matched pair ends
-    up within 1e-8; with a simple spectrum this recovers the uniqueness of
-    the basis up to permutation and phase.
+    globally closest unmatched rays, which is the walk of ``greedy_coupling``
+    with unit masses. Succeeds only if every matched pair ends up within
+    1e-8; with a simple spectrum this recovers the uniqueness of the basis up
+    to permutation and phase.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    n = a.dim
-    table = np.array(
-        [[fubini_study(x, y) for y in b.basis] for x in a.basis]
-    )
-    perm = [-1] * n
-    free_a = set(range(n))
-    free_b = set(range(n))
-    for _ in range(n):
-        best = None
-        for i in free_a:
-            for j in free_b:
-                if best is None or table[i, j] < table[best[0], best[1]]:
-                    best = (i, j)
-        i, j = best
-        if table[i, j] > MATCH_TOL:
-            return None
-        perm[i] = j
-        free_a.remove(i)
-        free_b.remove(j)
-    return perm
+    table = fs_angles(a.psis.T[:, None], b.psis.T[None])
+    plan = _greedy_plan(table, [1.0] * a.dim, [1.0] * b.dim)
+    if any(table[i, j] > MATCH_TOL for i, j, _ in plan):
+        return None
+    return [j for _, j, _ in sorted(plan)]

@@ -47,7 +47,7 @@ from .errors import (
     NotFaithful,
 )
 from .matcore import DEFAULT_TOLS, Tolerances, hermitize, hermiticity_defect
-from .states import DensityMatrix, PureState, RngStream, canonical_phase, validate_density
+from .states import DensityMatrix, PureState, RngStream, canonical_rows, validate_density
 from .ensembles import DiscreteEnsemble, _merge_coincident
 
 __all__ = [
@@ -75,6 +75,8 @@ class LindbladModel:
         h = np.ascontiguousarray(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimMismatch(f"Hamiltonian must be square, got shape {h.shape}")
+        if not np.isfinite(h).all():
+            raise NotHermitian("Hamiltonian has non-finite entries")
         defect = hermiticity_defect(h)
         if defect > DEFAULT_TOLS.tol_herm:
             raise NotHermitian(f"Hamiltonian defect {defect:.3e} exceeds tolerance")
@@ -82,11 +84,13 @@ class LindbladModel:
         for s in jumps:
             if s.shape != h.shape:
                 raise DimMismatch(f"jump shape {s.shape} does not match {h.shape}")
+            if not np.isfinite(s).all():
+                raise ValueError("jump operator has non-finite entries")
         rates = tuple(float(g) for g in self.rates)
         if len(rates) != len(jumps):
             raise DimMismatch(f"{len(jumps)} jumps but {len(rates)} rates")
-        if any(g < 0 for g in rates):
-            raise ValueError(f"rates must be nonnegative, got {rates}")
+        if not all(math.isfinite(g) and g >= 0 for g in rates):
+            raise ValueError(f"rates must be finite and nonnegative, got {rates}")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "rates", rates)
@@ -288,36 +292,27 @@ def evolve_ensemble(
     steps = _n_steps(t, dt)
     shape = (steps, len(model.jumps))
 
-    blocks = []
-    for a, (atom, weight) in enumerate(zip(mu0.atoms, mu0.weights)):
+    finals, logws = [], []
+    for a, (row, weight) in enumerate(zip(mu0.amps, mu0.weights)):
         streams = range(a * n_per_atom, (a + 1) * n_per_atom)
         noise = np.stack([rng.split(g).gen.standard_normal(shape) for g in streams])
         noise *= math.sqrt(dt)
-        block = np.broadcast_to(atom.amplitudes, (n_per_atom, model.dim))
-        for finals, logw in _sse_steps(model, block, noise, dt):
+        block = np.broadcast_to(row, (n_per_atom, model.dim))
+        for last, logw in _sse_steps(model, block, noise, dt):
             pass  # only the final step is kept
-        blocks.append((float(weight), finals, logw))
+        finals.append(last)
+        logws.append((weight, logw))
 
     # common shift keeps exp() tame; it cancels in the final normalization
-    shift = max(entry[2].max() for entry in blocks)
-    merged: dict[bytes, tuple[PureState, float]] = {}
-    for weight, finals, logw in blocks:
-        traj_w = (weight / n_per_atom) * np.exp(logw - shift)
-        for b in range(finals.shape[0]):
-            state = canonical_phase(PureState(finals[b]))
-            key = state.amplitudes.tobytes()
-            if key in merged:
-                prev_state, prev_w = merged[key]
-                merged[key] = (prev_state, prev_w + traj_w[b])
-            else:
-                merged[key] = (state, traj_w[b])
-
-    # the bytes key merges the noiseless case in linear time; paths that end
-    # distinct but within TOL_MATCH of each other are one ray, merged next
-    atoms, weights = _merge_coincident(
-        [entry[0] for entry in merged.values()],
-        np.array([entry[1] for entry in merged.values()]),
-    )
+    shift = max(lw.max() for _, lw in logws)
+    traj_w = np.concatenate([(w / n_per_atom) * np.exp(lw - shift) for w, lw in logws])
+    canon = canonical_rows(np.concatenate(finals))
+    # exact duplicates (the noiseless case) merge in one sort, in order of first
+    # occurrence; paths ending distinct but within TOL_MATCH are merged next
+    _, first, label = np.unique(canon, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    weights = np.bincount(label.ravel(), weights=traj_w)[order]
+    atoms, weights = _merge_coincident([PureState(canon[k]) for k in first[order]], weights)
     return DiscreteEnsemble(atoms, weights / weights.sum())
 
 

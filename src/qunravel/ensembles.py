@@ -2,15 +2,18 @@
 
 An ensemble is a finitely supported probability measure on rays: atoms are
 pure states, pairwise distinct in Fubini-Study distance, with nonnegative
-weights summing to one. Divergences between two ensembles are computed after
-aligning their atom lists; atoms closer than ``TOL_MATCH`` count as the same
-ray. Coarse-graining and couplings live here too, since both are purely
-measure-level operations.
+weights summing to one. Besides the ``PureState`` atoms of the API, an
+ensemble keeps their amplitudes as the rows of one ``(k, d)`` array,
+``amps``, and everything here reads that array. Divergences between two
+ensembles are computed after moving the weights of one onto the atom order
+of the other; atoms closer than ``TOL_MATCH`` count as the same ray.
+Coarse-graining and couplings live here too, since both are purely
+measure-level operations on angle tables.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
@@ -25,7 +28,7 @@ from .matcore import Tolerances, hermitize
 from .states import (
     DensityMatrix,
     PureState,
-    fubini_study,
+    fs_angles,
     trace_distance,
     validate_density,
 )
@@ -48,13 +51,11 @@ __all__ = [
 
 TOL_MATCH = 1e-10
 WEIGHT_SUM_TOL = 1e-10
+# |<a|b>| below this puts two rays about 1.4e-6 or more apart, far beyond TOL_MATCH
+OVERLAP_SCREEN = 1.0 - 1e-12
 
 # index pairs (i, j) with transported mass
 Coupling = Sequence[tuple[int, int, float]]
-
-
-def _atom_array(atoms: Sequence[PureState]) -> np.ndarray:
-    return np.stack([a.amplitudes for a in atoms])
 
 
 def _near_pairs(amps: np.ndarray, tol: float) -> Iterator[tuple[int, int, float]]:
@@ -65,13 +66,14 @@ def _near_pairs(amps: np.ndarray, tol: float) -> Iterator[tuple[int, int, float]
     block = 512
     for start in range(0, amps.shape[0], block):
         ov = np.abs(amps[start : start + block].conj() @ amps[start:].T)
-        rows, cols = np.nonzero(ov >= 1.0 - 1e-12)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            if r < c:
-                i, j = start + r, start + c
-                d = fubini_study(PureState(amps[i]), PureState(amps[j]))
+        rows, cols = np.nonzero(ov >= OVERLAP_SCREEN)
+        upper = rows < cols
+        if upper.any():
+            i, j = rows[upper] + start, cols[upper] + start
+            angles = fs_angles(amps[i], amps[j])
+            for a, b, d in zip(i.tolist(), j.tolist(), angles.tolist()):
                 if d <= tol:
-                    yield i, j, d
+                    yield a, b, d
 
 
 def _check_pairwise_distinct(amps: np.ndarray, tol: float) -> None:
@@ -94,7 +96,7 @@ def _merge_coincident(
             k = root[k]
         return k
 
-    for i, j, _ in _near_pairs(_atom_array(atoms), tol):
+    for i, j, _ in _near_pairs(np.stack([a.amplitudes for a in atoms]), tol):
         lo, hi = sorted((find(i), find(j)))
         root[hi] = lo
     groups = np.array([find(k) for k in range(len(atoms))])
@@ -109,11 +111,13 @@ class DiscreteEnsemble:
 
     Invariants checked at construction: at least one atom, all atoms of one
     dimension and pairwise distinct beyond ``TOL_MATCH``, weights nonnegative
-    and summing to 1 within 1e-10.
+    and summing to 1 within 1e-10. ``amps`` holds the atoms' amplitudes as
+    the rows of one ``(k, d)`` array.
     """
 
     atoms: tuple[PureState, ...]
     weights: np.ndarray
+    amps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
@@ -125,20 +129,20 @@ class DiscreteEnsemble:
                 raise DimMismatch(f"atom dimensions differ: {a.dim} vs {dim}")
         w = np.ascontiguousarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size != len(atoms):
-            raise DimMismatch(
-                f"got {w.size} weights for {len(atoms)} atoms"
-            )
+            raise DimMismatch(f"got {w.size} weights for {len(atoms)} atoms")
         if (w < 0).any():
             raise ValueError(f"negative weight {w.min()!r}")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-        _check_pairwise_distinct(_atom_array(atoms), TOL_MATCH)
+        amps = np.stack([a.amplitudes for a in atoms])
+        _check_pairwise_distinct(amps, TOL_MATCH)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "amps", amps)
 
     @property
     def dim(self) -> int:
-        return self.atoms[0].dim
+        return self.amps.shape[1]
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -148,49 +152,42 @@ def realize(mu: DiscreteEnsemble, tols: Tolerances | None = None) -> DensityMatr
     """Barycenter sum_k w_k |psi_k><psi_k| as a validated density matrix."""
     if len(mu) == 0:  # unreachable through the constructor, kept defensive
         raise EmptyEnsemble("cannot realize an empty ensemble")
-    amps = _atom_array(mu.atoms)
-    mat = (amps.T * mu.weights) @ amps.conj()
+    mat = (mu.amps.T * mu.weights) @ mu.amps.conj()
     return validate_density(hermitize(mat), tols)
 
 
-def _match_atoms(
+def _aligned_weights(
     mu: DiscreteEnsemble, nu: DiscreteEnsemble, tol: float = TOL_MATCH
-) -> list[Optional[int]]:
-    """Map each mu-atom to the nu-atom representing the same ray, or None.
+) -> Optional[np.ndarray]:
+    """mu's weights moved onto nu's atom order, or None when mu puts mass on a
+    ray that nu lacks.
 
     Identity alignment is tried first (the common case: both ensembles share
-    one atom list). Otherwise a per-atom nearest-neighbor search runs, and the
-    match is rejected as ambiguous when two candidates or two claimants land
-    within the tolerance.
+    one atom list). Otherwise rays are matched through the overlap screen and
+    their angles, and the match is rejected as ambiguous when an atom of
+    either ensemble lies within the tolerance of two atoms of the other.
     """
     if mu.dim != nu.dim:
         raise DimMismatch(f"ensemble dimensions differ: {mu.dim} vs {nu.dim}")
-    if mu.atoms is nu.atoms:
-        return list(range(len(mu)))
-    if len(mu) == len(nu) and all(
-        fubini_study(a, b) <= tol for a, b in zip(mu.atoms, nu.atoms)
+    if mu.atoms is nu.atoms or (
+        len(mu) == len(nu) and (fs_angles(mu.amps, nu.amps) <= tol).all()
     ):
-        return list(range(len(mu)))
+        return mu.weights
 
-    mapping: list[Optional[int]] = []
-    taken: dict[int, int] = {}
-    for i, atom in enumerate(mu.atoms):
-        hits = [j for j, b in enumerate(nu.atoms) if fubini_study(atom, b) <= tol]
-        if len(hits) > 1:
+    i, j = np.nonzero(np.abs(mu.amps.conj() @ nu.amps.T) >= OVERLAP_SCREEN)
+    close = fs_angles(mu.amps[i], nu.amps[j]) <= tol
+    i, j = i[close], j[close]
+    for side, hits in (("mu", i), ("nu", j)):
+        twice = np.flatnonzero(np.bincount(hits) > 1)
+        if twice.size:
             raise AmbiguousMatch(
-                f"atom {i} matches {len(hits)} atoms within {tol:.1e}"
+                f"{side} atom {twice[0]} lies within {tol:.1e} of several atoms"
             )
-        if hits:
-            j = hits[0]
-            if j in taken:
-                raise AmbiguousMatch(
-                    f"atoms {taken[j]} and {i} both match atom {j} within {tol:.1e}"
-                )
-            taken[j] = i
-            mapping.append(j)
-        else:
-            mapping.append(None)
-    return mapping
+    if (np.delete(mu.weights, i) > 0.0).any():
+        return None
+    out = np.zeros(len(nu))
+    out[j] = mu.weights[i]
+    return out
 
 
 def kl_divergence(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> float:
@@ -199,15 +196,16 @@ def kl_divergence(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> float:
     Atoms are aligned by ray; mass of mu outside the support of nu makes the
     divergence infinite. Atoms carrying zero mu-weight contribute nothing.
     """
-    mapping = _match_atoms(mu, nu)
+    p = _aligned_weights(mu, nu)
+    if p is None:
+        return math.inf
     total = 0.0
-    for i, w in enumerate(mu.weights):
+    for w, q in zip(p, nu.weights):
         if w <= 0.0:
             continue
-        j = mapping[i]
-        if j is None or nu.weights[j] <= 0.0:
+        if q <= 0.0:
             return math.inf
-        total += w * math.log(w / nu.weights[j])
+        total += w * math.log(w / q)
     return float(total)
 
 
@@ -220,22 +218,16 @@ def f_divergence(
     divergence infinite when mu_k > 0; cells with mu_k = 0 contribute
     nu_k * f(0+) through the generator's stored limit.
     """
-    mapping = _match_atoms(mu, nu)
-    mu_on_nu = np.zeros(len(nu))
-    for i, j in enumerate(mapping):
-        if j is None:
-            if mu.weights[i] > 0.0:
-                return math.inf
-        else:
-            mu_on_nu[j] = mu.weights[i]
-
+    p = _aligned_weights(mu, nu)
+    if p is None:
+        return math.inf
     total = 0.0
-    for p, q in zip(mu_on_nu, nu.weights):
+    for w, q in zip(p, nu.weights):
         if q <= 0.0:
-            if p > 0.0:
+            if w > 0.0:
                 return math.inf
             continue
-        contrib = q * (gen.f_zero if p == 0.0 else float(gen.f(p / q)))
+        contrib = q * (gen.f_zero if w == 0.0 else float(gen.f(w / q)))
         if math.isinf(contrib):
             return math.inf
         total += contrib
@@ -260,16 +252,18 @@ class CoarseKernel:
             raise DimMismatch(
                 f"kernel covers {len(self.assignment)} atoms, ensemble has {len(mu)}"
             )
-        for i, c in enumerate(self.assignment):
-            d = fubini_study(mu.atoms[i], self.centers[c])
-            if d > self.radius + 1e-12:
-                raise DimMismatch(
-                    f"atom {i} lies {d:.3e} from its center, beyond radius {self.radius}"
-                )
-        w = np.zeros(len(self.centers))
-        for i, c in enumerate(self.assignment):
-            w[c] += mu.weights[i]
-        return DiscreteEnsemble(self.centers, w)
+        w = np.bincount(self.assignment, weights=mu.weights, minlength=len(self.centers))
+        out = DiscreteEnsemble(self.centers, w)
+        if mu.dim != out.dim:
+            raise DimMismatch(f"kernel centers have dim {out.dim}, ensemble has {mu.dim}")
+        dist = fs_angles(mu.amps, out.amps[list(self.assignment)])
+        far = dist > self.radius + 1e-12
+        if far.any():
+            i = int(np.argmax(far))
+            raise DimMismatch(
+                f"atom {i} lies {dist[i]:.3e} from its center, beyond radius {self.radius}"
+            )
+        return out
 
 
 def coarse_grain(
@@ -279,19 +273,16 @@ def coarse_grain(
     ensemble. The first uncovered atom in order opens a new center."""
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    centers: list[PureState] = []
+    centers: list[int] = []
     assignment: list[int] = []
-    for atom in mu.atoms:
-        placed = False
-        for c, center in enumerate(centers):
-            if fubini_study(atom, center) <= radius:
-                assignment.append(c)
-                placed = True
-                break
-        if not placed:
-            centers.append(atom)
-            assignment.append(len(centers) - 1)
-    kernel = CoarseKernel(tuple(centers), tuple(assignment), float(radius))
+    for i, row in enumerate(mu.amps):
+        near = np.flatnonzero(fs_angles(row, mu.amps[centers]) <= radius)
+        if near.size:
+            assignment.append(int(near[0]))
+        else:
+            assignment.append(len(centers))
+            centers.append(i)
+    kernel = CoarseKernel(tuple(mu.atoms[c] for c in centers), tuple(assignment), float(radius))
     return kernel, kernel.apply(mu)
 
 
@@ -306,6 +297,23 @@ def product_coupling(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> list[tuple[i
     return out
 
 
+def _greedy_plan(
+    table: np.ndarray, rem_a: list[float], rem_b: list[float]
+) -> list[tuple[int, int, float]]:
+    """Walk the pairs of a distance table in ascending order (ties by index),
+    each taking as much mass as both sides still have; ``rem_a`` and
+    ``rem_b`` are drained in place."""
+    out = []
+    for flat in np.argsort(table, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, table.shape[1])
+        m = min(rem_a[i], rem_b[j])
+        if m > 0.0:
+            out.append((i, j, m))
+            rem_a[i] -= m
+            rem_b[j] -= m
+    return out
+
+
 def greedy_coupling(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> list[tuple[int, int, float]]:
     """Transport plan built by draining the closest atom pairs first.
 
@@ -316,19 +324,8 @@ def greedy_coupling(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> list[tuple[in
     """
     if mu.dim != nu.dim:
         raise DimMismatch(f"ensemble dimensions differ: {mu.dim} vs {nu.dim}")
-    pairs = sorted(
-        ((fubini_study(a, b), i, j) for i, a in enumerate(mu.atoms) for j, b in enumerate(nu.atoms))
-    )
-    rem_mu = list(map(float, mu.weights))
-    rem_nu = list(map(float, nu.weights))
-    out = []
-    for _, i, j in pairs:
-        m = min(rem_mu[i], rem_nu[j])
-        if m > 0.0:
-            out.append((i, j, m))
-            rem_mu[i] -= m
-            rem_nu[j] -= m
-    return out
+    table = fs_angles(mu.amps[:, None], nu.amps[None])
+    return _greedy_plan(table, mu.weights.tolist(), nu.weights.tolist())
 
 
 def coupling_bound_check(
@@ -355,5 +352,6 @@ def coupling_bound_check(
         raise InvalidCoupling("right marginal does not reproduce nu")
 
     lhs = trace_distance(realize(mu), realize(nu))
-    rhs = sum(m * fubini_study(mu.atoms[i], nu.atoms[j]) for i, j, m in matching)
+    i, j, m = zip(*matching)  # nonempty: the marginals above sum to 1
+    rhs = np.dot(m, fs_angles(mu.amps[list(i)], nu.amps[list(j)]))
     return float(lhs), float(rhs)

@@ -115,7 +115,7 @@ def _reference_weights(exp: LdpExperiment, override) -> np.ndarray:
 def _ball_mask(exp: LdpExperiment, counts: np.ndarray, n: int) -> np.ndarray:
     """Which count vectors put the empirical barycenter inside the ball."""
     d = exp.rho.dim
-    proj = np.stack([p.projector().ravel() for p in exp.cb.basis])
+    proj = np.einsum("ik,jk->kij", exp.cb.psis, exp.cb.psis.conj()).reshape(d, d * d)
     emp = (counts / n) @ proj
     diff = emp.reshape(-1, d, d) - exp.rho.matrix
     tds = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
@@ -127,11 +127,12 @@ def ball_probability_exact(
 ) -> tuple[float, float]:
     """Exact probability that the n-sample empirical state hits the ball.
 
-    Enumerates all count vectors of the multinomial draw, in chunks. Returns
-    (probability, rate) with rate = -log(probability) / n; an empty event
-    yields probability 0 and an infinite rate. ``BudgetExceeded`` reports the
-    enumeration size whenever the cell count or sample size leaves the
-    supported range.
+    Enumerates all count vectors of the multinomial draw, in chunks, and
+    accumulates the log-probability logP by a max-shifted log-sum-exp.
+    Returns (exp(logP), rate) with rate = -logP / n: the probability may
+    underflow to 0.0 while the rate stays finite, and only an empty event
+    yields an infinite rate. ``BudgetExceeded`` reports the enumeration size
+    whenever the cell count or sample size leaves the supported range.
     """
     k = exp.cb.dim
     size = _enumeration_size(n, k)
@@ -143,7 +144,7 @@ def ball_probability_exact(
     w = _reference_weights(exp, reference_weights)
     log_w = np.log(w)
 
-    prob = 0.0
+    log_prob = -math.inf
     buf = []
     lg_n = gammaln(n + 1)
 
@@ -151,21 +152,21 @@ def ball_probability_exact(
         counts = np.array(chunk, dtype=float)
         inside = _ball_mask(exp, counts, n)
         if not inside.any():
-            return 0.0
+            return -math.inf
         c = counts[inside]
         logp = lg_n - gammaln(c + 1).sum(axis=1) + c @ log_w
-        return float(np.exp(logp).sum())
+        top = float(logp.max())
+        return top + math.log(float(np.exp(logp - top).sum()))
 
     for combo in _compositions(n, k):
         buf.append(combo)
         if len(buf) == CHUNK:
-            prob += flush(buf)
+            log_prob = float(np.logaddexp(log_prob, flush(buf)))
             buf = []
     if buf:
-        prob += flush(buf)
+        log_prob = float(np.logaddexp(log_prob, flush(buf)))
 
-    rate = math.inf if prob <= 0.0 else -math.log(prob) / n
-    return prob, rate
+    return math.exp(log_prob), -log_prob / n
 
 
 def ball_probability_mc(

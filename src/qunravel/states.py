@@ -9,6 +9,11 @@ Validation decomposes the matrix once through ``herm_eig``, and the state
 carries that verified eigendecomposition (``DensityMatrix.eig``); every
 function of a validated state downstream (log, square root, inverse,
 inverse square root) is built from it rather than from a fresh eigensolve.
+
+Inside the package, families of pure states are amplitude arrays, one ray
+per row: ``fs_angles`` broadcasts the Fubini-Study angle over them and
+``canonical_rows`` fixes the phase of a whole block; ``fubini_study`` and
+``canonical_phase`` are batches of one for API callers.
 """
 from __future__ import annotations
 
@@ -127,28 +132,37 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def fubini_study(psi: PureState, phi: PureState) -> float:
-    """Angle arccos |<psi|phi>| between rays, in [0, pi/2].
+def fs_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fubini-Study angles arccos |<a|b>| between the unit rows of ``a`` and
+    ``b``, in [0, pi/2], broadcasting over every axis but the last.
 
     Computed as atan2 of the orthogonal residual against the overlap, which
     stays accurate for nearly identical rays where the arccos form loses all
-    precision.
+    precision. ``fs_angles(x[:, None], y[None])`` is the table of all pairs.
     """
+    ov = np.einsum("...i,...i->...", a.conj(), b)
+    resid = b - ov[..., None] * a
+    return np.arctan2(np.linalg.norm(resid, axis=-1), np.abs(ov))
+
+
+def canonical_rows(amps: np.ndarray) -> np.ndarray:
+    """Rotate the global phase of each unit row so its first amplitude above
+    1e-12 is real positive (a unit vector of any practical size has one)."""
+    pivot_at = np.argmax(np.abs(amps) > PHASE_CUTOFF, axis=-1)[..., None]
+    pivot = np.take_along_axis(amps, pivot_at, axis=-1)
+    return amps * (pivot.conj() / np.abs(pivot))
+
+
+def fubini_study(psi: PureState, phi: PureState) -> float:
+    """Angle arccos |<psi|phi>| between rays, in [0, pi/2]; ``fs_angles`` of one pair."""
     if psi.dim != phi.dim:
         raise DimMismatch(f"dimensions differ: {psi.dim} vs {phi.dim}")
-    ov = np.vdot(psi.amplitudes, phi.amplitudes)
-    resid = phi.amplitudes - ov * psi.amplitudes
-    return float(np.arctan2(np.linalg.norm(resid), abs(ov)))
+    return float(fs_angles(psi.amplitudes, phi.amplitudes))
 
 
 def canonical_phase(psi: PureState) -> PureState:
     """Rotate the global phase so the first amplitude above 1e-12 is real positive."""
-    a = psi.amplitudes
-    idx = np.flatnonzero(np.abs(a) > PHASE_CUTOFF)
-    if idx.size == 0:  # cannot happen for a unit vector, kept defensive
-        return psi
-    pivot = a[idx[0]]
-    return PureState(a * (pivot.conjugate() / abs(pivot)))
+    return PureState(canonical_rows(psi.amplitudes))
 
 
 class RngStream:

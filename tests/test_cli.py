@@ -301,3 +301,15 @@ def test_haar_experiment_rejects_empty_sweep(capsys, tmp_path, dim, samples):
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
     assert not csv_path.exists()
+
+
+def test_contraction_rejects_non_finite_model_as_input_error(capsys, tmp_path):
+    # json reads NaN; the model must fail validation, not the flow
+    path = tmp_path / "nan_model.json"
+    path.write_text(
+        '{"dim": 2, "hamiltonian": [[NaN, 0.0], [0.0, 1.0]], "jumps": [], "rates": []}'
+    )
+    code, _, err = run(capsys, "contraction", str(path), RHO_X, SIGMA_Y)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == "NotHermitian"

@@ -393,3 +393,27 @@ def test_trace_drift_raises_with_time_stamp(monkeypatch):
         contraction_scan(DEPHASING, rho, sigma, np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ValidationFailure, match=r"trace drifted .* at t=0\.5 "):
         lindblad_evolve(DEPHASING, rho, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_entries(bad):
+    h = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotHermitian):
+        LindbladModel(h)
+    jump = SM.copy()
+    jump[1, 0] = bad
+    with pytest.raises(ValueError):
+        LindbladModel(np.zeros((2, 2)), (jump,), (1.0,))
+    with pytest.raises(ValueError):
+        LindbladModel(np.zeros((2, 2)), (SM,), (bad,))
+
+
+def test_evolve_ensemble_noiseless_keeps_input_atom_order():
+    # a sorted merge would put |1> = (0, 1) before |0> = (1, 0)
+    ket0 = PureState(np.array([1.0, 0.0], dtype=complex))
+    mu0 = DiscreteEnsemble((ket0, KET1), np.array([0.3, 0.7]))
+    out = evolve_ensemble(LindbladModel(SZ), mu0, 0.5, 1e-3, 5, RngStream(96))
+    assert len(out) == 2
+    assert abs(np.vdot(out.atoms[0].amplitudes, ket0.amplitudes)) == pytest.approx(1.0)
+    assert abs(np.vdot(out.atoms[1].amplitudes, KET1.amplitudes)) == pytest.approx(1.0)
+    assert np.allclose(out.weights, [0.3, 0.7], rtol=0, atol=1e-14)

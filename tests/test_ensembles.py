@@ -275,3 +275,47 @@ def test_trace_distance_of_realizations_vs_weight_difference():
     nu = DiscreteEnsemble(atoms, w2)
     td = trace_distance(realize(mu), realize(nu))
     assert td <= 0.5 * np.abs(w1 - w2).sum() + 1e-12
+
+
+def _tilted(angle):
+    return PureState(np.array([math.cos(angle), math.sin(angle)], dtype=complex))
+
+
+def test_alignment_rejects_atom_near_two_atoms():
+    # the mu atom sits 0.6e-10 from both ends of a nu pair 1.2e-10 apart;
+    # the lengths differ, so the identity alignment is never tried
+    from qunravel.errors import AmbiguousMatch
+
+    mu = DiscreteEnsemble((_tilted(0.6e-10), KET1), np.array([0.5, 0.5]))
+    nu = DiscreteEnsemble((_tilted(0.0), _tilted(1.2e-10), PLUS), np.array([0.3, 0.3, 0.4]))
+    with pytest.raises(AmbiguousMatch):
+        kl_divergence(mu, nu)
+    with pytest.raises(AmbiguousMatch):
+        f_divergence(mu, nu, GENERATORS["xlogx"])
+
+
+def test_alignment_rejects_two_atoms_near_one_atom():
+    # both mu atoms match nu's first atom; the second pair (tilted vs KET1) is
+    # far apart, so the identity alignment fails and the table is used
+    from qunravel.errors import AmbiguousMatch
+
+    mu = DiscreteEnsemble((_tilted(0.0), _tilted(1.2e-10)), np.array([0.5, 0.5]))
+    nu = DiscreteEnsemble((_tilted(0.6e-10), KET1), np.array([0.5, 0.5]))
+    with pytest.raises(AmbiguousMatch):
+        kl_divergence(mu, nu)
+    with pytest.raises(AmbiguousMatch):
+        f_divergence(mu, nu, GENERATORS["x2mx"])
+
+
+def test_alignment_moves_weights_onto_the_other_atom_order():
+    # the same rays in reverse order, one with a global phase: weights follow
+    # the rays, not the positions
+    mu = DiscreteEnsemble((KET0, PLUS), np.array([0.75, 0.25]))
+    nu = DiscreteEnsemble(
+        (PureState(PLUS.amplitudes * np.exp(0.4j)), KET0), np.array([0.4, 0.6])
+    )
+    expected = 0.25 * math.log(0.25 / 0.4) + 0.75 * math.log(0.75 / 0.6)
+    assert kl_divergence(mu, nu) == pytest.approx(expected, abs=1e-14)
+    lost = DiscreteEnsemble((KET1, PLUS), np.array([0.75, 0.25]))
+    assert kl_divergence(lost, nu) == math.inf
+    assert f_divergence(lost, nu, GENERATORS["xlogx"]) == math.inf

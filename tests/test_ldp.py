@@ -194,3 +194,17 @@ def test_tolerance_budget_formula():
         6.0 * math.log(100.0) / 100.0 + 0.05, abs=1e-15
     )
     assert tolerance_budget(400, 2, 0.01) < tolerance_budget(100, 2, 0.01) + 0.0
+
+
+def test_exact_rate_stays_finite_when_the_probability_underflows():
+    # P(ball) at n=400 is about 1e-560, below the smallest double: the
+    # probability reads 0.0 but the rate comes from the log-probability
+    rho = validate_density(np.diag([0.97, 0.03]))
+    sigma = validate_density(np.diag([0.03, 0.97]))
+    exp = make_experiment(rho, sigma, 0.01, (50, 400))
+    prob, rate = ball_probability_exact(exp, 400)
+    assert prob == 0.0
+    assert 3.2052 <= rate <= 3.2220  # exact enumeration: [3.20529, 3.22193]
+    assert abs(rate - bs_entropy(rho, sigma)) <= tolerance_budget(400, 2, 0.01)
+    # at n=50 no count vector lies inside the ball: the event is empty
+    assert ball_probability_exact(exp, 50) == (0.0, math.inf)

@@ -217,3 +217,29 @@ def test_sample_faithful_mean_is_maximally_mixed():
     for _ in range(n):
         acc += sample_faithful(2, rng).matrix
     assert np.abs(acc / n - np.eye(2) / 2).max() < 0.01
+
+
+def test_fs_angles_table_matches_fubini_study_on_near_identical_rays():
+    from qunravel.states import fs_angles
+
+    rng = RngStream(17)
+    base = haar_pure(4, rng)
+    rays = [base]
+    for angle in (1e-11, 1e-9, 1e-7, 1e-4, 0.3, 1.2):
+        # rotate base by `angle` toward a random direction orthogonal to it
+        v = rng.complex_normal(4)
+        v -= np.vdot(base.amplitudes, v) * base.amplitudes
+        v /= np.linalg.norm(v)
+        tilted = np.cos(angle) * base.amplitudes + np.sin(angle) * v
+        rays.append(PureState(tilted * np.exp(1j * angle)))
+    amps = np.stack([r.amplitudes for r in rays])
+    table = fs_angles(amps[:, None], amps[None])
+    assert table.shape == (len(rays), len(rays))
+    for i, a in enumerate(rays):
+        for j, b in enumerate(rays):
+            one = fubini_study(a, b)
+            assert abs(table[i, j] - one) <= 1e-12 * one + 1e-20
+    # the arccos form is off by ~1e-9 at these angles, the atan2 form by ulps
+    exact = [1e-11, 1e-9, 1e-7, 1e-4, 0.3, 1.2]
+    assert np.allclose(table[0, 1:], exact, rtol=1e-12, atol=1e-15)
+    assert np.allclose(fs_angles(amps, amps), 0.0, atol=1e-15)
