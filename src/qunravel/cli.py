@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input validation, 3 property violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -407,8 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it as
+    it was, and building it costs more than a small run."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.seed is None:  # read here so a bad value gets the JSON error
             args.seed = _default_seed()

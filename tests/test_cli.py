@@ -313,3 +313,27 @@ def test_contraction_rejects_non_finite_model_as_input_error(capsys, tmp_path):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert json.loads(err)["error"] == "NotHermitian"
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys, tmp_path, monkeypatch):
+    from qunravel import cli
+
+    assert cli._parser() is cli._parser()
+    csv_path = str(tmp_path / "rates.csv")
+    code, out, _ = run(capsys, "ldp", LDP_CFG, "--seed", "5", "--out", csv_path)
+    assert code == 0
+    assert json.loads(out)["metadata"]["seed"] == 5
+    monkeypatch.setenv("QUNRAVEL_SEED", "9")
+    code, out, _ = run(capsys, "ldp", LDP_CFG, "--out", csv_path)
+    assert code == 0
+    assert json.loads(out)["metadata"]["seed"] == 9
+
+
+def test_argparse_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ldp", LDP_CFG, "--seed", "not-a-number"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "ldp", LDP_CFG, "--seed", "3")
+    assert code == 0
+    assert json.loads(out)["metadata"]["seed"] == 3

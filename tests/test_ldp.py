@@ -1,13 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
+
+import qunravel.ldp as ldp
 
 from qunravel import (
     RngStream,
     ball_probability_exact,
     ball_probability_mc,
     bs_entropy,
+    cb_measures,
     log_multinomial,
     make_experiment,
     rate_curve,
@@ -208,3 +214,176 @@ def test_exact_rate_stays_finite_when_the_probability_underflows():
     assert abs(rate - bs_entropy(rho, sigma)) <= tolerance_budget(400, 2, 0.01)
     # at n=50 no count vector lies inside the ball: the event is empty
     assert ball_probability_exact(exp, 50) == (0.0, math.inf)
+
+
+def barycenter_offsets(exp, counts, n):
+    """Empirical state minus rho for every count vector."""
+    d = exp.rho.dim
+    proj = np.einsum("ik,jk->kij", exp.cb.psis, exp.cb.psis.conj()).reshape(d, d * d)
+    emp = (counts / n) @ proj
+    return emp.reshape(-1, d, d) - exp.rho.matrix
+
+
+def eigvalsh_ball_mask(exp, counts, n):
+    """Ball membership with one eigensolve per count vector: the test the
+    Frobenius screen must reproduce exactly."""
+    diff = barycenter_offsets(exp, counts, n)
+    tds = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
+    return tds < exp.epsilon
+
+
+def stars_and_bars(n, k):
+    """Every count vector of n into k cells, lexicographically descending."""
+    rows = []
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        edges = (-1,) + bars + (n + k - 1,)
+        rows.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+    return np.array(rows[::-1], dtype=np.int64).reshape(-1, k)
+
+
+def reference_rate(exp, n):
+    """The rate from the eigensolve mask over one block of every count vector."""
+    counts = stars_and_bars(n, exp.cb.dim).astype(float)
+    c = counts[eigvalsh_ball_mask(exp, counts, n)]
+    if not len(c):
+        return math.inf
+    log_w = np.log(cb_measures(exp.cb)[1].weights)
+    logp = gammaln(n + 1) - gammaln(c + 1).sum(axis=1) + c @ log_w
+    top = float(logp.max())
+    return -(top + math.log(float(np.exp(logp - top).sum()))) / n
+
+
+def seeded_experiments(dim, epsilon, count, seed):
+    rng = RngStream(seed, dim)
+    for _ in range(count):
+        yield make_experiment(sample_faithful(dim, rng), sample_faithful(dim, rng), epsilon, (1,))
+
+
+def counting_eigvalsh(monkeypatch):
+    """Patch np.linalg.eigvalsh to record every batch it is given."""
+    seen = []
+    solve = np.linalg.eigvalsh
+
+    def record(a):
+        seen.append(np.array(a))
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "n,k", [(0, 1), (7, 1), (0, 2), (9, 2), (0, 3), (8, 3), (0, 4), (6, 4), (15, 4)]
+)
+def test_compositions_match_stars_and_bars(n, k):
+    blocks = list(ldp._compositions(n, k))
+    assert all(b.dtype == np.int64 for b in blocks)
+    got = np.concatenate(blocks)
+    np.testing.assert_array_equal(got, stars_and_bars(n, k))
+    assert (got.sum(axis=1) == n).all()
+
+
+def test_compositions_blocks_concatenate_to_one(monkeypatch):
+    cases = [(9, 2), (8, 3), (15, 4), (0, 3)]
+    whole = {}
+    for n, k in cases:
+        (whole[n, k],) = ldp._compositions(n, k)
+    for chunk in (1, 5, 64):
+        monkeypatch.setattr(ldp, "CHUNK", chunk)
+        for n, k in cases:
+            blocks = list(ldp._compositions(n, k))
+            assert max(len(b) for b in blocks) <= chunk
+            np.testing.assert_array_equal(np.concatenate(blocks), whole[n, k])
+
+
+def test_compositions_split_beyond_one_chunk():
+    # C(402, 2) = 80601 count vectors do not fit one CHUNK of 65536 rows
+    blocks = list(ldp._compositions(400, 3))
+    assert len(blocks) > 1
+    assert max(len(b) for b in blocks) <= ldp.CHUNK
+    np.testing.assert_array_equal(np.concatenate(blocks), stars_and_bars(400, 3))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 400), (3, 60), (4, 30)])
+@pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.2])
+def test_screen_matches_eigvalsh_mask(dim, n, epsilon):
+    counts = stars_and_bars(n, dim)
+    for exp in seeded_experiments(dim, epsilon, 6, seed=131):
+        got = ldp._ball_mask(exp, counts, n)
+        np.testing.assert_array_equal(got, eigvalsh_ball_mask(exp, counts, n))
+
+
+def test_screen_sends_sphere_ties_to_the_eigensolve(monkeypatch):
+    # (37, 13) of n = 50 puts the barycenter at td = 0.01 from
+    # diag(3/4, 1/4): on the sphere, so outside the open ball
+    exp = qubit_experiment(0.01)
+    tie = np.array([[37, 13]])
+    assert not eigvalsh_ball_mask(exp, tie, 50)[0]
+    seen = counting_eigvalsh(monkeypatch)
+    assert not ldp._ball_mask(exp, tie, 50)[0]
+    assert sum(len(a) for a in seen) == 1
+
+
+@pytest.mark.parametrize("dim,n", [(2, 50), (3, 30)])
+def test_screen_never_decides_a_vector_on_the_sphere(dim, n, monkeypatch):
+    # put the sphere exactly through one count vector after another: the
+    # screen must hand that vector to the eigensolve. The tie itself may
+    # round either way by an ulp; every other vector keeps its membership.
+    (probe,) = seeded_experiments(dim, 0.5, 1, seed=132)
+    counts = stars_and_bars(n, dim)
+    offsets = barycenter_offsets(probe, counts, n)
+    tds = 0.5 * np.abs(np.linalg.eigvalsh(offsets)).sum(axis=1)
+    seen = counting_eigvalsh(monkeypatch)
+    ties = [j for j in range(0, len(counts), len(counts) // 25) if 0.0 < tds[j] < 1.0]
+    assert len(ties) > 20
+    for j in ties:
+        exp = make_experiment(probe.rho, probe.sigma, float(tds[j]), (n,))
+        seen.clear()
+        mask = ldp._ball_mask(exp, counts, n)
+        reached = np.concatenate(seen)
+        assert np.isclose(reached, offsets[j], rtol=0.0, atol=1e-15).all(axis=(1, 2)).any()
+        rest = np.arange(len(counts)) != j
+        np.testing.assert_array_equal(mask[rest], eigvalsh_ball_mask(exp, counts, n)[rest])
+
+
+def test_screen_leaves_few_vectors_to_the_eigensolve(monkeypatch):
+    n = 60
+    total = math.comb(n + 3, 3)
+    for exp in seeded_experiments(4, 0.05, 3, seed=133):
+        seen = counting_eigvalsh(monkeypatch)
+        _, rate = ball_probability_exact(exp, n)
+        monkeypatch.undo()
+        assert sum(len(a) for a in seen) < 0.05 * total
+        assert rate == reference_rate(exp, n)
+
+
+def test_exact_rates_equal_the_eigensolve_reference():
+    # every enumeration here fits one block, so the arithmetic is the same
+    crit10 = qubit_experiment(0.01)
+    for n in (50, 100, 200, 400):
+        assert ball_probability_exact(crit10, n)[1] == reference_rate(crit10, n)
+    for dim, n in ((3, 45), (4, 30)):
+        for exp in seeded_experiments(dim, 0.05, 2, seed=134):
+            assert ball_probability_exact(exp, n)[1] == reference_rate(exp, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spectrum=st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_trace_norm_within_frobenius_bounds(spectrum, seed):
+    # the screen rests on sqrt(2) ||X||_F <= ||X||_1 <= sqrt(d) ||X||_F for
+    # traceless Hermitian X, with equality on the left at d = 2
+    dim = len(spectrum)
+    lam = 1e-6 * (np.array(spectrum) - np.mean(spectrum))
+    q, _ = np.linalg.qr(RngStream(seed).complex_normal((dim, dim)))
+    x = (q * lam) @ q.conj().T
+    x = 0.5 * (x + x.conj().T)
+    fro = float(np.linalg.norm(x))
+    trace_norm = float(np.abs(np.linalg.eigvalsh(x)).sum())
+    slack = 1e-12 * fro
+    assert math.sqrt(2.0) * fro <= trace_norm + slack
+    assert trace_norm <= math.sqrt(dim) * fro + slack
+    if dim == 2:
+        assert abs(trace_norm - math.sqrt(2.0) * fro) <= slack
