@@ -90,16 +90,33 @@ def _tols_from_args(args) -> tuple[Tolerances, dict]:
     return (Tolerances(**kwargs) if kwargs else DEFAULT_TOLS), overrides
 
 
-def _parse_entry(entry) -> complex:
+def _number(value, kind, what: str):
+    """``kind(value)`` for a JSON field; a value of the wrong JSON type is an
+    input error, not a crash."""
+    try:
+        return kind(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` itself when it has the type ``kind`` (list or dict)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _parse_entry(entry, what: str) -> complex:
     if isinstance(entry, (int, float)):
         return complex(entry, 0.0)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
+        return complex(_number(entry[0], float, what), _number(entry[1], float, what))
     raise ValueError(f"matrix entry {entry!r} is neither a number nor an [re, im] pair")
 
 
 def _parse_matrix(rows, dim: int, what: str) -> np.ndarray:
-    mat = np.array([[_parse_entry(e) for e in row] for row in rows], dtype=complex)
+    rows = [_typed(row, list, what) for row in _typed(rows, list, what)]
+    mat = np.array([[_parse_entry(e, what) for e in row] for row in rows], dtype=complex)
     if mat.shape != (dim, dim):
         raise ValueError(f"{what} has shape {mat.shape}, expected ({dim}, {dim})")
     return mat
@@ -111,18 +128,22 @@ def _pairs(mat: np.ndarray) -> list:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _typed(json.load(fh), dict, path)
+
+
+def _parse_density(obj, what: str, tols: Tolerances):
+    obj = _typed(obj, dict, what)
+    dim = _number(obj["dim"], int, f"{what}:dim")
+    return validate_density(_parse_matrix(obj["matrix"], dim, what), tols)
 
 
 def _load_density(path: str, tols: Tolerances):
-    obj = _load_json(path)
-    dim = int(obj["dim"])
-    return validate_density(_parse_matrix(obj["matrix"], dim, path), tols)
+    return _parse_density(_load_json(path), path, tols)
 
 
 def _load_model(path: str, tols: Tolerances) -> LindbladModel:
     obj = _load_json(path)
-    dim = int(obj["dim"])
+    dim = _number(obj["dim"], int, f"{path}:dim")
     h = _parse_matrix(obj["hamiltonian"], dim, f"{path}:hamiltonian")
     defect = hermiticity_defect(h)
     if defect > tols.tol_herm:
@@ -131,9 +152,12 @@ def _load_model(path: str, tols: Tolerances) -> LindbladModel:
         )
     jumps = tuple(
         _parse_matrix(rows, dim, f"{path}:jumps[{i}]")
-        for i, rows in enumerate(obj.get("jumps", []))
+        for i, rows in enumerate(_typed(obj.get("jumps", []), list, f"{path}:jumps"))
     )
-    rates = tuple(float(g) for g in obj.get("rates", []))
+    rates = tuple(
+        _number(g, float, f"{path}:rates")
+        for g in _typed(obj.get("rates", []), list, f"{path}:rates")
+    )
     return LindbladModel(hermitize(h), jumps, rates)
 
 
@@ -319,13 +343,14 @@ def cmd_ldp(args) -> int:
         overrides=overrides,
     )
     obj = _load_json(args.config)
-    rho = validate_density(
-        _parse_matrix(obj["rho"]["matrix"], int(obj["rho"]["dim"]), "rho"), tols
-    )
-    sigma = validate_density(
-        _parse_matrix(obj["sigma"]["matrix"], int(obj["sigma"]["dim"]), "sigma"), tols
-    )
-    exp = make_experiment(rho, sigma, float(obj["epsilon"]), obj["sample_sizes"], tols)
+    rho = _parse_density(obj["rho"], f"{args.config}:rho", tols)
+    sigma = _parse_density(obj["sigma"], f"{args.config}:sigma", tols)
+    epsilon = _number(obj["epsilon"], float, f"{args.config}:epsilon")
+    sizes = [
+        _number(n, int, f"{args.config}:sample_sizes")
+        for n in _typed(obj["sample_sizes"], list, f"{args.config}:sample_sizes")
+    ]
+    exp = make_experiment(rho, sigma, epsilon, sizes, tols)
 
     k = exp.cb.dim
     lines = ["n,prob,rate,tolerance_budget"]
@@ -399,7 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_contraction)
 
-    p = sub.add_parser("ldp", help="finite-n Sanov rates toward the BS entropy")
+    p = sub.add_parser(
+        "ldp",
+        help="finite-n Sanov rates toward the BS entropy",
+        description="Finite-n Sanov rates toward the BS entropy. The CSV column "
+        "tolerance_budget, 2k log(n)/n + epsilon, is a heuristic and not a bound "
+        "on |rate - BS|: the rate tends to the ball's I-projection value, and 2 "
+        "of 300 seeded d = 3 pairs at epsilon 0.05, n = 100 exceed it.",
+    )
     p.add_argument("config", help="experiment JSON (rho, sigma, epsilon, sample_sizes)")
     p.add_argument("--out", default=None, help="write the rate CSV here")
     _add_common(p)

@@ -163,21 +163,22 @@ def dual_consistency(
     return float(np.linalg.norm(approx - inv))
 
 
+def clamp_weights(w: np.ndarray) -> np.ndarray:
+    """Common-basis weights clamped up to ``WEIGHT_CLAMP`` and renormalized,
+    so a measure built on them stays strictly positive for divergence work."""
+    w = np.maximum(w, WEIGHT_CLAMP)
+    return w / w.sum()
+
+
 def cb_measures(cb: CommonBasis) -> tuple[DiscreteEnsemble, DiscreteEnsemble]:
     """The two classical measures carried by the common basis.
 
-    Both ensembles share one atom list (phase-canonicalized basis states);
-    weights below 1e-14 are clamped up and each vector renormalized, so the
-    measures stay strictly positive for divergence work.
+    Both ensembles share one amplitude array (the phase-canonicalized basis
+    states as rows) and carry the ``clamp_weights`` of their coefficients.
     """
-    atoms = tuple(PureState(a) for a in canonical_rows(cb.psis.T))
-
-    def _clean(w: np.ndarray) -> np.ndarray:
-        w = np.maximum(w, WEIGHT_CLAMP)
-        return w / w.sum()
-
-    mu = DiscreteEnsemble(atoms, _clean(cb.rho_coeffs))
-    nu = DiscreteEnsemble(atoms, _clean(cb.sigma_coeffs))
+    amps = np.ascontiguousarray(canonical_rows(cb.psis.T))
+    mu = DiscreteEnsemble(amps, clamp_weights(cb.rho_coeffs))
+    nu = DiscreteEnsemble(amps, clamp_weights(cb.sigma_coeffs))
     return mu, nu
 
 

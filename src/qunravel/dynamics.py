@@ -312,8 +312,8 @@ def evolve_ensemble(
     _, first, label = np.unique(canon, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     weights = np.bincount(label.ravel(), weights=traj_w)[order]
-    atoms, weights = _merge_coincident([PureState(canon[k]) for k in first[order]], weights)
-    return DiscreteEnsemble(atoms, weights / weights.sum())
+    amps, weights = _merge_coincident(canon[first[order]], weights)
+    return DiscreteEnsemble(amps, weights / weights.sum())
 
 
 def contraction_scan(
@@ -327,7 +327,9 @@ def contraction_scan(
 
     Returns (t, d_bs) for every requested time. The generator is built once and
     both states are stepped together from each time to the next, one propagator
-    per distinct gap, with the checks of ``lindblad_evolve`` at each point.
+    per distinct gap, with the checks of ``lindblad_evolve`` at each point. Gaps
+    within 4 ulps of the largest time differ by the grid's rounding only and
+    share one propagator.
     Both states must stay faithful; a flow that drives one rank-deficient
     raises ``NotFaithful`` stamped with the failing time. Monotone decrease is
     the caller's check, not enforced here.
@@ -344,9 +346,11 @@ def contraction_scan(
     l = lindblad_superop(model)
     block = np.stack([_vec(rho0.matrix), _vec(sigma0.matrix)], axis=1)
     propagators: dict[float, np.ndarray] = {}
+    rounding = 4 * np.spacing(ts.max())
     out = []
     for gap, t in zip(np.diff(ts, prepend=0.0).tolist(), ts.tolist()):
         if gap > 0:
+            gap = next((g for g in propagators if abs(g - gap) <= rounding), gap)
             if gap not in propagators:
                 propagators[gap] = expm(gap * l)
             block = propagators[gap] @ block

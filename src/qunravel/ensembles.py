@@ -2,18 +2,19 @@
 
 An ensemble is a finitely supported probability measure on rays: atoms are
 pure states, pairwise distinct in Fubini-Study distance, with nonnegative
-weights summing to one. Besides the ``PureState`` atoms of the API, an
-ensemble keeps their amplitudes as the rows of one ``(k, d)`` array,
-``amps``, and everything here reads that array. Divergences between two
-ensembles are computed after moving the weights of one onto the atom order
-of the other; atoms closer than ``TOL_MATCH`` count as the same ray.
+weights summing to one. An ensemble stores only the atoms' amplitudes, as
+the rows of one ``(k, d)`` array ``amps``, and its weights; everything here
+reads that array, and ``atoms`` builds ``PureState`` objects on access for
+API callers. Divergences between two ensembles are computed after moving
+the weights of one onto the atom order of the other; atoms closer than
+``TOL_MATCH`` count as the same ray.
 Coarse-graining and couplings live here too, since both are purely
 measure-level operations on angle tables.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
@@ -76,82 +77,91 @@ def _near_pairs(amps: np.ndarray, tol: float) -> Iterator[tuple[int, int, float]
                     yield a, b, d
 
 
-def _check_pairwise_distinct(amps: np.ndarray, tol: float) -> None:
-    for i, j, d in _near_pairs(amps, tol):
-        raise ValueError(
-            f"atoms {i} and {j} coincide up to phase "
-            f"(Fubini-Study distance {d:.3e} <= {tol:.1e})"
-        )
-
-
 def _merge_coincident(
-    atoms: Sequence[PureState], weights: np.ndarray, tol: float = TOL_MATCH
-) -> tuple[tuple[PureState, ...], np.ndarray]:
-    """Merge every group of atoms linked by distances within ``tol`` into its
-    first atom, which carries the group's summed weight."""
-    root = list(range(len(atoms)))
+    amps: np.ndarray, weights: np.ndarray, tol: float = TOL_MATCH
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge every group of rows linked by distances within ``tol`` into its
+    first row, which carries the group's summed weight."""
+    root = list(range(len(amps)))
 
     def find(k: int) -> int:
         while root[k] != k:
             k = root[k]
         return k
 
-    for i, j, _ in _near_pairs(np.stack([a.amplitudes for a in atoms]), tol):
+    for i, j, _ in _near_pairs(amps, tol):
         lo, hi = sorted((find(i), find(j)))
         root[hi] = lo
-    groups = np.array([find(k) for k in range(len(atoms))])
-    keep = np.flatnonzero(groups == np.arange(len(atoms)))
+    groups = np.array([find(k) for k in range(len(amps))])
+    keep = np.flatnonzero(groups == np.arange(len(amps)))
     summed = np.bincount(groups, weights=weights)[keep]
-    return tuple(atoms[k] for k in keep), summed
+    return amps[keep], summed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiscreteEnsemble:
     """Finitely supported measure on pure states.
 
-    Invariants checked at construction: at least one atom, all atoms of one
-    dimension and pairwise distinct beyond ``TOL_MATCH``, weights nonnegative
-    and summing to 1 within 1e-10. ``amps`` holds the atoms' amplitudes as
-    the rows of one ``(k, d)`` array.
+    Built from ``atoms``, a sequence of ``PureState``s or a ``(k, d)`` array
+    of unit rows, and ``weights``. Invariants checked at construction: at
+    least one atom, all atoms of one dimension, unit and pairwise distinct
+    beyond ``TOL_MATCH``, weights nonnegative and summing to 1 within 1e-10.
+    Only the amplitudes are stored, as the rows of ``amps``.
     """
 
-    atoms: tuple[PureState, ...]
+    amps: np.ndarray
     weights: np.ndarray
-    amps: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        atoms = tuple(self.atoms)
-        if not atoms:
+    def __init__(self, atoms: "Sequence[PureState] | np.ndarray", weights):
+        if isinstance(atoms, np.ndarray):
+            amps = np.ascontiguousarray(atoms, dtype=complex)
+        else:
+            rows = [a.amplitudes for a in atoms]
+            dims = sorted({r.size for r in rows})
+            if len(dims) > 1:
+                raise DimMismatch(f"atom dimensions differ: {dims}")
+            amps = np.stack(rows) if rows else np.empty((0, 1))
+        if amps.ndim != 2 or amps.shape[1] == 0:
+            raise DimMismatch(f"atoms must form a (k, d) array with d >= 1, got {amps.shape}")
+        if amps.shape[0] == 0:
             raise EmptyEnsemble("ensemble needs at least one atom")
-        dim = atoms[0].dim
-        for a in atoms:
-            if a.dim != dim:
-                raise DimMismatch(f"atom dimensions differ: {a.dim} vs {dim}")
-        w = np.ascontiguousarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size != len(atoms):
-            raise DimMismatch(f"got {w.size} weights for {len(atoms)} atoms")
+        # PureState's bounds, for all rows in one pass
+        if not np.isfinite(amps).all():
+            raise ValueError("atoms have non-finite amplitudes")
+        norms = np.linalg.norm(amps, axis=1)
+        i = int(np.argmax(np.abs(norms - 1.0)))
+        if abs(norms[i] - 1.0) > 1e-12:
+            raise ValueError(f"atom {i} has norm {norms[i]!r}, not 1 within 1e-12")
+        w = np.ascontiguousarray(weights, dtype=float)
+        if w.ndim != 1 or w.size != len(amps):
+            raise DimMismatch(f"got {w.size} weights for {len(amps)} atoms")
         if (w < 0).any():
             raise ValueError(f"negative weight {w.min()!r}")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-        amps = np.stack([a.amplitudes for a in atoms])
-        _check_pairwise_distinct(amps, TOL_MATCH)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", w)
+        for i, j, d in _near_pairs(amps, TOL_MATCH):
+            raise ValueError(
+                f"atoms {i} and {j} coincide up to phase "
+                f"(Fubini-Study distance {d:.3e} <= {TOL_MATCH:.1e})"
+            )
         object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def atoms(self) -> tuple[PureState, ...]:
+        """The rows of ``amps`` as pure states, built on access."""
+        return tuple(PureState(a) for a in self.amps)
 
     @property
     def dim(self) -> int:
         return self.amps.shape[1]
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return self.amps.shape[0]
 
 
 def realize(mu: DiscreteEnsemble, tols: Tolerances | None = None) -> DensityMatrix:
     """Barycenter sum_k w_k |psi_k><psi_k| as a validated density matrix."""
-    if len(mu) == 0:  # unreachable through the constructor, kept defensive
-        raise EmptyEnsemble("cannot realize an empty ensemble")
     mat = (mu.amps.T * mu.weights) @ mu.amps.conj()
     return validate_density(hermitize(mat), tols)
 
@@ -163,13 +173,13 @@ def _aligned_weights(
     ray that nu lacks.
 
     Identity alignment is tried first (the common case: both ensembles share
-    one atom list). Otherwise rays are matched through the overlap screen and
+    one array). Otherwise rays are matched through the overlap screen and
     their angles, and the match is rejected as ambiguous when an atom of
     either ensemble lies within the tolerance of two atoms of the other.
     """
     if mu.dim != nu.dim:
         raise DimMismatch(f"ensemble dimensions differ: {mu.dim} vs {nu.dim}")
-    if mu.atoms is nu.atoms or (
+    if mu.amps is nu.amps or (
         len(mu) == len(nu) and (fs_angles(mu.amps, nu.amps) <= tol).all()
     ):
         return mu.weights
@@ -197,15 +207,18 @@ def kl_divergence(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> float:
     divergence infinite. Atoms carrying zero mu-weight contribute nothing.
     """
     p = _aligned_weights(mu, nu)
-    if p is None:
-        return math.inf
+    return math.inf if p is None else _kl_sum(p, nu.weights)
+
+
+def _kl_sum(p: np.ndarray, q: np.ndarray) -> float:
+    """``kl_divergence`` of two weight vectors on one atom list."""
     total = 0.0
-    for w, q in zip(p, nu.weights):
+    for w, v in zip(p, q):
         if w <= 0.0:
             continue
-        if q <= 0.0:
+        if v <= 0.0:
             return math.inf
-        total += w * math.log(w / q)
+        total += w * math.log(w / v)
     return float(total)
 
 
@@ -239,11 +252,12 @@ class CoarseKernel:
     """Deterministic coarse-graining: atom index -> covering center.
 
     Built greedily in atom order, so every atom sits within ``radius`` of its
-    center. The kernel is index-based and can be replayed on any ensemble
-    sharing the source atom list.
+    center. ``centers`` holds the centers' amplitudes as rows. The kernel is
+    index-based and can be replayed on any ensemble sharing the source atom
+    list.
     """
 
-    centers: tuple[PureState, ...]
+    centers: np.ndarray
     assignment: tuple[int, ...]
     radius: float
 
@@ -282,7 +296,7 @@ def coarse_grain(
         else:
             assignment.append(len(centers))
             centers.append(i)
-    kernel = CoarseKernel(tuple(mu.atoms[c] for c in centers), tuple(assignment), float(radius))
+    kernel = CoarseKernel(mu.amps[centers], tuple(assignment), float(radius))
     return kernel, kernel.apply(mu)
 
 

@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .commonbasis import cb_measures, common_basis
-from .ensembles import kl_divergence
+from .commonbasis import clamp_weights, common_basis
+from .ensembles import _kl_sum
 from .errors import (
     DimMismatch,
     NotOperatorConvex,
@@ -126,13 +126,12 @@ def unr_entropy(
     """Unraveled relative entropy in nats.
 
     The infimum of KL(mu || nu) over pure-state ensemble pairs realizing
-    (rho, sigma) is attained by the common-basis measures, so this evaluates
-    that KL divergence directly.
+    (rho, sigma) is attained by the common-basis measures. Both live on the
+    one common basis, so this is the KL divergence of their two weight
+    vectors, the same number ``kl_divergence`` gives on ``cb_measures``.
     """
-    tols = tols or DEFAULT_TOLS
-    _check_pair(rho, sigma, tols)
-    mu, nu = cb_measures(common_basis(rho, sigma, tols))
-    return kl_divergence(mu, nu)
+    cb = common_basis(rho, sigma, tols)  # checks the pair as _check_pair does
+    return _kl_sum(clamp_weights(cb.rho_coeffs), clamp_weights(cb.sigma_coeffs))
 
 
 def max_f_divergence(

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .commonbasis import CommonBasis, cb_measures, common_basis
+from .commonbasis import CommonBasis, clamp_weights, common_basis
 from .errors import BudgetExceeded, DimMismatch
 from .matcore import DEFAULT_TOLS, Tolerances
 from .states import DensityMatrix, RngStream, require_faithful
@@ -108,7 +108,7 @@ class LdpExperiment:
         t_max = abs(1.0 - float(p @ norms2)) + float(np.abs(1.0 - norms2).max())
         u = np.finfo(float).eps / 2  # unit roundoff
         tables = {
-            "sigma_weights": cb_measures(self.cb)[1].weights,
+            "sigma_weights": clamp_weights(self.cb.sigma_coeffs),
             "proj": proj,
             "gram": np.abs(psis.conj().T @ psis) ** 2,
             "slack": 0.5 * math.sqrt(d) * resid + t_max + 16 * d * d * (d + 1) * u,
@@ -299,9 +299,13 @@ def rate_curve(exp: LdpExperiment, reference_weights=None) -> list[tuple[int, fl
 
 
 def tolerance_budget(n: int, k: int, epsilon: float) -> float:
-    """Disclosed gap budget between the finite-n rate and the limit.
+    """Heuristic size of the gap between the finite-n rate and the BS entropy.
 
     Stirling corrections for k cells contribute about 2k log(n) / n, and the
     open ball of radius epsilon shifts the optimizing state by order epsilon.
+    It is not a bound: the rate tends to I_eps, the smallest KL(q || nu) over
+    weight vectors q whose barycenter lies in the ball, not to the BS
+    entropy. Of 300 seeded d = 3 pairs (``RngStream(11)``, epsilon 0.05,
+    n = 100), 2 exceed it, with gaps 0.32632 and 0.34684 against 0.32631.
     """
     return 2.0 * k * math.log(n) / n + epsilon

@@ -337,3 +337,39 @@ def test_argparse_error_leaves_the_parser_usable(capsys):
     code, out, _ = run(capsys, "ldp", LDP_CFG, "--seed", "3")
     assert code == 0
     assert json.loads(out)["metadata"]["seed"] == 3
+
+
+def _retyped(path, key, value):
+    obj = json.loads(Path(path).read_text())
+    obj[key] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("entropy", {"dim": 2, "matrix": 5}),
+        ("entropy", {"dim": None, "matrix": [[0.5, 0.0], [0.0, 0.5]]}),
+        ("entropy", [[0.5, 0.0], [0.0, 0.5]]),
+        ("contraction", [[0.0, 0.0], [0.0, 0.0]]),
+        ("ldp", _retyped(LDP_CFG, "sample_sizes", 5)),
+        ("contraction", _retyped(DEPHASING, "rates", 0.5)),
+    ],
+    ids=[
+        "matrix-number", "dim-null", "top-level-list", "top-level-list-model",
+        "sample-sizes-number", "rates-number",
+    ],
+)
+def test_badly_typed_json_is_an_input_error(capsys, tmp_path, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "entropy": ("entropy", str(path), SIGMA_M),
+        "ldp": ("ldp", str(path)),
+        "contraction": ("contraction", str(path), RHO_X, SIGMA_Y),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ValueError"

@@ -155,7 +155,7 @@ def test_cb_measures_share_atoms_and_reconstruct():
     sigma = sample_faithful(3, rng)
     cb = common_basis(rho, sigma)
     mu, nu = cb_measures(cb)
-    assert mu.atoms is nu.atoms
+    assert mu.amps is nu.amps
     assert trace_distance(realize(mu), rho) < 1e-9
     assert trace_distance(realize(nu), sigma) < 1e-9
 

@@ -379,7 +379,8 @@ def test_contraction_builds_one_generator_and_one_propagator_per_gap(monkeypatch
         random_model(2, rng), sample_faithful(2, rng), sample_faithful(2, rng), times
     )
     assert calls["superop"] == 1
-    assert calls["expm"] == len(set(np.diff(times).tolist()))
+    # the 20 gaps hold 5 floats that differ only in their last bits
+    assert calls["expm"] == 1
 
 
 def test_trace_drift_raises_with_time_stamp(monkeypatch):

@@ -6,18 +6,25 @@ import pytest
 from qunravel import (
     DiscreteEnsemble,
     GENERATORS,
+    LindbladModel,
     PureState,
     RngStream,
+    cb_measures,
     coarse_grain,
+    common_basis,
     coupling_bound_check,
+    evolve_ensemble,
     f_divergence,
     fubini_study,
     greedy_coupling,
     haar_pure,
     kl_divergence,
+    make_experiment,
     product_coupling,
     realize,
+    sample_faithful,
     trace_distance,
+    unr_entropy,
 )
 from qunravel.ensembles import _merge_coincident
 from qunravel.errors import DimMismatch, EmptyEnsemble, InvalidCoupling
@@ -58,6 +65,79 @@ def test_constructor_rejects_duplicate_rays():
         DiscreteEnsemble((KET0, phase_copy), np.array([0.5, 0.5]))
 
 
+def test_array_input_matches_pure_state_input():
+    rng = RngStream(32)
+    for dim, k in ((2, 3), (3, 5), (4, 4)):
+        atoms = tuple(haar_pure(dim, rng) for _ in range(k))
+        amps = np.stack([a.amplitudes for a in atoms])
+        w_mu = rng.gen.dirichlet(np.ones(k))
+        w_nu = rng.gen.dirichlet(np.ones(k))
+        from_states = DiscreteEnsemble(atoms, w_mu), DiscreteEnsemble(atoms, w_nu)
+        from_array = DiscreteEnsemble(amps, w_mu), DiscreteEnsemble(amps, w_nu)
+        for s, a in zip(from_states, from_array):
+            assert np.array_equal(a.amps, s.amps)
+            assert np.array_equal(a.weights, s.weights)
+            assert np.array_equal(realize(a).matrix, realize(s).matrix)
+            built = [x.amplitudes for x in a.atoms]
+            assert [np.array_equal(x, y.amplitudes) for x, y in zip(built, atoms)] == [True] * k
+        assert kl_divergence(*from_array) == kl_divergence(*from_states)
+        assert kl_divergence(from_array[0], from_states[1]) == kl_divergence(*from_states)
+
+
+@pytest.mark.parametrize(
+    "rows, weights, error",
+    [
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), [0.5, 0.5], ValueError),
+        (np.array([[1.0, 0.0], [np.inf, 1.0]]), [0.5, 0.5], ValueError),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), [0.5, 0.5], ValueError),
+        (np.array([[1.0 + 2e-12, 0.0]]), [1.0], ValueError),
+        (np.array([[1.0, 0.0], [1j, 0.0]]), [0.5, 0.5], ValueError),
+        (np.ones((1, 1, 2)) / np.sqrt(2), [1.0], DimMismatch),
+        (np.empty((1, 0)), [1.0], DimMismatch),
+        (np.eye(2), [1.0], DimMismatch),
+        (np.empty((0, 2)), [], EmptyEnsemble),
+    ],
+    ids=[
+        "nan", "inf", "non-unit", "norm-off-by-2e-12", "same-ray", "3-d",
+        "no-columns", "weights-too-few", "no-rows",
+    ],
+)
+def test_array_input_raises_like_the_pure_state_path(rows, weights, error):
+    with pytest.raises(error):
+        DiscreteEnsemble(rows, np.array(weights))
+    with pytest.raises(error):
+        DiscreteEnsemble(tuple(PureState(r) for r in rows), np.array(weights))
+
+
+def test_array_input_needs_one_row_per_atom():
+    # a single state passed as a 1-d vector is not a (k, d) array
+    with pytest.raises(DimMismatch):
+        DiscreteEnsemble(KET0.amplitudes, np.array([1.0]))
+
+
+def test_core_paths_build_no_pure_state(monkeypatch):
+    rng = RngStream(33)
+    rho = sample_faithful(3, rng)
+    sigma = sample_faithful(3, rng)
+    mu0 = DiscreteEnsemble((KET0, PLUS), np.array([0.4, 0.6]))
+    model = LindbladModel(np.diag([1.0, -1.0]), (np.array([[0.0, 1.0], [0.0, 0.0]]),), (0.5,))
+    built = []
+    post_init = PureState.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PureState, "__post_init__", counted)
+    unr_entropy(rho, sigma)
+    cb_measures(common_basis(rho, sigma))
+    make_experiment(rho, sigma, 0.05, [10, 20])
+    out = evolve_ensemble(model, mu0, 0.05, 0.01, 4, RngStream(34))
+    assert built == []
+    # the counter does see the atoms once they are asked for
+    assert len(out.atoms) == len(built) == len(out)
+
+
 def test_merge_coincident_sums_weights_along_chains():
     # KET0 tilted in steps of 0.6e-10: neighbours lie within TOL_MATCH, the
     # chain's ends (1.2e-10 apart) do not, and all three become one atom
@@ -66,8 +146,10 @@ def test_merge_coincident_sums_weights_along_chains():
 
     atoms = [tilted(0.0), KET1, tilted(0.6e-10), PLUS, tilted(1.2e-10)]
     assert fubini_study(atoms[0], atoms[4]) > 1e-10
-    merged, weights = _merge_coincident(atoms, np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
-    assert [a is b for a, b in zip(merged, (atoms[0], KET1, PLUS))] == [True] * 3
+    amps = np.stack([a.amplitudes for a in atoms])
+    merged, weights = _merge_coincident(amps, np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+    # each group keeps its first row, bit for bit
+    assert np.array_equal(merged, amps[[0, 1, 3]])
     assert len(merged) == 3
     assert np.allclose(weights, [0.65, 0.2, 0.15], rtol=0, atol=1e-15)
     DiscreteEnsemble(merged, weights)

@@ -20,6 +20,7 @@ from qunravel import (
     herm_log,
     herm_sqrt,
     hermitize,
+    kl_divergence,
     max_f_divergence,
     random_cptp,
     sample_faithful,
@@ -156,6 +157,18 @@ def test_max_f_equals_classical_divergence_on_common_basis():
                 quantum = max_f_divergence(rho, sigma, gen)
                 classical = f_divergence(mu, nu, gen)
                 assert abs(quantum - classical) <= 1e-8
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 32])
+def test_unr_entropy_is_the_kl_of_the_common_basis_measures(dim):
+    # unr_entropy reads the two weight vectors directly; kl_divergence on
+    # the validated measures must give the same number
+    rng = RngStream(68)
+    for _ in range(2 if dim == 32 else 10):
+        rho = sample_faithful(dim, rng)
+        sigma = sample_faithful(dim, rng)
+        mu, nu = cb_measures(common_basis(rho, sigma))
+        assert abs(unr_entropy(rho, sigma) - kl_divergence(mu, nu)) <= 1e-14
 
 
 def test_generator_registry_contract():
