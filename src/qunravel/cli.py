@@ -91,12 +91,19 @@ def _tols_from_args(args) -> tuple[Tolerances, dict]:
 
 
 def _number(value, kind, what: str):
-    """``kind(value)`` for a JSON field; a value of the wrong JSON type is an
-    input error, not a crash."""
+    """``kind(value)`` for a JSON number field (``kind`` is int or float).
+
+    Only a JSON number passes: a string or boolean is an input error, not a
+    number, and an int field needs an integral value rather than truncating.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ValueError(f"{what} is out of range, got {value!r}") from None
 
 
 def _typed(value, kind: type, what: str):
@@ -107,7 +114,7 @@ def _typed(value, kind: type, what: str):
 
 
 def _parse_entry(entry, what: str) -> complex:
-    if isinstance(entry, (int, float)):
+    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
         return complex(entry, 0.0)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
         return complex(_number(entry[0], float, what), _number(entry[1], float, what))

@@ -23,6 +23,17 @@ The basis is kept as one d x d matrix ``psis`` whose columns are the psi_i,
 next to the dual matrix and the two weight vectors; ``basis`` rebuilds the
 ``PureState`` objects for API callers only.
 
+One pair has one basis: ``common_basis`` keeps its latest result, matched by
+the identity of the two validated states and equal tolerances, so
+``unr_entropy`` followed by ``common_basis`` on a pair (``qunravel entropy``)
+solves the eigenproblem of A and checks the result once. The shared arrays
+are read-only. Nothing else is cached with it: the BS core
+sqrt(rho) sigma^{-1} sqrt(rho) and the maximal f-divergence core
+sigma^{-1/2} rho sigma^{-1/2} keep eigensolves of their own, so the
+acceptance checks of BS against the unraveled entropy and of the maximal
+f-divergence against the basis f-divergence compare independent
+decompositions.
+
 When the spectrum of A is simple the basis is unique up to permutation and
 phase, which ``basis_match`` recovers; with degeneracies the construction is
 still deterministic but depends on the eigensolver's choice inside each
@@ -37,10 +48,11 @@ import numpy as np
 
 from .ensembles import DiscreteEnsemble, _greedy_plan
 from .errors import BackendFailure, DimMismatch
-from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, hermitize
+from .matcore import Tolerances, herm_eig, hermitize
 from .states import (
     DensityMatrix,
     PureState,
+    _pair_memo,
     canonical_rows,
     fs_angles,
     require_faithful,
@@ -85,6 +97,7 @@ class CommonBasis:
         return tuple(PureState(p) for p in self.psis.T)
 
 
+@_pair_memo
 def common_basis(
     rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None
 ) -> CommonBasis:
@@ -93,9 +106,10 @@ def common_basis(
     Raises ``DimMismatch`` on size disagreement and ``NotFaithful`` when
     either input is rank-deficient. The returned object is self-checked:
     biorthogonality, weight normalization, and basis non-degeneracy are
-    verified before it leaves this function.
+    verified before it leaves this function. A repeat call on the same two
+    state objects with equal tolerances returns the same object, whose
+    arrays are read-only.
     """
-    tols = tols or DEFAULT_TOLS
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
     require_faithful(rho, "rho", tols)
@@ -128,6 +142,8 @@ def common_basis(
         eigenvalues=kappa,
     )
     _self_check(cb)
+    for arr in (psis, dual, rho_coeffs, sigma_coeffs, kappa):
+        arr.flags.writeable = False
     return cb
 
 

@@ -16,7 +16,13 @@ to arbitrary operator-convex generators with f(1) = 0.
 
 Functions of rho and sigma themselves come from the eigendecompositions the
 validated states carry (``DensityMatrix.eig``); only each divergence's core
-matrix is decomposed here.
+matrix is decomposed here, and each core once per pair of state objects:
+``unr_entropy`` reads the common basis that ``common_basis`` keeps for the
+pair, and every generator of ``max_f_divergence`` is applied to one kept
+spectrum of sigma^{-1/2} rho sigma^{-1/2}. The two kept results are separate
+constructions, and the BS core sqrt(rho) sigma^{-1} sqrt(rho) is decomposed
+afresh on every call, so BS against ``unr_entropy`` and the maximal against
+the basis f-divergence still compare independent eigensolves.
 """
 from __future__ import annotations
 
@@ -32,8 +38,8 @@ from .errors import (
     NotOperatorConvex,
     NotTracePreserving,
 )
-from .matcore import DEFAULT_TOLS, Tolerances, herm_log, hermitize, spectral_fn
-from .states import DensityMatrix, RngStream, require_faithful, validate_density
+from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, herm_log, hermitize
+from .states import DensityMatrix, RngStream, _pair_memo, require_faithful, validate_density
 
 __all__ = [
     "DivergenceGenerator",
@@ -152,10 +158,16 @@ def max_f_divergence(
         raise NotOperatorConvex(
             f"generator {gen.name!r} is not marked operator convex"
         )
-    inv_sqrt_s = sigma.eig.inv_sqrt()
-    core = hermitize(inv_sqrt_s @ rho.matrix @ inv_sqrt_s)
-    fval = spectral_fn(core, gen.f, tols.eps_faithful, tols)
+    fval = _max_f_core(rho, sigma, tols).apply(gen.f, tols.eps_faithful)
     return float(np.real(np.trace(sigma.matrix @ fval)))
+
+
+@_pair_memo
+def _max_f_core(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances):
+    """Verified spectrum of sigma^{-1/2} rho sigma^{-1/2}; every generator on
+    the pair is a function of it."""
+    inv_sqrt_s = sigma.eig.inv_sqrt()
+    return herm_eig(hermitize(inv_sqrt_s @ rho.matrix @ inv_sqrt_s), tols)
 
 
 @dataclass(frozen=True)

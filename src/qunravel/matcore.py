@@ -9,11 +9,13 @@ on every call.
 
 A verified ``SpectralDecomposition`` maps its own spectrum through scalar
 functions, so one decomposition serves every function of a matrix: validated
-states carry theirs (``DensityMatrix.eig``) and the divergences reuse it. The
-matrix entry points (``spectral_fn``, ``herm_sqrt``, ...) decompose afresh.
+states carry theirs (``DensityMatrix.eig``) and the divergences reuse it, and
+every max-f generator reads one decomposition of the pair's core. The matrix
+entry points (``spectral_fn``, ``herm_sqrt``, ...) decompose afresh.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -123,6 +125,10 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
+def _frobenius(a: np.ndarray) -> float:
+    return math.sqrt(np.vdot(a, a).real)
+
+
 def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, verified before returning.
 
@@ -135,26 +141,30 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
     """
     tols = tols or DEFAULT_TOLS
     m = _as_square(mat)
-    defect = hermiticity_defect(m)
+    mh = m.conj().T
+    defect = float(np.abs(m - mh).max())
     if defect > tols.tol_herm:
         raise NotHermitian(
             f"max |M - M^dag| entry {defect:.3e} exceeds tol_herm={tols.tol_herm:.1e}"
         )
-    m = hermitize(m)
+    m = 0.5 * (m + mh)  # hermitize(m), reusing M^dag
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise BackendFailure(f"eigensolver did not converge: {exc}") from exc
 
     n = m.shape[0]
-    scale = max(1.0, float(np.linalg.norm(m)))
-    recon_err = float(np.linalg.norm((vecs * vals) @ vecs.conj().T - m))
+    vh = vecs.conj().T
+    scale = max(1.0, _frobenius(m))
+    recon_err = _frobenius((vecs * vals) @ vh - m)
     if recon_err > tols.tol_recon * n * scale:
         raise BackendFailure(
             f"eigendecomposition round trip off by {recon_err:.3e} "
             f"(budget {tols.tol_recon * n * scale:.3e})"
         )
-    ortho_err = float(np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)))
+    gram = vh @ vecs
+    gram.flat[:: n + 1] -= 1.0
+    ortho_err = _frobenius(gram)
     if ortho_err > 1e-12 * n:
         raise BackendFailure(f"eigenvector columns not orthonormal ({ortho_err:.3e})")
     return SpectralDecomposition(vals, vecs)

@@ -9,6 +9,9 @@ Validation decomposes the matrix once through ``herm_eig``, and the state
 carries that verified eigendecomposition (``DensityMatrix.eig``); every
 function of a validated state downstream (log, square root, inverse,
 inverse square root) is built from it rather than from a fresh eigensolve.
+A construction on a pair of validated states that several callers need (the
+common basis, the maximal f-divergence core) keeps its latest result through
+``_pair_memo``, keyed by the identity of the two states.
 
 Inside the package, families of pure states are amplitude arrays, one ray
 per row: ``fs_angles`` broadcasts the Fubini-Study angle over them and
@@ -17,6 +20,7 @@ per row: ``fs_angles`` broadcasts the Fubini-Study angle over them and
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +76,10 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix with its verified eigendecomposition."""
+    """Validated density matrix with its verified eigendecomposition.
+
+    The arrays are read-only: the spectrum, and every result kept for a pair
+    of states, stay true to the matrix."""
 
     matrix: np.ndarray
     eig: SpectralDecomposition
@@ -97,9 +104,9 @@ def validate_density(
 
     Checks run in that order so the reported failure names the first violated
     bound; non-square or non-finite input fails as ``NotHermitian``. The
-    returned matrix is re-Hermitized and carries the eigendecomposition that
-    ``herm_eig`` verified, and the faithfulness flag records whether the
-    smallest eigenvalue clears ``eps_faithful``.
+    returned matrix is a re-Hermitized, read-only copy and carries the
+    eigendecomposition that ``herm_eig`` verified, and the faithfulness flag
+    records whether the smallest eigenvalue clears ``eps_faithful``.
     """
     tols = tols or DEFAULT_TOLS
     m = np.asarray(mat, dtype=complex)
@@ -111,6 +118,8 @@ def validate_density(
     lo = float(eig.eigenvalues[0])
     if lo < psd_floor:
         raise NotPSD(f"smallest eigenvalue {lo:.3e} is below the floor {psd_floor:.1e}")
+    for arr in (m, *eig):
+        arr.flags.writeable = False
     return DensityMatrix(matrix=m, eig=eig, faithful=lo > tols.eps_faithful)
 
 
@@ -122,6 +131,34 @@ def require_faithful(state: DensityMatrix, name: str, tols: Tolerances | None = 
             f"{name} is not faithful: smallest eigenvalue "
             f"{state.min_eigenvalue:.3e} <= {tols.eps_faithful:.1e}"
         )
+
+
+def _pair_memo(build):
+    """One-entry memo for ``build(rho, sigma, tols)`` on validated states.
+
+    A call returns the last result when ``rho`` and ``sigma`` are the very
+    objects of the last successful call (``is``) and the tolerances compare
+    equal (``None`` reads as ``DEFAULT_TOLS``); anything else rebuilds. The
+    entry holds strong references to that one pair only, so an ``id`` cannot
+    be reused while it lives and nothing accumulates. Sound because the
+    arrays of a validated state are read-only; each memoized construction
+    has its own entry. The entry is read and replaced as one tuple, so
+    concurrent callers each get the result for their own pair.
+    """
+    last = None  # (rho, sigma, tols, value)
+
+    @functools.wraps(build)
+    def memoized(rho, sigma, tols=None):
+        nonlocal last
+        tols = tols or DEFAULT_TOLS
+        entry = last
+        if entry is not None and entry[0] is rho and entry[1] is sigma and entry[2] == tols:
+            return entry[3]
+        value = build(rho, sigma, tols)
+        last = (rho, sigma, tols, value)
+        return value
+
+    return memoized
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -373,3 +373,33 @@ def test_badly_typed_json_is_an_input_error(capsys, tmp_path, command, payload):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "ValueError"
+
+
+def _ldp_with(edit):
+    obj = json.loads(Path(LDP_CFG).read_text())
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (_ldp_with(lambda o: o["rho"].update(dim=2.7)), "rho:dim"),
+        (_ldp_with(lambda o: o["sigma"].update(dim=True)), "sigma:dim"),
+        (_ldp_with(lambda o: o.update(sample_sizes=[50.9, 100])), "sample_sizes"),
+        (_ldp_with(lambda o: o.update(sample_sizes=[50, True])), "sample_sizes"),
+        (_ldp_with(lambda o: o.update(epsilon="0.05")), "epsilon"),
+        (_ldp_with(lambda o: o.update(epsilon=False)), "epsilon"),
+    ],
+    ids=["dim-fraction", "dim-bool", "size-fraction", "size-bool", "eps-string", "eps-bool"],
+)
+def test_number_fields_take_only_json_numbers(capsys, tmp_path, payload, field):
+    path = tmp_path / "ldp.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "ldp", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert f"{path}:{field} must be" in error["message"]

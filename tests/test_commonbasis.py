@@ -17,6 +17,7 @@ from qunravel import (
     validate_density,
 )
 from qunravel.errors import DimMismatch, NotFaithful
+from qunravel.matcore import DEFAULT_TOLS, Tolerances
 
 KL_34_12 = 0.13081203594113697
 
@@ -214,3 +215,28 @@ def test_basis_match_returns_none_for_unrelated_bases():
     if perm is not None:  # unrelated random rays almost surely fail the 1e-8 gate
         for i, j in enumerate(perm):
             assert fubini_study(cb1.basis[i], cb2.basis[j]) <= 1e-8
+
+
+def test_repeat_call_shares_one_read_only_basis():
+    rng = RngStream(48)
+    rho, sigma = sample_faithful(3, rng), sample_faithful(3, rng)
+    cb = common_basis(rho, sigma)
+    assert common_basis(rho, sigma) is cb
+    assert common_basis(rho, sigma, DEFAULT_TOLS) is cb
+    for arr in (cb.psis, cb.dual, cb.rho_coeffs, cb.sigma_coeffs, cb.eigenvalues):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_basis_is_rebuilt_for_another_pair_or_tolerance():
+    rng = RngStream(49)
+    rho, sigma = sample_faithful(3, rng), sample_faithful(3, rng)
+    twin = validate_density(rho.matrix)
+    for args in ((rho, sigma, Tolerances(tol_recon=2e-10)), (sigma, rho), (twin, sigma)):
+        cb = common_basis(rho, sigma)
+        other = common_basis(*args)
+        assert other is not cb
+        if args[0] is sigma:
+            assert np.allclose(np.sort(other.eigenvalues), np.sort(1.0 / cb.eigenvalues))
+        else:
+            assert np.array_equal(other.psis, cb.psis)

@@ -1,11 +1,15 @@
+import gc
 import math
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qunravel.matcore as matcore
+from qunravel.matcore import DEFAULT_TOLS, Tolerances
 from qunravel import (
     GENERATORS,
     DivergenceGenerator,
@@ -280,7 +284,11 @@ def test_each_divergence_decomposes_only_its_core(monkeypatch):
     pairs = [(sample_faithful(d, rng), sample_faithful(d, rng)) for d in (2, 3, 8)]
     seen = count_herm_eig(monkeypatch)
     calls = [(umegaki, 0), (bs_entropy, 1), (unr_entropy, 1)]
-    calls += [(lambda r, s, g=g: max_f_divergence(r, s, g), 1) for g in GENERATORS.values()]
+    # the generators share one spectrum of their core per pair
+    calls += [
+        (lambda r, s, g=g: max_f_divergence(r, s, g), int(i == 0))
+        for i, g in enumerate(GENERATORS.values())
+    ]
     for rho, sigma in pairs:
         for fn, expected in calls:
             seen.clear()
@@ -289,6 +297,117 @@ def test_each_divergence_decomposes_only_its_core(monkeypatch):
             for mat in seen:
                 assert not np.array_equal(mat, rho.matrix)
                 assert not np.array_equal(mat, sigma.matrix)
+
+
+def benchmark_pair_op(r, s):
+    """One pair the way the sweep benchmark and ``qunravel entropy`` use it."""
+    rho, sigma = validate_density(r), validate_density(s)
+    values = [umegaki(rho, sigma), bs_entropy(rho, sigma), unr_entropy(rho, sigma)]
+    mu, nu = cb_measures(common_basis(rho, sigma))
+    for gen in GENERATORS.values():
+        values += [max_f_divergence(rho, sigma, gen), f_divergence(mu, nu, gen)]
+    return values
+
+
+def test_pair_op_decomposes_each_core_once(monkeypatch):
+    rng = RngStream(69)
+    seen = count_herm_eig(monkeypatch)
+    for dim in (2, 3, 4, 8):
+        r, s = sample_faithful(dim, rng).matrix, sample_faithful(dim, rng).matrix
+        seen.clear()
+        benchmark_pair_op(r, s)
+        # two validations, then the BS core, A = rho^-1/2 sigma rho^-1/2 and
+        # B = sigma^-1/2 rho sigma^-1/2, each decomposed on its own
+        assert len(seen) == 5
+        assert np.array_equal(seen[0], r) and np.array_equal(seen[1], s)
+        cores = seen[2:]
+        for i in range(3):
+            for j in range(i):
+                assert not np.allclose(cores[i], cores[j])
+
+
+def test_memo_holds_only_the_latest_pair():
+    rng = RngStream(70)
+    rho, sigma = sample_faithful(3, rng), sample_faithful(3, rng)
+    unr_entropy(rho, sigma)
+    max_f_divergence(rho, sigma, GENERATORS["xlogx"])
+    ref = weakref.ref(rho)
+    other = sample_faithful(3, rng), sample_faithful(3, rng)
+    unr_entropy(*other)
+    max_f_divergence(*other, GENERATORS["xlogx"])
+    del rho, sigma
+    gc.collect()
+    assert ref() is None
+
+
+def test_max_f_core_is_rebuilt_for_another_pair_or_tolerance(monkeypatch):
+    rng = RngStream(71)
+    rho, sigma = sample_faithful(3, rng), sample_faithful(3, rng)
+    twin = validate_density(rho.matrix)
+    xlogx = GENERATORS["xlogx"]
+    seen = count_herm_eig(monkeypatch)
+    max_f_divergence(rho, sigma, xlogx)
+    for args in (
+        (sigma, rho),
+        (rho, sigma, Tolerances(tol_recon=2e-10)),
+        (twin, sigma),
+        (rho, sigma),
+    ):
+        seen.clear()
+        max_f_divergence(*args[:2], xlogx, *args[2:])
+        assert len(seen) == 1
+    seen.clear()
+    max_f_divergence(rho, sigma, GENERATORS["neglog"], DEFAULT_TOLS)
+    assert seen == []
+
+
+def test_threads_on_different_pairs_get_their_own_results():
+    rng = RngStream(72)
+    pairs = [(sample_faithful(3, rng), sample_faithful(3, rng)) for _ in range(6)]
+    xlogx = GENERATORS["xlogx"]
+    expected = [
+        (unr_entropy(*fresh), max_f_divergence(*fresh, xlogx))
+        for fresh in ((validate_density(r.matrix), validate_density(s.matrix)) for r, s in pairs)
+    ]
+    mismatches = []
+
+    def worker(k):
+        for j in range(100):
+            i = (k + j) % len(pairs)
+            got = (unr_entropy(*pairs[i]), max_f_divergence(*pairs[i], xlogx))
+            if got != expected[i]:
+                mismatches.append((i, got))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def test_shared_results_equal_fresh_ones_bit_for_bit():
+    # every call on fresh copies of the states misses both memos; the max-f
+    # values also equal the generator applied to a fresh decomposition
+    for rho, sigma in seeded_pairs(per_dim=2):
+        fresh = lambda: (validate_density(rho.matrix), validate_density(sigma.matrix))
+        shared = benchmark_pair_op(rho.matrix, sigma.matrix)
+        expected = [umegaki(*fresh()), bs_entropy(*fresh()), unr_entropy(*fresh())]
+        mu, nu = cb_measures(common_basis(*fresh()))
+        inv_sqrt_s = sigma.eig.inv_sqrt()
+        core = hermitize(inv_sqrt_s @ rho.matrix @ inv_sqrt_s)
+        for gen in GENERATORS.values():
+            maxf = max_f_divergence(*fresh(), gen)
+            fval = matcore.spectral_fn(core, gen.f, DEFAULT_TOLS.eps_faithful)
+            assert maxf == float(np.real(np.trace(sigma.matrix @ fval)))
+            expected += [maxf, f_divergence(mu, nu, gen)]
+        assert shared == expected
 
 
 @settings(max_examples=30, deadline=None, database=None)

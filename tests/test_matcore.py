@@ -76,6 +76,37 @@ def test_herm_eig_large_norm_input():
     assert np.all(vals > 0)
 
 
+def perturb_eigh(monkeypatch, perturb):
+    """Make every ``np.linalg.eigh`` call return ``perturb(vals, vecs)``."""
+    orig = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: perturb(*orig(m)))
+
+
+def test_herm_eig_rejects_a_round_trip_off_budget(monkeypatch):
+    m = random_spd(4, RNG)
+    perturb_eigh(monkeypatch, lambda vals, vecs: (vals * (1.0 + 1e-6), vecs))
+    with pytest.raises(BackendFailure, match="eigendecomposition round trip off by"):
+        herm_eig(m)
+
+
+def test_herm_eig_rejects_non_orthonormal_columns_alone(monkeypatch):
+    # the column of the zero eigenvalue drops out of V diag(w) V^dag, so
+    # stretching it leaves the round trip exact and breaks only orthonormality
+    m = np.diag([0.0, 1.0, 2.0]).astype(complex)
+
+    def stretch(vals, vecs):
+        assert vals[0] == 0.0
+        vecs = vecs.copy()
+        vecs[:, 0] *= 1.0 + 1e-6
+        return vals, vecs
+
+    perturb_eigh(monkeypatch, stretch)
+    vals, vecs = np.linalg.eigh(m)
+    assert np.array_equal((vecs * vals) @ vecs.conj().T, m)
+    with pytest.raises(BackendFailure, match="eigenvector columns not orthonormal"):
+        herm_eig(m)
+
+
 def test_spectral_fn_matches_scalar_on_diagonals():
     d = np.diag([0.5, 1.0, 2.0])
     out = spectral_fn(d, np.log, 0.0)

@@ -243,3 +243,13 @@ def test_fs_angles_table_matches_fubini_study_on_near_identical_rays():
     exact = [1e-11, 1e-9, 1e-7, 1e-4, 0.3, 1.2]
     assert np.allclose(table[0, 1:], exact, rtol=1e-12, atol=1e-15)
     assert np.allclose(fs_angles(amps, amps), 0.0, atol=1e-15)
+
+
+def test_validated_state_is_read_only():
+    m = np.diag([0.75, 0.25]).astype(complex)
+    rho = validate_density(m)
+    for arr in (rho.matrix, *rho.eig):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    m[0, 0] = 0.5  # the caller's input stays its own
+    assert rho.matrix[0, 0] == 0.75
