@@ -12,12 +12,12 @@ Exit codes: 0 success, 2 input validation, 3 property violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,38 +29,11 @@ from .ldp import ball_probability_exact, make_experiment, tolerance_budget
 from .matcore import DEFAULT_TOLS, Tolerances, hermitize, hermiticity_defect
 from .states import RngStream, sample_faithful, trace_distance, validate_density
 
-__all__ = ["main", "entry", "RunConfig"]
+__all__ = ["main", "entry"]
 
 SEED_ENV_VAR = "QUNRAVEL_SEED"
 LN2 = math.log(2.0)
 CONTRACTION_SLACK = 1e-7
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce one command invocation."""
-
-    command: str
-    inputs: tuple[str, ...]
-    seed: int
-    out: str | None = None
-    base: str = "nats"
-    overrides: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-
-    def metadata(self) -> dict:
-        meta = {
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "seed": self.seed,
-            "base": self.base,
-        }
-        if self.out:
-            meta["out"] = self.out
-        if self.overrides:
-            meta["tolerance_overrides"] = dict(self.overrides)
-        meta.update(self.params)
-        return meta
 
 
 def _fmt(x: float) -> str:
@@ -76,18 +49,23 @@ def _default_seed() -> int:
 
 
 def _tols_from_args(args) -> tuple[Tolerances, dict]:
-    overrides = {}
-    kwargs = {}
-    for flag, name in (
-        ("tol_herm", "tol_herm"),
-        ("tol_recon", "tol_recon"),
-        ("eps_faithful", "eps_faithful"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[name] = val
-            kwargs[name] = val
-    return (Tolerances(**kwargs) if kwargs else DEFAULT_TOLS), overrides
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(Tolerances)
+        if getattr(args, f.name) is not None
+    }
+    return (Tolerances(**overrides) if overrides else DEFAULT_TOLS), overrides
+
+
+def _metadata(args, inputs, base: str = "nats", **params) -> dict:
+    """Everything needed to reproduce the run, for its JSON summary."""
+    meta = {"command": args.command, "inputs": list(inputs), "seed": args.seed, "base": base}
+    if args.out:
+        meta["out"] = args.out
+    if args.overrides:
+        meta["tolerance_overrides"] = args.overrides
+    meta.update(params)
+    return meta
 
 
 def _number(value, kind, what: str):
@@ -118,7 +96,7 @@ def _parse_entry(entry, what: str) -> complex:
         return complex(entry, 0.0)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
         return complex(_number(entry[0], float, what), _number(entry[1], float, what))
-    raise ValueError(f"matrix entry {entry!r} is neither a number nor an [re, im] pair")
+    raise ValueError(f"{what}: matrix entry {entry!r} is neither a number nor an [re, im] pair")
 
 
 def _parse_matrix(rows, dim: int, what: str) -> np.ndarray:
@@ -185,16 +163,7 @@ def _gram_condition(cb) -> float:
 
 
 def cmd_entropy(args) -> int:
-    tols, overrides = _tols_from_args(args)
-    cfg = RunConfig(
-        command="entropy",
-        inputs=(args.rho, args.sigma),
-        seed=args.seed,
-        out=args.out,
-        base=args.base,
-        overrides=overrides,
-        params={"which": args.which},
-    )
+    tols = args.tols
     rho = _load_density(args.rho, tols)
     sigma = _load_density(args.sigma, tols)
 
@@ -212,7 +181,7 @@ def cmd_entropy(args) -> int:
     if args.which != "all":
         values = {args.which: values[args.which]}
     report = {
-        "metadata": cfg.metadata(),
+        "metadata": _metadata(args, (args.rho, args.sigma), args.base, which=args.which),
         "values": values,
         "abs_bs_unr_gap": abs(d_bs - d_unr) / scale,
         "gram_condition_number": _gram_condition(cb),
@@ -222,15 +191,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_haar_experiment(args) -> int:
-    tols, overrides = _tols_from_args(args)
-    cfg = RunConfig(
-        command="haar-experiment",
-        inputs=(),
-        seed=args.seed,
-        out=args.out,
-        overrides=overrides,
-        params={"dim": args.dim, "samples": args.samples},
-    )
+    tols = args.tols
     if args.dim < 1 or args.samples < 1:
         raise ValueError(
             f"--dim and --samples must be at least 1, got {args.dim} and {args.samples}"
@@ -253,7 +214,7 @@ def cmd_haar_experiment(args) -> int:
         )
     _write_text(args.out, "\n".join(lines) + "\n")
     summary = {
-        "metadata": cfg.metadata(),
+        "metadata": _metadata(args, (), dim=args.dim, samples=args.samples),
         "max_abs_bs_unr_gap": max_gap,
         "fraction_umegaki_below_bs": below / args.samples,
     }
@@ -262,14 +223,7 @@ def cmd_haar_experiment(args) -> int:
 
 
 def cmd_common_basis(args) -> int:
-    tols, overrides = _tols_from_args(args)
-    cfg = RunConfig(
-        command="common-basis",
-        inputs=(args.rho, args.sigma),
-        seed=args.seed,
-        out=args.out,
-        overrides=overrides,
-    )
+    tols = args.tols
     rho = _load_density(args.rho, tols)
     sigma = _load_density(args.sigma, tols)
     cb = common_basis(rho, sigma, tols)
@@ -278,7 +232,7 @@ def cmd_common_basis(args) -> int:
     recon_rho = validate_density((psis * cb.rho_coeffs) @ psis.conj().T, tols)
     recon_sigma = validate_density((psis * cb.sigma_coeffs) @ psis.conj().T, tols)
     report = {
-        "metadata": cfg.metadata(),
+        "metadata": _metadata(args, (args.rho, args.sigma)),
         "dim": cb.dim,
         "basis": _pairs(psis.T),
         "dual": _pairs(cb.dual.T),
@@ -295,15 +249,7 @@ def cmd_common_basis(args) -> int:
 
 
 def cmd_contraction(args) -> int:
-    tols, overrides = _tols_from_args(args)
-    cfg = RunConfig(
-        command="contraction",
-        inputs=(args.model, args.rho, args.sigma),
-        seed=args.seed,
-        out=args.out,
-        overrides=overrides,
-        params={"t_max": args.t_max, "steps": args.steps},
-    )
+    tols = args.tols
     model = _load_model(args.model, tols)
     rho = _load_density(args.rho, tols)
     sigma = _load_density(args.sigma, tols)
@@ -318,7 +264,9 @@ def cmd_contraction(args) -> int:
         worst = max(worst, cur - prev)
     monotone = worst <= CONTRACTION_SLACK
     summary = {
-        "metadata": cfg.metadata(),
+        "metadata": _metadata(
+            args, (args.model, args.rho, args.sigma), t_max=args.t_max, steps=args.steps
+        ),
         "initial_d_bs": series[0][1],
         "final_d_bs": series[-1][1],
         "max_step_increase": worst,
@@ -341,14 +289,7 @@ def cmd_contraction(args) -> int:
 
 
 def cmd_ldp(args) -> int:
-    tols, overrides = _tols_from_args(args)
-    cfg = RunConfig(
-        command="ldp",
-        inputs=(args.config,),
-        seed=args.seed,
-        out=args.out,
-        overrides=overrides,
-    )
+    tols = args.tols
     obj = _load_json(args.config)
     rho = _parse_density(obj["rho"], f"{args.config}:rho", tols)
     sigma = _parse_density(obj["sigma"], f"{args.config}:sigma", tols)
@@ -370,7 +311,7 @@ def cmd_ldp(args) -> int:
     _write_text(args.out, "\n".join(lines) + "\n")
 
     summary = {
-        "metadata": cfg.metadata(),
+        "metadata": _metadata(args, (args.config,)),
         "epsilon": exp.epsilon,
         "bs_entropy": bs_entropy(rho, sigma, tols),
         "rates": rates,
@@ -459,7 +400,10 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:  # read here so a bad value gets the JSON error
             args.seed = _default_seed()
-        return args.func(args)
+        args.tols, args.overrides = _tols_from_args(args)
+        # non-finite results fail a check with a JSON error, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except BudgetExceeded as exc:
         _report_error(exc)
         return 4

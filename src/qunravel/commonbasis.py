@@ -23,16 +23,7 @@ The basis is kept as one d x d matrix ``psis`` whose columns are the psi_i,
 next to the dual matrix and the two weight vectors; ``basis`` rebuilds the
 ``PureState`` objects for API callers only.
 
-One pair has one basis: ``common_basis`` keeps its latest result, matched by
-the identity of the two validated states and equal tolerances, so
-``unr_entropy`` followed by ``common_basis`` on a pair (``qunravel entropy``)
-solves the eigenproblem of A and checks the result once. The shared arrays
-are read-only. Nothing else is cached with it: the BS core
-sqrt(rho) sigma^{-1} sqrt(rho) and the maximal f-divergence core
-sigma^{-1/2} rho sigma^{-1/2} keep eigensolves of their own, so the
-acceptance checks of BS against the unraveled entropy and of the maximal
-f-divergence against the basis f-divergence compare independent
-decompositions.
+One pair of state objects has one basis, built once (see ``entropy``).
 
 When the spectrum of A is simple the basis is unique up to permutation and
 phase, which ``basis_match`` recovers; with degeneracies the construction is
@@ -41,6 +32,7 @@ eigenspace.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,15 +40,8 @@ import numpy as np
 
 from .ensembles import DiscreteEnsemble, _greedy_plan
 from .errors import BackendFailure, DimMismatch
-from .matcore import Tolerances, herm_eig, hermitize
-from .states import (
-    DensityMatrix,
-    PureState,
-    _pair_memo,
-    canonical_rows,
-    fs_angles,
-    require_faithful,
-)
+from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, hermitize
+from .states import DensityMatrix, PureState, canonical_rows, check_pair, fs_angles
 
 __all__ = [
     "CommonBasis",
@@ -97,7 +82,6 @@ class CommonBasis:
         return tuple(PureState(p) for p in self.psis.T)
 
 
-@_pair_memo
 def common_basis(
     rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None
 ) -> CommonBasis:
@@ -110,10 +94,12 @@ def common_basis(
     state objects with equal tolerances returns the same object, whose
     arrays are read-only.
     """
-    if rho.dim != sigma.dim:
-        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    require_faithful(rho, "rho", tols)
-    require_faithful(sigma, "sigma", tols)
+    return _common_basis(rho, sigma, tols or DEFAULT_TOLS)
+
+
+@functools.lru_cache(maxsize=1)
+def _common_basis(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances) -> CommonBasis:
+    check_pair(rho, sigma, tols)
     r = rho.matrix
     s = sigma.matrix
 

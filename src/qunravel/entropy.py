@@ -16,16 +16,26 @@ to arbitrary operator-convex generators with f(1) = 0.
 
 Functions of rho and sigma themselves come from the eigendecompositions the
 validated states carry (``DensityMatrix.eig``); only each divergence's core
-matrix is decomposed here, and each core once per pair of state objects:
-``unr_entropy`` reads the common basis that ``common_basis`` keeps for the
-pair, and every generator of ``max_f_divergence`` is applied to one kept
-spectrum of sigma^{-1/2} rho sigma^{-1/2}. The two kept results are separate
-constructions, and the BS core sqrt(rho) sigma^{-1} sqrt(rho) is decomposed
-afresh on every call, so BS against ``unr_entropy`` and the maximal against
-the basis f-divergence still compare independent eigensolves.
+matrix is decomposed here.
+
+Per-pair sharing. Two constructions on a pair are needed by several callers
+and are built once per pair of state objects: the common basis, from the
+eigensolve of rho^{-1/2} sigma rho^{-1/2} (``unr_entropy``, then
+``common_basis`` in ``qunravel entropy``), and the verified spectrum of the
+max-f core sigma^{-1/2} rho sigma^{-1/2}, which every generator of
+``max_f_divergence`` reads. Each is a ``functools.lru_cache(maxsize=1)``
+function of ``(rho, sigma, tols)``. A ``DensityMatrix`` compares and hashes
+by identity, so a hit needs the very same two state objects and equal
+``Tolerances``; the one entry holds the latest pair only, failures are not
+kept, and the arrays of states and bases are read-only, so a kept result
+stays true to its inputs. The two caches are separate, and the BS core
+sqrt(rho) sigma^{-1} sqrt(rho) is decomposed afresh on every call, so BS
+against ``unr_entropy`` (acceptance criterion 01) and the maximal against
+the basis f-divergence (criterion 11) still compare independent eigensolves.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +49,7 @@ from .errors import (
     NotTracePreserving,
 )
 from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, herm_log, hermitize
-from .states import DensityMatrix, RngStream, _pair_memo, require_faithful, validate_density
+from .states import DensityMatrix, RngStream, check_pair, validate_density
 
 __all__ = [
     "DivergenceGenerator",
@@ -94,19 +104,12 @@ GENERATORS: dict[str, DivergenceGenerator] = {
 }
 
 
-def _check_pair(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances) -> None:
-    if rho.dim != sigma.dim:
-        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    require_faithful(rho, "rho", tols)
-    require_faithful(sigma, "sigma", tols)
-
-
 def umegaki(
     rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None
 ) -> float:
     """Umegaki relative entropy Tr[rho (log rho - log sigma)] in nats."""
     tols = tols or DEFAULT_TOLS
-    _check_pair(rho, sigma, tols)
+    check_pair(rho, sigma, tols)
     diff = rho.eig.log(tols) - sigma.eig.log(tols)
     return float(np.real(np.trace(rho.matrix @ diff)))
 
@@ -120,7 +123,7 @@ def bs_entropy(
     to roundoff, with equality when the states commute.
     """
     tols = tols or DEFAULT_TOLS
-    _check_pair(rho, sigma, tols)
+    check_pair(rho, sigma, tols)
     sr = rho.eig.sqrt(tols)
     core = hermitize(sr @ sigma.eig.inv(tols) @ sr)
     return float(np.real(np.trace(rho.matrix @ herm_log(core, tols))))
@@ -136,7 +139,7 @@ def unr_entropy(
     one common basis, so this is the KL divergence of their two weight
     vectors, the same number ``kl_divergence`` gives on ``cb_measures``.
     """
-    cb = common_basis(rho, sigma, tols)  # checks the pair as _check_pair does
+    cb = common_basis(rho, sigma, tols)  # checks the pair
     return _kl_sum(clamp_weights(cb.rho_coeffs), clamp_weights(cb.sigma_coeffs))
 
 
@@ -153,7 +156,7 @@ def max_f_divergence(
     ``bs_entropy``.
     """
     tols = tols or DEFAULT_TOLS
-    _check_pair(rho, sigma, tols)
+    check_pair(rho, sigma, tols)
     if not gen.operator_convex:
         raise NotOperatorConvex(
             f"generator {gen.name!r} is not marked operator convex"
@@ -162,7 +165,7 @@ def max_f_divergence(
     return float(np.real(np.trace(sigma.matrix @ fval)))
 
 
-@_pair_memo
+@functools.lru_cache(maxsize=1)
 def _max_f_core(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances):
     """Verified spectrum of sigma^{-1/2} rho sigma^{-1/2}; every generator on
     the pair is a function of it."""

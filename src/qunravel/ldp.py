@@ -59,8 +59,8 @@ from scipy.special import gammaln
 
 from .commonbasis import CommonBasis, clamp_weights, common_basis
 from .errors import BudgetExceeded, DimMismatch
-from .matcore import DEFAULT_TOLS, Tolerances
-from .states import DensityMatrix, RngStream, require_faithful
+from .matcore import Tolerances
+from .states import DensityMatrix, RngStream
 
 __all__ = [
     "LdpExperiment",
@@ -126,15 +126,12 @@ def make_experiment(
     tols: Tolerances | None = None,
 ) -> LdpExperiment:
     """Validate inputs and precompute the common basis."""
-    tols = tols or DEFAULT_TOLS
-    require_faithful(rho, "rho", tols)
-    require_faithful(sigma, "sigma", tols)
+    cb = common_basis(rho, sigma, tols)  # checks the pair
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     sizes = tuple(int(n) for n in sample_sizes)
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"sample sizes must be positive, got {sizes}")
-    cb = common_basis(rho, sigma, tols)
     return LdpExperiment(rho, sigma, cb, float(epsilon), sizes)
 
 

@@ -8,10 +8,9 @@ not thousands), which keeps full dense eigensolves cheap enough to verify
 on every call.
 
 A verified ``SpectralDecomposition`` maps its own spectrum through scalar
-functions, so one decomposition serves every function of a matrix: validated
-states carry theirs (``DensityMatrix.eig``) and the divergences reuse it, and
-every max-f generator reads one decomposition of the pair's core. The matrix
-entry points (``spectral_fn``, ``herm_sqrt``, ...) decompose afresh.
+functions, so one decomposition serves every function of a matrix (see
+``entropy`` for what is shared). The matrix entry points (``spectral_fn``,
+``herm_sqrt``, ...) decompose afresh.
 """
 from __future__ import annotations
 
@@ -137,7 +136,8 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
     round trip ``V diag(w) V^dag`` does not reproduce the input or the columns
     are not orthonormal. The round-trip budget scales with the matrix norm:
     backend accuracy is relative, and inputs here range from unit-trace states
-    to their inverses.
+    to their inverses. A matrix whose norm overflows double precision once
+    hermitized cannot be verified and fails as ``NotHermitian``.
     """
     tols = tols or DEFAULT_TOLS
     m = _as_square(mat)
@@ -148,6 +148,9 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
             f"max |M - M^dag| entry {defect:.3e} exceeds tol_herm={tols.tol_herm:.1e}"
         )
     m = 0.5 * (m + mh)  # hermitize(m), reusing M^dag
+    norm = _frobenius(m)
+    if not math.isfinite(norm):
+        raise NotHermitian("matrix norm overflows double precision once hermitized")
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
@@ -155,9 +158,9 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
 
     n = m.shape[0]
     vh = vecs.conj().T
-    scale = max(1.0, _frobenius(m))
+    scale = max(1.0, norm)
     recon_err = _frobenius((vecs * vals) @ vh - m)
-    if recon_err > tols.tol_recon * n * scale:
+    if not recon_err <= tols.tol_recon * n * scale:  # a NaN defect fails here too
         raise BackendFailure(
             f"eigendecomposition round trip off by {recon_err:.3e} "
             f"(budget {tols.tol_recon * n * scale:.3e})"
@@ -165,7 +168,7 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
     gram = vh @ vecs
     gram.flat[:: n + 1] -= 1.0
     ortho_err = _frobenius(gram)
-    if ortho_err > 1e-12 * n:
+    if not ortho_err <= 1e-12 * n:
         raise BackendFailure(f"eigenvector columns not orthonormal ({ortho_err:.3e})")
     return SpectralDecomposition(vals, vecs)
 

@@ -9,9 +9,7 @@ Validation decomposes the matrix once through ``herm_eig``, and the state
 carries that verified eigendecomposition (``DensityMatrix.eig``); every
 function of a validated state downstream (log, square root, inverse,
 inverse square root) is built from it rather than from a fresh eigensolve.
-A construction on a pair of validated states that several callers need (the
-common basis, the maximal f-divergence core) keeps its latest result through
-``_pair_memo``, keyed by the identity of the two states.
+Results kept per pair of states are described in ``entropy``.
 
 Inside the package, families of pure states are amplitude arrays, one ray
 per row: ``fs_angles`` broadcasts the Fubini-Study angle over them and
@@ -20,7 +18,6 @@ per row: ``fs_angles`` broadcasts the Fubini-Study angle over them and
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +71,13 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix with its verified eigendecomposition.
 
-    The arrays are read-only: the spectrum, and every result kept for a pair
-    of states, stay true to the matrix."""
+    A state equals and hashes as itself only. The arrays are read-only: the
+    spectrum, and every result kept for a pair of states, stay true to the
+    matrix."""
 
     matrix: np.ndarray
     eig: SpectralDecomposition
@@ -113,10 +111,10 @@ def validate_density(
     eig = herm_eig(m, tols)
     m = hermitize(m)  # the matrix herm_eig decomposed
     tr = float(np.real(np.trace(m)))
-    if abs(tr - 1.0) > trace_tol:
+    if not abs(tr - 1.0) <= trace_tol:  # a NaN trace fails here too
         raise NotTraceOne(f"trace {tr!r} deviates from 1 beyond {trace_tol:.1e}")
     lo = float(eig.eigenvalues[0])
-    if lo < psd_floor:
+    if not lo >= psd_floor:
         raise NotPSD(f"smallest eigenvalue {lo:.3e} is below the floor {psd_floor:.1e}")
     for arr in (m, *eig):
         arr.flags.writeable = False
@@ -133,32 +131,13 @@ def require_faithful(state: DensityMatrix, name: str, tols: Tolerances | None = 
         )
 
 
-def _pair_memo(build):
-    """One-entry memo for ``build(rho, sigma, tols)`` on validated states.
-
-    A call returns the last result when ``rho`` and ``sigma`` are the very
-    objects of the last successful call (``is``) and the tolerances compare
-    equal (``None`` reads as ``DEFAULT_TOLS``); anything else rebuilds. The
-    entry holds strong references to that one pair only, so an ``id`` cannot
-    be reused while it lives and nothing accumulates. Sound because the
-    arrays of a validated state are read-only; each memoized construction
-    has its own entry. The entry is read and replaced as one tuple, so
-    concurrent callers each get the result for their own pair.
-    """
-    last = None  # (rho, sigma, tols, value)
-
-    @functools.wraps(build)
-    def memoized(rho, sigma, tols=None):
-        nonlocal last
-        tols = tols or DEFAULT_TOLS
-        entry = last
-        if entry is not None and entry[0] is rho and entry[1] is sigma and entry[2] == tols:
-            return entry[3]
-        value = build(rho, sigma, tols)
-        last = (rho, sigma, tols, value)
-        return value
-
-    return memoized
+def check_pair(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None) -> None:
+    """The contract of every divergence and of the common basis: equal
+    dimensions (else ``DimMismatch``) and two faithful states."""
+    if rho.dim != sigma.dim:
+        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
+    require_faithful(rho, "rho", tols)
+    require_faithful(sigma, "sigma", tols)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

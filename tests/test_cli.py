@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -403,3 +404,74 @@ def test_number_fields_take_only_json_numbers(capsys, tmp_path, payload, field):
     error = json.loads(err)
     assert error["error"] == "ValueError"
     assert f"{path}:{field} must be" in error["message"]
+
+
+def test_bad_matrix_entry_names_its_file_and_field(capsys, tmp_path):
+    path = tmp_path / "ldp.json"
+    path.write_text(json.dumps(_ldp_with(lambda o: o["rho"]["matrix"][0].__setitem__(0, True))))
+    code, out, err = run(capsys, "ldp", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert error["message"] == (
+        f"{path}:rho: matrix entry True is neither a number nor an [re, im] pair"
+    )
+
+
+def test_entropy_rejects_a_matrix_that_overflows_as_input_error(capsys, tmp_path):
+    # finite entries whose hermitized sum overflows: NotHermitian, no warnings
+    path = write_density(tmp_path, "huge.json", [[1e308, 1e308], [1e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "entropy", path, SIGMA_M)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "NotHermitian"
+    assert "matrix norm overflows" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["entropy", "haar-experiment", "common-basis", "contraction", "ldp"])
+def test_metadata_is_the_run_configuration_in_order(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.delenv("QUNRAVEL_SEED", raising=False)
+    out_path = str(tmp_path / "out")
+    argv, expected = {
+        "entropy": (
+            ["entropy", RHO_X, SIGMA_Y, "--base", "bits", "--which", "bs",
+             "--out", out_path, "--eps-faithful", "1e-13", "--seed", "4"],
+            {"command": "entropy", "inputs": [RHO_X, SIGMA_Y], "seed": 4, "base": "bits",
+             "out": out_path, "tolerance_overrides": {"eps_faithful": 1e-13}, "which": "bs"},
+        ),
+        "haar-experiment": (
+            ["haar-experiment", "--dim", "2", "--samples", "3", "--out", out_path,
+             "--tol-recon", "1e-9", "--tol-herm", "1e-9", "--seed", "7"],
+            {"command": "haar-experiment", "inputs": [], "seed": 7, "base": "nats",
+             "out": out_path, "tolerance_overrides": {"tol_herm": 1e-9, "tol_recon": 1e-9},
+             "dim": 2, "samples": 3},
+        ),
+        "common-basis": (
+            ["common-basis", RHO_X, SIGMA_Y],
+            {"command": "common-basis", "inputs": [RHO_X, SIGMA_Y], "seed": 0, "base": "nats"},
+        ),
+        "contraction": (
+            ["contraction", DEPHASING, RHO_X, SIGMA_Y, "--t-max", "1.0", "--steps", "5",
+             "--out", out_path],
+            {"command": "contraction", "inputs": [DEPHASING, RHO_X, SIGMA_Y], "seed": 0,
+             "base": "nats", "out": out_path, "t_max": 1.0, "steps": 5},
+        ),
+        "ldp": (
+            ["ldp", LDP_CFG, "--out", out_path, "--seed", "2", "--tol-herm", "1e-9"],
+            {"command": "ldp", "inputs": [LDP_CFG], "seed": 2, "base": "nats",
+             "out": out_path, "tolerance_overrides": {"tol_herm": 1e-9}},
+        ),
+    }[command]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    meta = json.loads(out)["metadata"]
+    assert list(meta.items()) == list(expected.items())
+    assert list(meta.get("tolerance_overrides", {})) == list(
+        expected.get("tolerance_overrides", {})
+    )

@@ -107,6 +107,30 @@ def test_herm_eig_rejects_non_orthonormal_columns_alone(monkeypatch):
         herm_eig(m)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.diag([1e308, 1e308]),
+        np.array([[1e308, 1e308], [1e308, -1e308]]),
+        np.full((3, 3), 1e160),
+    ],
+    ids=["diagonal", "symmetric", "norm-only"],
+)
+def test_herm_eig_rejects_input_that_overflows_once_hermitized(m):
+    # finite input whose hermitized form or norm is not: no budget can verify it
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotHermitian, match="overflows"):
+            herm_eig(m)
+
+
+def test_herm_eig_rejects_a_nan_decomposition(monkeypatch):
+    # NaN compares False with any budget, so each check must be written to fail on it
+    m = random_spd(3, RNG)
+    perturb_eigh(monkeypatch, lambda vals, vecs: (np.full_like(vals, np.nan), vecs))
+    with pytest.raises(BackendFailure, match="eigendecomposition round trip off by"):
+        herm_eig(m)
+
+
 def test_spectral_fn_matches_scalar_on_diagonals():
     d = np.diag([0.5, 1.0, 2.0])
     out = spectral_fn(d, np.log, 0.0)

@@ -2,15 +2,25 @@ import numpy as np
 import pytest
 
 from qunravel import (
+    GENERATORS,
     PureState,
     RngStream,
+    SpectralDecomposition,
+    Tolerances,
+    bs_entropy,
     canonical_phase,
+    common_basis,
     fubini_study,
     haar_pure,
+    make_experiment,
+    max_f_divergence,
     sample_faithful,
     trace_distance,
+    umegaki,
+    unr_entropy,
     validate_density,
 )
+from qunravel import states
 from qunravel.errors import (
     DimMismatch,
     NotFaithful,
@@ -18,7 +28,7 @@ from qunravel.errors import (
     NotPSD,
     NotTraceOne,
 )
-from qunravel.states import require_faithful
+from qunravel.states import check_pair, require_faithful
 
 KET0 = PureState(np.array([1.0, 0.0], dtype=complex))
 KET1 = PureState(np.array([0.0, 1.0], dtype=complex))
@@ -158,6 +168,57 @@ def test_canonical_phase_pivot_real_positive():
         assert np.allclose(again.amplitudes, canon.amplitudes, atol=1e-14)
         rotated = canonical_phase(PureState(psi.amplitudes * np.exp(0.7j)))
         assert np.allclose(rotated.amplitudes, canon.amplitudes, atol=1e-12)
+
+
+def test_validate_density_rejects_entries_that_overflow_once_hermitized():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotHermitian, match="overflows"):
+            validate_density([[1e308, 1e308], [1e308, -1e308]])
+
+
+def test_validate_density_bounds_fail_on_nan(monkeypatch):
+    # with the decomposition stubbed out, the trace and PSD bounds alone must
+    # reject a NaN, which compares False with either bound
+    nan_spectrum = SpectralDecomposition(np.array([np.nan, 0.5]), np.eye(2, dtype=complex))
+    monkeypatch.setattr(states, "herm_eig", lambda m, tols=None: nan_spectrum)
+    with pytest.raises(NotPSD):
+        validate_density(np.eye(2) / 2)
+    with pytest.raises(NotTraceOne):
+        validate_density(np.diag([np.nan, 0.5]))
+
+
+def test_validated_state_equals_only_itself_and_hashes():
+    m = np.diag([0.75, 0.25])
+    rho, twin = validate_density(m), validate_density(m)
+    assert rho == rho and not rho != rho
+    assert rho != twin and not rho == twin
+    assert rho != m.tolist()
+    assert hash(rho) == hash(rho)
+    assert len({rho, twin, rho}) == 2
+
+
+def test_check_pair_is_the_contract_of_every_pair_entry_point():
+    half = validate_density(np.eye(2) / 2)
+    pure = validate_density(np.diag([1.0, 0.0]))
+    third = validate_density(np.eye(3) / 3)
+    slim = validate_density(np.diag([1.0 - 1e-13, 1e-13]))
+    check_pair(half, half)
+    check_pair(slim, half, Tolerances(eps_faithful=1e-14))
+    callers = [
+        check_pair,
+        umegaki,
+        bs_entropy,
+        unr_entropy,
+        common_basis,
+        lambda r, s: max_f_divergence(r, s, GENERATORS["xlogx"]),
+        lambda r, s: make_experiment(r, s, 0.1, (10,)),
+    ]
+    for fn in callers:
+        with pytest.raises(DimMismatch, match="dimensions differ: 2 vs 3"):
+            fn(half, third)
+        for args, name in (((pure, half), "rho"), ((half, pure), "sigma"), ((slim, half), "rho")):
+            with pytest.raises(NotFaithful, match=f"^{name} is not faithful"):
+                fn(*args)
 
 
 def test_rng_stream_determinism():
