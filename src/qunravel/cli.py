@@ -24,7 +24,9 @@ import numpy as np
 from .commonbasis import common_basis, dual_consistency
 from .dynamics import LindbladModel, contraction_scan
 from .entropy import bs_entropy, umegaki, unr_entropy
-from .errors import BudgetExceeded, NotHermitian, QunravelError, ValidationError
+from .errors import (
+    BudgetExceeded, ContractionViolation, NotHermitian, QunravelError, ValidationError
+)
 from .ldp import ball_probability_exact, make_experiment, tolerance_budget
 from .matcore import DEFAULT_TOLS, Tolerances, hermitize, hermiticity_defect
 from .states import RngStream, sample_faithful, trace_distance, validate_density
@@ -119,7 +121,10 @@ def _load_json(path: str) -> dict:
 def _parse_density(obj, what: str, tols: Tolerances):
     obj = _typed(obj, dict, what)
     dim = _number(obj["dim"], int, f"{what}:dim")
-    return validate_density(_parse_matrix(obj["matrix"], dim, what), tols)
+    try:
+        return validate_density(_parse_matrix(obj["matrix"], dim, what), tols)
+    except QunravelError as exc:  # same class, so the same exit code
+        raise type(exc)(f"{what}: {exc}") from None
 
 
 def _load_density(path: str, tols: Tolerances):
@@ -259,9 +264,7 @@ def cmd_contraction(args) -> int:
     lines = ["t,d_bs"] + [f"{_fmt(t)},{_fmt(d)}" for t, d in series]
     _write_text(args.out, "\n".join(lines) + "\n")
 
-    worst = 0.0
-    for (_, prev), (_, cur) in zip(series, series[1:]):
-        worst = max(worst, cur - prev)
+    worst = float(np.diff([d for _, d in series]).max(initial=0.0))
     monotone = worst <= CONTRACTION_SLACK
     summary = {
         "metadata": _metadata(
@@ -274,17 +277,9 @@ def cmd_contraction(args) -> int:
     }
     _emit_summary(summary)
     if not monotone:
-        print(
-            json.dumps(
-                {
-                    "error": "ContractionViolation",
-                    "message": f"d_bs increased by {worst:.3e} in one step "
-                    f"(slack {CONTRACTION_SLACK:.1e})",
-                }
-            ),
-            file=sys.stderr,
+        raise ContractionViolation(
+            f"d_bs increased by {worst:.3e} in one step (slack {CONTRACTION_SLACK:.1e})"
         )
-        return 3
     return 0
 
 

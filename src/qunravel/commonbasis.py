@@ -178,9 +178,8 @@ def cb_measures(cb: CommonBasis) -> tuple[DiscreteEnsemble, DiscreteEnsemble]:
     Both ensembles share one amplitude array (the phase-canonicalized basis
     states as rows) and carry the ``clamp_weights`` of their coefficients.
     """
-    amps = np.ascontiguousarray(canonical_rows(cb.psis.T))
-    mu = DiscreteEnsemble(amps, clamp_weights(cb.rho_coeffs))
-    nu = DiscreteEnsemble(amps, clamp_weights(cb.sigma_coeffs))
+    mu = DiscreteEnsemble(canonical_rows(cb.psis.T), clamp_weights(cb.rho_coeffs))
+    nu = DiscreteEnsemble._distinct(mu.amps, clamp_weights(cb.sigma_coeffs))
     return mu, nu
 
 

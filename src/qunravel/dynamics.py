@@ -47,8 +47,8 @@ from .errors import (
     NotFaithful,
 )
 from .matcore import DEFAULT_TOLS, Tolerances, hermitize, hermiticity_defect
-from .states import DensityMatrix, PureState, RngStream, canonical_rows, validate_density
-from .ensembles import DiscreteEnsemble, _merge_coincident
+from .states import DensityMatrix, PureState, RngStream, validate_density
+from .ensembles import DiscreteEnsemble, _merged_ensemble
 
 __all__ = [
     "LindbladModel",
@@ -217,7 +217,7 @@ def _sse_steps(
             dp += (1j * g) * (p @ st) * noise[:, step, j][:, None]
         p = p + dp
         nrm = np.linalg.norm(p, axis=1)
-        bad = (nrm < 0.5) | (nrm > 2.0)
+        bad = ~((nrm >= 0.5) & (nrm <= 2.0))  # a NaN norm is bad too
         if bad.any():
             k = int(np.flatnonzero(bad)[0])
             raise StepExplosion(
@@ -306,14 +306,7 @@ def evolve_ensemble(
     # common shift keeps exp() tame; it cancels in the final normalization
     shift = max(lw.max() for _, lw in logws)
     traj_w = np.concatenate([(w / n_per_atom) * np.exp(lw - shift) for w, lw in logws])
-    canon = canonical_rows(np.concatenate(finals))
-    # exact duplicates (the noiseless case) merge in one sort, in order of first
-    # occurrence; paths ending distinct but within TOL_MATCH are merged next
-    _, first, label = np.unique(canon, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    weights = np.bincount(label.ravel(), weights=traj_w)[order]
-    amps, weights = _merge_coincident(canon[first[order]], weights)
-    return DiscreteEnsemble(amps, weights / weights.sum())
+    return _merged_ensemble(np.concatenate(finals), traj_w)
 
 
 def contraction_scan(

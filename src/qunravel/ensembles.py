@@ -7,9 +7,12 @@ the rows of one ``(k, d)`` array ``amps``, and its weights; everything here
 reads that array, and ``atoms`` builds ``PureState`` objects on access for
 API callers. Divergences between two ensembles are computed after moving
 the weights of one onto the atom order of the other; atoms closer than
-``TOL_MATCH`` count as the same ray.
-Coarse-graining and couplings live here too, since both are purely
-measure-level operations on angle tables.
+``TOL_MATCH`` count as the same ray. Each support is screened for close
+pairs once: by the constructor, or not at all where its builder proves
+distinctness (``DiscreteEnsemble._distinct``): ``_merged_ensemble`` merges
+every pair within ``TOL_MATCH``, and ``cb_measures`` reuses its first
+measure's screened rows. Coarse-graining and couplings live here too,
+since both are purely measure-level operations on angle tables.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from .matcore import Tolerances, hermitize
 from .states import (
     DensityMatrix,
     PureState,
+    canonical_rows,
     fs_angles,
     trace_distance,
     validate_density,
@@ -59,9 +63,9 @@ OVERLAP_SCREEN = 1.0 - 1e-12
 Coupling = Sequence[tuple[int, int, float]]
 
 
-def _near_pairs(amps: np.ndarray, tol: float) -> Iterator[tuple[int, int, float]]:
-    """Row pairs i < j within Fubini-Study distance ``tol``, ordered by i then
-    j, each with its distance."""
+def _near_pairs(amps: np.ndarray) -> Iterator[tuple[int, int, float]]:
+    """Row pairs i < j within Fubini-Study distance ``TOL_MATCH``, ordered by
+    i then j, each with its distance."""
     # two-stage: a cheap overlap screen of the upper triangle in blocks, then
     # the accurate angle only for suspicious pairs
     block = 512
@@ -73,15 +77,14 @@ def _near_pairs(amps: np.ndarray, tol: float) -> Iterator[tuple[int, int, float]
             i, j = rows[upper] + start, cols[upper] + start
             angles = fs_angles(amps[i], amps[j])
             for a, b, d in zip(i.tolist(), j.tolist(), angles.tolist()):
-                if d <= tol:
+                if d <= TOL_MATCH:
                     yield a, b, d
 
 
-def _merge_coincident(
-    amps: np.ndarray, weights: np.ndarray, tol: float = TOL_MATCH
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge every group of rows linked by distances within ``tol`` into its
-    first row, which carries the group's summed weight."""
+def _merge_coincident(amps: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge every group of rows linked by distances within ``TOL_MATCH`` into
+    its first row, which carries the group's summed weight. Every pair within
+    ``TOL_MATCH`` is linked, so no two of the returned rows are that close."""
     root = list(range(len(amps)))
 
     def find(k: int) -> int:
@@ -89,7 +92,7 @@ def _merge_coincident(
             k = root[k]
         return k
 
-    for i, j, _ in _near_pairs(amps, tol):
+    for i, j, _ in _near_pairs(amps):
         lo, hi = sorted((find(i), find(j)))
         root[hi] = lo
     groups = np.array([find(k) for k in range(len(amps))])
@@ -113,14 +116,29 @@ class DiscreteEnsemble:
     weights: np.ndarray
 
     def __init__(self, atoms: "Sequence[PureState] | np.ndarray", weights):
-        if isinstance(atoms, np.ndarray):
-            amps = np.ascontiguousarray(atoms, dtype=complex)
-        else:
+        if not isinstance(atoms, np.ndarray):
             rows = [a.amplitudes for a in atoms]
             dims = sorted({r.size for r in rows})
             if len(dims) > 1:
                 raise DimMismatch(f"atom dimensions differ: {dims}")
-            amps = np.stack(rows) if rows else np.empty((0, 1))
+            atoms = np.stack(rows) if rows else np.empty((0, 1))
+        self._store(atoms, weights)
+        for i, j, d in _near_pairs(self.amps):
+            raise ValueError(
+                f"atoms {i} and {j} coincide up to phase "
+                f"(Fubini-Study distance {d:.3e} <= {TOL_MATCH:.1e})"
+            )
+
+    @classmethod
+    def _distinct(cls, amps: np.ndarray, weights) -> "DiscreteEnsemble":
+        """Every constructor check but the pairwise screen, for rows proven
+        distinct beyond ``TOL_MATCH``; a checked array is stored as is."""
+        ens = object.__new__(cls)
+        ens._store(amps, weights)
+        return ens
+
+    def _store(self, amps: np.ndarray, weights) -> None:
+        amps = np.ascontiguousarray(amps, dtype=complex)
         if amps.ndim != 2 or amps.shape[1] == 0:
             raise DimMismatch(f"atoms must form a (k, d) array with d >= 1, got {amps.shape}")
         if amps.shape[0] == 0:
@@ -135,15 +153,10 @@ class DiscreteEnsemble:
         w = np.ascontiguousarray(weights, dtype=float)
         if w.ndim != 1 or w.size != len(amps):
             raise DimMismatch(f"got {w.size} weights for {len(amps)} atoms")
-        if (w < 0).any():
-            raise ValueError(f"negative weight {w.min()!r}")
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
+        if not (w >= 0).all():  # a NaN weight fails here too
+            raise ValueError(f"weights must be nonnegative, got {w.min()!r}")
+        if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-        for i, j, d in _near_pairs(amps, TOL_MATCH):
-            raise ValueError(
-                f"atoms {i} and {j} coincide up to phase "
-                f"(Fubini-Study distance {d:.3e} <= {TOL_MATCH:.1e})"
-            )
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "weights", w)
 
@@ -160,15 +173,26 @@ class DiscreteEnsemble:
         return self.amps.shape[0]
 
 
+def _merged_ensemble(rows: np.ndarray, weights: np.ndarray) -> DiscreteEnsemble:
+    """Ensemble of unit ``rows``: phases fixed, rows within ``TOL_MATCH`` merged
+    into the first of them with their ``weights`` summed, weights normalized."""
+    canon = canonical_rows(rows)
+    # exact duplicates (the noiseless case) merge in one sort, in order of first
+    # occurrence; rows distinct but within TOL_MATCH are merged next
+    _, first, label = np.unique(canon, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    summed = np.bincount(label.ravel(), weights=weights)[order]
+    amps, summed = _merge_coincident(canon[first[order]], summed)
+    return DiscreteEnsemble._distinct(amps, summed / summed.sum())
+
+
 def realize(mu: DiscreteEnsemble, tols: Tolerances | None = None) -> DensityMatrix:
     """Barycenter sum_k w_k |psi_k><psi_k| as a validated density matrix."""
     mat = (mu.amps.T * mu.weights) @ mu.amps.conj()
     return validate_density(hermitize(mat), tols)
 
 
-def _aligned_weights(
-    mu: DiscreteEnsemble, nu: DiscreteEnsemble, tol: float = TOL_MATCH
-) -> Optional[np.ndarray]:
+def _aligned_weights(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> Optional[np.ndarray]:
     """mu's weights moved onto nu's atom order, or None when mu puts mass on a
     ray that nu lacks.
 
@@ -180,18 +204,18 @@ def _aligned_weights(
     if mu.dim != nu.dim:
         raise DimMismatch(f"ensemble dimensions differ: {mu.dim} vs {nu.dim}")
     if mu.amps is nu.amps or (
-        len(mu) == len(nu) and (fs_angles(mu.amps, nu.amps) <= tol).all()
+        len(mu) == len(nu) and (fs_angles(mu.amps, nu.amps) <= TOL_MATCH).all()
     ):
         return mu.weights
 
     i, j = np.nonzero(np.abs(mu.amps.conj() @ nu.amps.T) >= OVERLAP_SCREEN)
-    close = fs_angles(mu.amps[i], nu.amps[j]) <= tol
+    close = fs_angles(mu.amps[i], nu.amps[j]) <= TOL_MATCH
     i, j = i[close], j[close]
     for side, hits in (("mu", i), ("nu", j)):
         twice = np.flatnonzero(np.bincount(hits) > 1)
         if twice.size:
             raise AmbiguousMatch(
-                f"{side} atom {twice[0]} lies within {tol:.1e} of several atoms"
+                f"{side} atom {twice[0]} lies within {TOL_MATCH:.1e} of several atoms"
             )
     if (np.delete(mu.weights, i) > 0.0).any():
         return None

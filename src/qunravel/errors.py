@@ -62,6 +62,10 @@ class ValidationFailure(QunravelError):
     """An evolved state failed density-matrix validation beyond tolerance."""
 
 
+class ContractionViolation(QunravelError):
+    """A divergence rose along a flow beyond the allowed slack."""
+
+
 class StepExplosion(QunravelError):
     """A stochastic integration step left the trusted norm window."""
 

@@ -114,8 +114,9 @@ def _as_square(mat: np.ndarray) -> np.ndarray:
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Symmetrize roundoff: return (M + M^dag)/2."""
-    return 0.5 * (mat + mat.conj().T)
+    """Symmetrize roundoff: (M + M^dag)/2, summed as exact halves so finite M stays finite."""
+    half = 0.5 * mat
+    return half + half.conj().T
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:
@@ -140,14 +141,14 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
     hermitized cannot be verified and fails as ``NotHermitian``.
     """
     tols = tols or DEFAULT_TOLS
-    m = _as_square(mat)
-    mh = m.conj().T
-    defect = float(np.abs(m - mh).max())
+    half = 0.5 * _as_square(mat)  # exact halves: finite input overflows nowhere below
+    half_h = half.conj().T
+    defect = 2.0 * float(np.abs(half - half_h).max())  # a Python float doubles to inf silently
     if defect > tols.tol_herm:
         raise NotHermitian(
             f"max |M - M^dag| entry {defect:.3e} exceeds tol_herm={tols.tol_herm:.1e}"
         )
-    m = 0.5 * (m + mh)  # hermitize(m), reusing M^dag
+    m = half + half_h  # hermitize(m), reusing the halves
     norm = _frobenius(m)
     if not math.isfinite(norm):
         raise NotHermitian("matrix norm overflows double precision once hermitized")

@@ -92,12 +92,7 @@ class DensityMatrix:
         return float(self.eig.eigenvalues[0])
 
 
-def validate_density(
-    mat: np.ndarray,
-    tols: Tolerances | None = None,
-    trace_tol: float = TRACE_TOL,
-    psd_floor: float = PSD_FLOOR,
-) -> DensityMatrix:
+def validate_density(mat: np.ndarray, tols: Tolerances | None = None) -> DensityMatrix:
     """Check Hermiticity, unit trace, and positivity; return the state.
 
     Checks run in that order so the reported failure names the first violated
@@ -111,11 +106,11 @@ def validate_density(
     eig = herm_eig(m, tols)
     m = hermitize(m)  # the matrix herm_eig decomposed
     tr = float(np.real(np.trace(m)))
-    if not abs(tr - 1.0) <= trace_tol:  # a NaN trace fails here too
-        raise NotTraceOne(f"trace {tr!r} deviates from 1 beyond {trace_tol:.1e}")
+    if not abs(tr - 1.0) <= TRACE_TOL:  # a NaN trace fails here too
+        raise NotTraceOne(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL:.1e}")
     lo = float(eig.eigenvalues[0])
-    if not lo >= psd_floor:
-        raise NotPSD(f"smallest eigenvalue {lo:.3e} is below the floor {psd_floor:.1e}")
+    if not lo >= PSD_FLOOR:
+        raise NotPSD(f"smallest eigenvalue {lo:.3e} is below the floor {PSD_FLOOR:.1e}")
     for arr in (m, *eig):
         arr.flags.writeable = False
     return DensityMatrix(matrix=m, eig=eig, faithful=lo > tols.eps_faithful)

@@ -475,3 +475,35 @@ def test_metadata_is_the_run_configuration_in_order(capsys, tmp_path, monkeypatc
     assert list(meta.get("tolerance_overrides", {})) == list(
         expected.get("tolerance_overrides", {})
     )
+
+
+def test_density_validation_errors_name_their_file_or_field(capsys, tmp_path):
+    heavy = write_density(tmp_path, "heavy.json", [[0.6, 0.0], [0.0, 0.5]])
+    code, out, err = run(capsys, "entropy", heavy, SIGMA_M)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "NotTraceOne"
+    assert error["message"].startswith(f"{heavy}: trace 1.1")
+
+    path = tmp_path / "ldp.json"
+    path.write_text(json.dumps(_ldp_with(lambda o: o["rho"]["matrix"][0].__setitem__(0, 0.85))))
+    code, out, err = run(capsys, "ldp", str(path))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "NotTraceOne"
+    assert error["message"].startswith(f"{path}:rho: trace 1.1")
+
+
+def test_contraction_violation_exits_3_after_the_summary(capsys, monkeypatch):
+    import qunravel.cli as cli
+
+    monkeypatch.setattr(cli, "contraction_scan", lambda *a: [(0.0, 0.25), (1.0, 0.5)])
+    code, out, err = run(capsys, "contraction", DEPHASING, RHO_X, SIGMA_Y, "--steps", "2")
+    assert code == 3
+    summary = json.loads(out)
+    assert summary["max_step_increase"] == 0.25
+    assert summary["monotone_within_slack"] is False
+    assert err == (
+        '{"error": "ContractionViolation", '
+        '"message": "d_bs increased by 2.500e-01 in one step (slack 1.0e-07)"}\n'
+    )

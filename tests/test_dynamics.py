@@ -85,7 +85,7 @@ def test_evolve_time_zero_is_identity():
 
 
 def test_evolve_damping_closed_form():
-    rho0 = validate_density(np.diag([0.0, 1.0]), psd_floor=-1e-12)
+    rho0 = validate_density(np.diag([0.0, 1.0]))
     out = lindblad_evolve(DAMPING, rho0, 1.0)
     expected = np.diag([1.0 - math.exp(-1.0), math.exp(-1.0)])
     assert np.abs(out.matrix - expected).max() < 1e-9
@@ -168,6 +168,18 @@ def test_sse_step_explosion_names_step_and_time():
         sse_trajectory(fast, KET1, 1.0, 0.1, RngStream(88))
 
 
+def test_nan_norm_is_a_step_explosion():
+    # rates whose squares overflow make the drift, and so the step norm, NaN
+    # (numpy warns on the way); the norm window must catch NaN, not pass it on
+    huge = LindbladModel(np.zeros((2, 2)), (SM, SZ), (1e200, 1e200))
+    mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepExplosion, match="norm nan"):
+            sse_trajectory(huge, KET1, 0.1, 0.01, RngStream(88))
+        with pytest.raises(StepExplosion, match="norm nan"):
+            evolve_ensemble(huge, mu0, 0.1, 0.01, 3, RngStream(88))
+
+
 def scalar_sse_reference(model, psi0, t_final, dt, rng):
     """One path stepped vector by vector: the scalar Euler-Maruyama loop."""
     steps = int(round(t_final / dt))
@@ -227,7 +239,7 @@ def test_evolve_ensemble_noiseless_collapses_to_one_atom():
 
 def test_evolve_ensemble_matches_lindblad_flow():
     mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
-    rho0 = validate_density(np.diag([0.0, 1.0]), psd_floor=-1e-12)
+    rho0 = validate_density(np.diag([0.0, 1.0]))
     target = lindblad_evolve(DAMPING, rho0, 1.0)
     out = evolve_ensemble(DAMPING, mu0, 1.0, 1e-3, 2000, RngStream(92))
     assert trace_distance(realize(out), target) < 0.03
@@ -235,7 +247,7 @@ def test_evolve_ensemble_matches_lindblad_flow():
 
 def test_evolve_ensemble_error_decreases_with_trajectory_count():
     mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
-    rho0 = validate_density(np.diag([0.0, 1.0]), psd_floor=-1e-12)
+    rho0 = validate_density(np.diag([0.0, 1.0]))
     target = lindblad_evolve(DAMPING, rho0, 1.0)
     for seed in (1, 2, 3):
         errs = []
@@ -272,8 +284,18 @@ def test_evolve_ensemble_merges_near_coincident_damped_paths():
     mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
     out = evolve_ensemble(DAMPING, mu0, 1.0, 1e-3, 10_000, RngStream(3193737770))
     assert len(out.atoms) == 9999
-    rho0 = validate_density(np.diag([0.0, 1.0]), psd_floor=-1e-12)
+    rho0 = validate_density(np.diag([0.0, 1.0]))
     assert trace_distance(realize(out), lindblad_evolve(DAMPING, rho0, 1.0)) < 0.03
+
+
+def test_merged_damped_paths_have_no_pair_within_tol_match():
+    # the merge links every pair within TOL_MATCH, so its output passes the
+    # constructor's pairwise screen that the merged ensemble skips
+    from qunravel.ensembles import _near_pairs
+
+    mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
+    out = evolve_ensemble(DAMPING, mu0, 1.0, 1e-3, 10_000, RngStream(3193737770))
+    assert list(_near_pairs(out.amps)) == []
 
 
 def test_contraction_identical_inputs_zero_series():

@@ -26,6 +26,7 @@ from qunravel import (
     trace_distance,
     unr_entropy,
 )
+import qunravel.ensembles as ensembles
 from qunravel.ensembles import _merge_coincident
 from qunravel.errors import DimMismatch, EmptyEnsemble, InvalidCoupling
 
@@ -107,6 +108,51 @@ def test_array_input_raises_like_the_pure_state_path(rows, weights, error):
         DiscreteEnsemble(rows, np.array(weights))
     with pytest.raises(error):
         DiscreteEnsemble(tuple(PureState(r) for r in rows), np.array(weights))
+
+
+def test_nan_weights_are_rejected():
+    # NaN compares False with any bound, so the weight checks must fail on it
+    amps = np.stack([KET0.amplitudes, KET1.amplitudes])
+    for build in (DiscreteEnsemble, DiscreteEnsemble._distinct):
+        with pytest.raises(ValueError):
+            build(amps, np.array([np.nan, np.nan]))
+        with pytest.raises(ValueError):
+            build(amps, np.array([np.nan, 1.0]))
+
+
+def test_distinct_path_skips_only_the_pair_screen():
+    same_ray = np.stack([KET0.amplitudes, 1j * KET0.amplitudes])
+    assert len(DiscreteEnsemble._distinct(same_ray, np.array([0.5, 0.5]))) == 2
+    for rows, weights, error in (
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), [0.5, 0.5], ValueError),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), [0.5, 0.5], ValueError),
+        (np.array([[1.0, 0.0], [0.0, 1.0]]), [0.7, 0.7], ValueError),
+        (np.array([[1.0, 0.0], [0.0, 1.0]]), [1.5, -0.5], ValueError),
+        (np.eye(2), [1.0], DimMismatch),
+        (np.empty((0, 2)), [], EmptyEnsemble),
+    ):
+        with pytest.raises(error):
+            DiscreteEnsemble._distinct(rows, np.array(weights))
+
+
+def test_each_support_is_screened_once(monkeypatch):
+    calls = []
+    screen = ensembles._near_pairs
+
+    def counted(amps):
+        calls.append(len(amps))
+        return screen(amps)
+
+    monkeypatch.setattr(ensembles, "_near_pairs", counted)
+    rng = RngStream(35)
+    mu, nu = cb_measures(common_basis(sample_faithful(3, rng), sample_faithful(3, rng)))
+    assert calls == [3]
+    assert nu.amps is mu.amps
+    model = LindbladModel(np.zeros((2, 2)), (np.array([[0.0, 1.0], [0.0, 0.0]]),), (1.0,))
+    mu0 = DiscreteEnsemble((KET1, PLUS), np.array([0.4, 0.6]))
+    calls.clear()
+    out = evolve_ensemble(model, mu0, 0.05, 0.01, 20, RngStream(36))
+    assert calls == [len(out)] == [40]
 
 
 def test_array_input_needs_one_row_per_atom():

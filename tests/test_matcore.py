@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qunravel import (
     herm_sqrt,
     hermitize,
     spectral_fn,
+    validate_density,
 )
 from qunravel.errors import BackendFailure, DomainViolation, NotHermitian
 from qunravel.matcore import Tolerances, hermiticity_defect
@@ -121,6 +124,26 @@ def test_herm_eig_rejects_input_that_overflows_once_hermitized(m):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NotHermitian, match="overflows"):
             herm_eig(m)
+
+
+@pytest.mark.parametrize(
+    "m, hermitized",
+    [
+        ([[1e308, 1e308], [1e308, -1e308]], [[1e308, 1e308], [1e308, -1e308]]),
+        (np.diag([1e308, 1e308]), np.diag([1e308, 1e308])),
+        ([[0.0, 1e308], [-1e308, 0.0]], np.zeros((2, 2))),
+    ],
+    ids=["symmetric", "diagonal", "antisymmetric"],
+)
+def test_overflowing_input_raises_without_warnings(m, hermitized):
+    # the sum and the difference are formed from exact halves, so nothing overflows
+    m = np.array(m, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for decompose in (herm_eig, validate_density):
+            with pytest.raises(NotHermitian):
+                decompose(m)
+        assert np.array_equal(hermitize(m), hermitized)
 
 
 def test_herm_eig_rejects_a_nan_decomposition(monkeypatch):
