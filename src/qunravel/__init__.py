@@ -31,8 +31,10 @@ from .states import (
     validate_density,
 )
 from .ensembles import (
+    GENERATORS,
     DiscreteEnsemble,
     CoarseKernel,
+    DivergenceGenerator,
     coarse_grain,
     coupling_bound_check,
     f_divergence,
@@ -49,8 +51,6 @@ from .commonbasis import (
     dual_consistency,
 )
 from .entropy import (
-    GENERATORS,
-    DivergenceGenerator,
     KrausMap,
     apply_cptp,
     bs_entropy,

@@ -6,16 +6,21 @@ The master equation evolved here is
                  + sum_j gamma_j^2 (S_j rho S_j^dag - {S_j^dag S_j, rho} / 2),
 
 with Hermitian H, arbitrary jump operators S_j, and nonnegative coupling
-rates gamma_j (units 1 / sqrt(time), so gamma^2 is a rate). Propagation uses
+rates gamma_j (units 1 / sqrt(time), so gamma^2 is a rate). Written with the
+drift D = -i H - 1/2 sum_j gamma_j^2 S_j^dag S_j (``_drift_matrix``, shared
+with the stochastic equation below), the generator is
+L(rho) = D rho + rho D^dag + sum_j gamma_j^2 S_j rho S_j^dag. Propagation uses
 the matrix exponential of the vectorized generator, which is exact up to the
 exponential's own roundoff at these dimensions. A contraction scan builds the
-generator once and steps both states together, one exponential per distinct gap.
+generator once and steps both states together, one exponential per distinct
+gap, and names the time of a state that loses faithfulness.
 
 The stochastic counterpart is a diffusive (Brownian-noise) pure-state
 equation, integrated by Euler-Maruyama:
 
-    d psi = (-i H - 1/2 sum_j gamma_j^2 S_j^dag S_j) psi dt
-            + i sum_j gamma_j S_j psi dX_j,    dX_j ~ N(0, dt).
+    d psi = D psi dt + i sum_j gamma_j S_j psi dX_j,    dX_j ~ N(0, dt),
+
+over round(t_final / dt) steps, for finite t_final >= dt > 0.
 
 This equation is linear, so paths preserve their norm only in mean. Each
 step is renormalized for numerical conditioning, and the discarded squared
@@ -44,10 +49,9 @@ from .errors import (
     StepExplosion,
     ValidationFailure,
     ValidationError,
-    NotFaithful,
 )
 from .matcore import DEFAULT_TOLS, Tolerances, hermitize, hermiticity_defect
-from .states import DensityMatrix, PureState, RngStream, validate_density
+from .states import DensityMatrix, PureState, RngStream, require_faithful, validate_density
 from .ensembles import DiscreteEnsemble, _merged_ensemble
 
 __all__ = [
@@ -127,20 +131,22 @@ def _unvec(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-def lindblad_superop(model: LindbladModel) -> np.ndarray:
-    """Dense n^2 x n^2 generator matrix acting on column-stacked states."""
-    n = model.dim
-    eye = np.eye(n)
-    h = model.hamiltonian
-    l = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+def _drift_matrix(model: LindbladModel) -> np.ndarray:
+    """The drift D = -i H - 1/2 sum_j gamma_j^2 S_j^dag S_j."""
+    d = -1j * model.hamiltonian.astype(complex)
     for s, g in zip(model.jumps, model.rates):
-        g2 = g * g
-        sds = s.conj().T @ s
-        l += g2 * (
-            np.kron(s.conj(), s)
-            - 0.5 * np.kron(eye, sds)
-            - 0.5 * np.kron(sds.T, eye)
-        )
+        d -= 0.5 * (g * g) * (s.conj().T @ s)
+    return d
+
+
+def lindblad_superop(model: LindbladModel) -> np.ndarray:
+    """Dense n^2 x n^2 generator matrix acting on column-stacked states,
+    I kron D + conj(D) kron I + sum_j gamma_j^2 conj(S_j) kron S_j."""
+    eye = np.eye(model.dim)
+    d = _drift_matrix(model)
+    l = np.kron(eye, d) + np.kron(d.conj(), eye)
+    for s, g in zip(model.jumps, model.rates):
+        l += (g * g) * np.kron(s.conj(), s)
     return l
 
 
@@ -178,14 +184,9 @@ def lindblad_evolve(
     return _checked_state(v, model.dim, t, tols)
 
 
-def _drift_matrix(model: LindbladModel) -> np.ndarray:
-    d = -1j * model.hamiltonian.astype(complex)
-    for s, g in zip(model.jumps, model.rates):
-        d -= 0.5 * (g * g) * (s.conj().T @ s)
-    return d
-
-
 def _n_steps(t_final: float, dt: float) -> int:
+    if not (math.isfinite(t_final) and math.isfinite(dt)):
+        raise ValueError(f"t_final and dt must be finite, got t_final={t_final}, dt={dt}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_final < dt:
@@ -348,11 +349,7 @@ def contraction_scan(
                 propagators[gap] = expm(gap * l)
             block = propagators[gap] @ block
         rho_t, sigma_t = (_checked_state(v, model.dim, t, tols) for v in block.T)
-        for name, state in (("rho", rho_t), ("sigma", sigma_t)):
-            if state.min_eigenvalue <= tols.eps_faithful:
-                raise NotFaithful(
-                    f"{name} lost faithfulness at t={t:.6g} "
-                    f"(smallest eigenvalue {state.min_eigenvalue:.3e})"
-                )
+        require_faithful(rho_t, f"rho at t={t:.6g}", tols)
+        require_faithful(sigma_t, f"sigma at t={t:.6g}", tols)
         out.append((float(t), bs_entropy(rho_t, sigma_t, tols)))
     return out

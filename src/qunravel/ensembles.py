@@ -7,8 +7,10 @@ the rows of one ``(k, d)`` array ``amps``, and its weights; everything here
 reads that array, and ``atoms`` builds ``PureState`` objects on access for
 API callers. Divergences between two ensembles are computed after moving
 the weights of one onto the atom order of the other; atoms closer than
-``TOL_MATCH`` count as the same ray. Each support is screened for close
-pairs once: by the constructor, or not at all where its builder proves
+``TOL_MATCH`` count as the same ray. KL is the f-divergence of the ``xlogx``
+generator, and every divergence sums its cells in one loop (``_f_sum``);
+``entropy`` takes the generators from here. Each support is screened for
+close pairs once: by the constructor, or not at all where its builder proves
 distinctness (``DiscreteEnsemble._distinct``): ``_merged_ensemble`` merges
 every pair within ``TOL_MATCH``, and ``cb_measures`` reuses its first
 measure's screened rows. Coarse-graining and couplings live here too,
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,16 +35,16 @@ from .states import (
     DensityMatrix,
     PureState,
     canonical_rows,
+    check_unit_rows,
     fs_angles,
     trace_distance,
     validate_density,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .entropy import DivergenceGenerator
-
 __all__ = [
     "TOL_MATCH",
+    "DivergenceGenerator",
+    "GENERATORS",
     "DiscreteEnsemble",
     "CoarseKernel",
     "realize",
@@ -61,6 +63,46 @@ OVERLAP_SCREEN = 1.0 - 1e-12
 
 # index pairs (i, j) with transported mass
 Coupling = Sequence[tuple[int, int, float]]
+
+
+@dataclass(frozen=True)
+class DivergenceGenerator:
+    """Scalar generator of an f-divergence.
+
+    ``f`` must vanish at 1 and act elementwise on numpy arrays. ``f_zero``
+    stores the limit of f at 0+ explicitly (it can be infinite, which no
+    floating-point probe would recover). ``operator_convex`` is a trust flag:
+    the quantum maximal divergence refuses generators without it.
+    """
+
+    name: str
+    f: Callable[[np.ndarray], np.ndarray]
+    f_zero: float
+    operator_convex: bool = False
+
+    def __post_init__(self):
+        at_one = float(np.asarray(self.f(np.float64(1.0))))
+        if abs(at_one) > 1e-14:
+            raise ValueError(f"generator {self.name!r} has f(1) = {at_one!r}, expected 0")
+
+
+def _xlogx(x):
+    return x * np.log(x)
+
+
+def _x2mx(x):
+    return x * x - x
+
+
+def _neglog(x):
+    return -np.log(x)
+
+
+GENERATORS: dict[str, DivergenceGenerator] = {
+    "xlogx": DivergenceGenerator("xlogx", _xlogx, f_zero=0.0, operator_convex=True),
+    "x2mx": DivergenceGenerator("x2mx", _x2mx, f_zero=0.0, operator_convex=True),
+    "neglog": DivergenceGenerator("neglog", _neglog, f_zero=np.inf, operator_convex=True),
+}
 
 
 def _near_pairs(amps: np.ndarray) -> Iterator[tuple[int, int, float]]:
@@ -143,13 +185,7 @@ class DiscreteEnsemble:
             raise DimMismatch(f"atoms must form a (k, d) array with d >= 1, got {amps.shape}")
         if amps.shape[0] == 0:
             raise EmptyEnsemble("ensemble needs at least one atom")
-        # PureState's bounds, for all rows in one pass
-        if not np.isfinite(amps).all():
-            raise ValueError("atoms have non-finite amplitudes")
-        norms = np.linalg.norm(amps, axis=1)
-        i = int(np.argmax(np.abs(norms - 1.0)))
-        if abs(norms[i] - 1.0) > 1e-12:
-            raise ValueError(f"atom {i} has norm {norms[i]!r}, not 1 within 1e-12")
+        check_unit_rows(amps)
         w = np.ascontiguousarray(weights, dtype=float)
         if w.ndim != 1 or w.size != len(amps):
             raise DimMismatch(f"got {w.size} weights for {len(amps)} atoms")
@@ -225,30 +261,14 @@ def _aligned_weights(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> Optional[np.
 
 
 def kl_divergence(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> float:
-    """Kullback-Leibler divergence D(mu || nu) in nats.
-
-    Atoms are aligned by ray; mass of mu outside the support of nu makes the
-    divergence infinite. Atoms carrying zero mu-weight contribute nothing.
-    """
+    """Kullback-Leibler divergence D(mu || nu) in nats: ``f_divergence`` with
+    the ``xlogx`` generator. Mass of mu outside the support of nu makes it
+    infinite; atoms carrying zero mu-weight contribute nothing."""
     p = _aligned_weights(mu, nu)
-    return math.inf if p is None else _kl_sum(p, nu.weights)
+    return math.inf if p is None else _f_sum(p, nu.weights, GENERATORS["xlogx"])
 
 
-def _kl_sum(p: np.ndarray, q: np.ndarray) -> float:
-    """``kl_divergence`` of two weight vectors on one atom list."""
-    total = 0.0
-    for w, v in zip(p, q):
-        if w <= 0.0:
-            continue
-        if v <= 0.0:
-            return math.inf
-        total += w * math.log(w / v)
-    return float(total)
-
-
-def f_divergence(
-    mu: DiscreteEnsemble, nu: DiscreteEnsemble, gen: "DivergenceGenerator"
-) -> float:
+def f_divergence(mu: DiscreteEnsemble, nu: DiscreteEnsemble, gen: DivergenceGenerator) -> float:
     """Classical f-divergence sum_k nu_k f(mu_k / nu_k) after atom alignment.
 
     Conventions: cells with nu_k = 0 contribute 0 when mu_k = 0 and make the
@@ -256,19 +276,23 @@ def f_divergence(
     nu_k * f(0+) through the generator's stored limit.
     """
     p = _aligned_weights(mu, nu)
-    if p is None:
-        return math.inf
+    return math.inf if p is None else _f_sum(p, nu.weights, gen)
+
+
+def _f_sum(p: np.ndarray, q: np.ndarray, gen: DivergenceGenerator) -> float:
+    """``f_divergence`` of two weight vectors on one atom list."""
+    # a scalar loop: at the few cells of one pair it beats a masked numpy sum
     total = 0.0
-    for w, q in zip(p, nu.weights):
-        if q <= 0.0:
+    for w, v in zip(p.tolist(), q.tolist()):
+        if v <= 0.0:
             if w > 0.0:
                 return math.inf
             continue
-        contrib = q * (gen.f_zero if w == 0.0 else float(gen.f(w / q)))
+        contrib = v * (gen.f_zero if w == 0.0 else float(gen.f(w / v)))
         if math.isinf(contrib):
             return math.inf
         total += contrib
-    return float(total)
+    return total
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ Three divergences between faithful states, all in nats:
 The BS form is evaluated through the Hermitian product
 sqrt(rho) sigma^{-1} sqrt(rho); the similar but non-Hermitian rho sigma^{-1}
 is never diagonalized. ``max_f_divergence`` generalizes the BS construction
-to arbitrary operator-convex generators with f(1) = 0.
+to arbitrary operator-convex generators with f(1) = 0. The generators
+(``DivergenceGenerator``, ``GENERATORS``) belong to the classical layer in
+``ensembles`` and are re-exported here; xlogx gives KL, and ``unr_entropy``
+sums it over the clamped basis weights in the loop of ``f_divergence``.
 
 Functions of rho and sigma themselves come from the eigendecompositions the
 validated states carry (``DensityMatrix.eig``); only each divergence's core
@@ -37,12 +40,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .commonbasis import clamp_weights, common_basis
-from .ensembles import _kl_sum
+from .ensembles import GENERATORS, DivergenceGenerator, _f_sum
 from .errors import (
     DimMismatch,
     NotOperatorConvex,
@@ -62,46 +64,6 @@ __all__ = [
     "apply_cptp",
     "random_cptp",
 ]
-
-
-@dataclass(frozen=True)
-class DivergenceGenerator:
-    """Scalar generator of an f-divergence.
-
-    ``f`` must vanish at 1 and act elementwise on numpy arrays. ``f_zero``
-    stores the limit of f at 0+ explicitly (it can be infinite, which no
-    floating-point probe would recover). ``operator_convex`` is a trust flag:
-    the quantum maximal divergence refuses generators without it.
-    """
-
-    name: str
-    f: Callable[[np.ndarray], np.ndarray]
-    f_zero: float
-    operator_convex: bool = False
-
-    def __post_init__(self):
-        at_one = float(np.asarray(self.f(np.float64(1.0))))
-        if abs(at_one) > 1e-14:
-            raise ValueError(f"generator {self.name!r} has f(1) = {at_one!r}, expected 0")
-
-
-def _xlogx(x):
-    return x * np.log(x)
-
-
-def _x2mx(x):
-    return x * x - x
-
-
-def _neglog(x):
-    return -np.log(x)
-
-
-GENERATORS: dict[str, DivergenceGenerator] = {
-    "xlogx": DivergenceGenerator("xlogx", _xlogx, f_zero=0.0, operator_convex=True),
-    "x2mx": DivergenceGenerator("x2mx", _x2mx, f_zero=0.0, operator_convex=True),
-    "neglog": DivergenceGenerator("neglog", _neglog, f_zero=np.inf, operator_convex=True),
-}
 
 
 def umegaki(
@@ -140,7 +102,8 @@ def unr_entropy(
     vectors, the same number ``kl_divergence`` gives on ``cb_measures``.
     """
     cb = common_basis(rho, sigma, tols)  # checks the pair
-    return _kl_sum(clamp_weights(cb.rho_coeffs), clamp_weights(cb.sigma_coeffs))
+    p, q = clamp_weights(cb.rho_coeffs), clamp_weights(cb.sigma_coeffs)
+    return _f_sum(p, q, GENERATORS["xlogx"])
 
 
 def max_f_divergence(

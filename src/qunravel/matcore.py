@@ -119,10 +119,18 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return half + half.conj().T
 
 
+def _halves(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """M/2, its conjugate transpose, and the largest entry of |M - M^dag|,
+    taken from the exact halves so that a finite M overflows nowhere."""
+    half = 0.5 * mat
+    half_h = half.conj().T
+    # a Python float doubles to inf silently
+    return half, half_h, 2.0 * float(np.abs(half - half_h).max())
+
+
 def hermiticity_defect(mat: np.ndarray) -> float:
-    """Largest entry of |M - M^dag|."""
-    m = np.asarray(mat)
-    return float(np.abs(m - m.conj().T).max())
+    """Largest entry of |M - M^dag|; inf when it exceeds double precision."""
+    return _halves(np.asarray(mat))[2]
 
 
 def _frobenius(a: np.ndarray) -> float:
@@ -141,9 +149,7 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
     hermitized cannot be verified and fails as ``NotHermitian``.
     """
     tols = tols or DEFAULT_TOLS
-    half = 0.5 * _as_square(mat)  # exact halves: finite input overflows nowhere below
-    half_h = half.conj().T
-    defect = 2.0 * float(np.abs(half - half_h).max())  # a Python float doubles to inf silently
+    half, half_h, defect = _halves(_as_square(mat))
     if defect > tols.tol_herm:
         raise NotHermitian(
             f"max |M - M^dag| entry {defect:.3e} exceeds tol_herm={tols.tol_herm:.1e}"

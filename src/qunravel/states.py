@@ -42,6 +42,17 @@ PSD_FLOOR = -1e-12
 PHASE_CUTOFF = 1e-12
 
 
+def check_unit_rows(amps: np.ndarray) -> None:
+    """The bounds of a pure state for every row of a ``(k, d)`` array: finite,
+    and norm 1 within 1e-12, else ``ValueError`` naming the worst row."""
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes are not all finite")
+    norms = np.linalg.norm(amps, axis=1)
+    i = int(np.argmax(np.abs(norms - 1.0)))
+    if abs(norms[i] - 1.0) > 1e-12:
+        raise ValueError(f"row {i} has norm {norms[i]!r}, not 1 within 1e-12")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit vector in C^n. Global phase is physically irrelevant but kept
@@ -53,11 +64,7 @@ class PureState:
         a = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if a.ndim != 1 or a.size == 0:
             raise DimMismatch(f"pure state must be a nonempty vector, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("pure state has non-finite amplitudes")
-        nrm = float(np.linalg.norm(a))
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"pure state norm {nrm!r} deviates from 1 beyond 1e-12")
+        check_unit_rows(a[None])
         object.__setattr__(self, "amplitudes", a)
 
     @property

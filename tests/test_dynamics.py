@@ -71,6 +71,20 @@ def test_superop_preserves_trace():
         assert np.abs(vec_eye @ l).max() < 1e-12
 
 
+def test_superop_matches_the_master_equation_on_random_blocks():
+    rng = RngStream(83)
+    for dim in (2, 3, 5):
+        model = random_model(dim, rng, 2)
+        x = rng.complex_normal((dim, dim))
+        h = model.hamiltonian
+        want = -1j * (h @ x - x @ h)
+        for s, g in zip(model.jumps, model.rates):
+            sds = s.conj().T @ s
+            want += g * g * (s @ x @ s.conj().T - 0.5 * (sds @ x + x @ sds))
+        got = lindblad_superop(model) @ x.flatten(order="F")
+        assert np.abs(got - want.flatten(order="F")).max() < 1e-13
+
+
 def test_superop_damping_action():
     l = lindblad_superop(DAMPING)
     v = l @ np.diag([0.0, 1.0]).flatten(order="F")
@@ -440,3 +454,15 @@ def test_evolve_ensemble_noiseless_keeps_input_atom_order():
     assert abs(np.vdot(out.atoms[0].amplitudes, ket0.amplitudes)) == pytest.approx(1.0)
     assert abs(np.vdot(out.atoms[1].amplitudes, KET1.amplitudes)) == pytest.approx(1.0)
     assert np.allclose(out.weights, [0.3, 0.7], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "t_final,dt", [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan), (1.0, math.inf)]
+)
+def test_step_count_rejects_non_finite_times(t_final, dt):
+    psi = haar_pure(2, RngStream(5))
+    mu = DiscreteEnsemble((psi,), np.array([1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        sse_trajectory(DAMPING, psi, t_final, dt, RngStream(6))
+    with pytest.raises(ValueError, match="finite"):
+        evolve_ensemble(DAMPING, mu, t_final, dt, 2, RngStream(6))

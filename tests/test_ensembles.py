@@ -269,6 +269,33 @@ def test_f_divergence_xlogx_matches_kl():
         assert f_divergence(mu, nu, gen) == pytest.approx(kl_divergence(mu, nu), abs=1e-12)
 
 
+def test_kl_is_exactly_the_xlogx_f_divergence():
+    xlogx = GENERATORS["xlogx"]
+    rng = RngStream(10)
+    pairs = []
+    for dim in (2, 3, 4, 8):
+        for _ in range(25):
+            rho, sigma = sample_faithful(dim, rng), sample_faithful(dim, rng)
+            pairs.append(cb_measures(common_basis(rho, sigma)))
+    nu = DiscreteEnsemble((KET0, KET1), np.array([0.25, 0.75]))
+    pairs += [
+        # zero mu-cells, in nu's atom order and reversed
+        (DiscreteEnsemble((KET0, KET1), np.array([1.0, 0.0])), nu),
+        (DiscreteEnsemble((KET1, KET0), np.array([0.0, 1.0])), nu),
+        # a cell empty on both sides
+        (
+            DiscreteEnsemble((KET0, KET1), np.array([1.0, 0.0])),
+            DiscreteEnsemble((KET0, KET1), np.array([1.0, 0.0])),
+        ),
+        # unmatched atoms: without mu-mass, and carrying it
+        (DiscreteEnsemble((KET0, PLUS), np.array([1.0, 0.0])), nu),
+        (DiscreteEnsemble((KET0, PLUS), np.array([0.5, 0.5])), nu),
+    ]
+    for mu, nu in pairs:
+        assert kl_divergence(mu, nu) == f_divergence(mu, nu, xlogx)
+    assert kl_divergence(*pairs[-1]) == math.inf
+
+
 def test_f_divergence_chi_square_closed_form():
     atoms = (KET0, KET1)
     mu = DiscreteEnsemble(atoms, np.array([0.75, 0.25]))

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from qunravel import (
     DEFAULT_TOLS,
+    LindbladModel,
     herm_eig,
     herm_inv,
     herm_log,
@@ -47,6 +49,16 @@ def test_hermiticity_defect_reports_largest_entry():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     assert hermiticity_defect(m) == pytest.approx(1.0)
     assert hermiticity_defect(np.eye(3)) == 0.0
+
+
+def test_hermiticity_defect_of_finite_entries_overflows_to_inf_without_warning():
+    # M - M^dag overflows here; the defect is taken from exact halves instead
+    h = [[0.0, 1e308], [-1e308, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hermiticity_defect(h) == math.inf
+        with pytest.raises(NotHermitian):
+            LindbladModel(np.array(h))
 
 
 def test_herm_eig_round_trip():

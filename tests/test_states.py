@@ -3,6 +3,7 @@ import pytest
 
 from qunravel import (
     GENERATORS,
+    DiscreteEnsemble,
     PureState,
     RngStream,
     SpectralDecomposition,
@@ -40,6 +41,30 @@ def test_pure_state_requires_unit_norm():
         PureState(np.array([1.0, 1.0], dtype=complex))
     with pytest.raises(DimMismatch):
         PureState(np.array([[1.0, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "norm,ok",
+    [
+        (1.0 + 0.9e-12, True),
+        (1.0 - 0.9e-12, True),
+        (1.0 + 1.1e-12, False),
+        (1.0 - 1.1e-12, False),
+        (np.nan, False),
+        (np.inf, False),
+    ],
+)
+def test_pure_state_and_ensemble_rows_share_one_unit_check(norm, ok):
+    row = np.array([norm, 0.0], dtype=complex)
+    outcomes = []
+    for build in (lambda: PureState(row), lambda: DiscreteEnsemble(row[None], [1.0])):
+        try:
+            build()
+            outcomes.append(None)
+        except Exception as exc:  # the class is what is compared
+            outcomes.append(type(exc))
+    assert outcomes[0] is outcomes[1]
+    assert outcomes[0] is (None if ok else ValueError)
 
 
 def test_pure_state_projector():
