@@ -13,6 +13,7 @@ from .matcore import (
     SpectralDecomposition,
     Tolerances,
     herm_eig,
+    herm_eig_stack,
     herm_inv,
     herm_log,
     herm_sqrt,
@@ -87,6 +88,7 @@ __all__ = [
     "SpectralDecomposition",
     "hermitize",
     "herm_eig",
+    "herm_eig_stack",
     "spectral_fn",
     "herm_sqrt",
     "herm_log",

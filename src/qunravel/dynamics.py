@@ -6,14 +6,23 @@ The master equation evolved here is
                  + sum_j gamma_j^2 (S_j rho S_j^dag - {S_j^dag S_j, rho} / 2),
 
 with Hermitian H, arbitrary jump operators S_j, and nonnegative coupling
-rates gamma_j (units 1 / sqrt(time), so gamma^2 is a rate). Written with the
+rates gamma_j (units 1 / sqrt(time), so gamma^2 is a rate, and must be
+finite). Written with the
 drift D = -i H - 1/2 sum_j gamma_j^2 S_j^dag S_j (``_drift_matrix``, shared
 with the stochastic equation below), the generator is
 L(rho) = D rho + rho D^dag + sum_j gamma_j^2 S_j rho S_j^dag. Propagation uses
 the matrix exponential of the vectorized generator, which is exact up to the
-exponential's own roundoff at these dimensions. A contraction scan builds the
-generator once and steps both states together, one exponential per distinct
-gap, and names the time of a state that loses faithfulness.
+exponential's own roundoff at these dimensions.
+
+A contraction scan builds the generator once and steps both states together,
+one exponential per distinct gap, propagating every point before checking
+any. It then checks all 2P states of its P points with one stacked
+eigensolve (``faithful_stack``) and takes the BS values from a second one
+over the P cores sqrt(rho) sigma^{-1} sqrt(rho), each core its own member of
+the stack. When any stacked check fails, the scan reruns the per-point chain
+of ``lindblad_evolve``'s checks, ``require_faithful`` and ``bs_entropy``,
+point by point in time order; that chain alone raises, so the error names
+the earliest failing time exactly as a point-by-point scan would.
 
 The stochastic counterpart is a diffusive (Brownian-noise) pure-state
 equation, integrated by Euler-Maruyama:
@@ -42,16 +51,31 @@ from typing import Iterator
 import numpy as np
 from scipy.linalg import expm
 
-from .entropy import bs_entropy
+from .entropy import _bs_trace, bs_entropy
 from .errors import (
     DimMismatch,
     NotHermitian,
+    QunravelError,
     StepExplosion,
     ValidationFailure,
     ValidationError,
 )
-from .matcore import DEFAULT_TOLS, Tolerances, hermitize, hermiticity_defect
-from .states import DensityMatrix, PureState, RngStream, require_faithful, validate_density
+from .matcore import (
+    DEFAULT_TOLS,
+    SpectralDecomposition,
+    Tolerances,
+    herm_eig_stack,
+    hermitize,
+    hermiticity_defect,
+)
+from .states import (
+    DensityMatrix,
+    PureState,
+    RngStream,
+    faithful_stack,
+    require_faithful,
+    validate_density,
+)
 from .ensembles import DiscreteEnsemble, _merged_ensemble
 
 __all__ = [
@@ -69,7 +93,10 @@ TRACE_DRIFT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Generator data: Hamiltonian, jump operators, coupling rates."""
+    """Generator data: Hamiltonian, jump operators, coupling rates.
+
+    A rate must be finite and nonnegative, and so must its square, which the
+    generator uses; else ``ValueError`` names the rate."""
 
     hamiltonian: np.ndarray
     jumps: tuple[np.ndarray, ...] = ()
@@ -95,6 +122,9 @@ class LindbladModel:
             raise DimMismatch(f"{len(jumps)} jumps but {len(rates)} rates")
         if not all(math.isfinite(g) and g >= 0 for g in rates):
             raise ValueError(f"rates must be finite and nonnegative, got {rates}")
+        for g in rates:  # the generator uses gamma^2
+            if not math.isfinite(g * g):
+                raise ValueError(f"rate {g!r} overflows double precision once squared")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "rates", rates)
@@ -191,7 +221,10 @@ def _n_steps(t_final: float, dt: float) -> int:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_final < dt:
         raise ValueError(f"t_final {t_final} is below one step dt={dt}")
-    return int(round(t_final / dt))
+    steps = t_final / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_final / dt overflows: t_final={t_final}, dt={dt}")
+    return int(round(steps))
 
 
 def _sse_steps(
@@ -321,12 +354,13 @@ def contraction_scan(
 
     Returns (t, d_bs) for every requested time. The generator is built once and
     both states are stepped together from each time to the next, one propagator
-    per distinct gap, with the checks of ``lindblad_evolve`` at each point. Gaps
-    within 4 ulps of the largest time differ by the grid's rounding only and
-    share one propagator.
+    per distinct gap (see ``_propagate``). Every state then gets the checks of
+    ``lindblad_evolve`` and of faithfulness, and every point its BS value,
+    from two stacked eigensolves whatever the number of points.
     Both states must stay faithful; a flow that drives one rank-deficient
-    raises ``NotFaithful`` stamped with the failing time. Monotone decrease is
-    the caller's check, not enforced here.
+    raises ``NotFaithful`` stamped with the failing time. Any failure is
+    reported by rerunning the checks point by point, so it names the earliest
+    failing time. Monotone decrease is the caller's check, not enforced here.
     """
     tols = tols or DEFAULT_TOLS
     ts = np.asarray(times, dtype=float)
@@ -337,19 +371,66 @@ def contraction_scan(
     if not model.dim == rho0.dim == sigma0.dim:
         raise DimMismatch(f"model dim {model.dim} vs states {rho0.dim}, {sigma0.dim}")
 
-    l = lindblad_superop(model)
+    n = model.dim
+    blocks = _propagate(lindblad_superop(model), rho0, sigma0, ts)
+    values = _stacked_bs_values(blocks, n, tols)
+    if values is None:  # the per-point chain names the first failure
+        values = [_point_bs_value(b, n, t, tols) for b, t in zip(blocks, ts.tolist())]
+    return list(zip(ts.tolist(), values))
+
+
+def _propagate(
+    l: np.ndarray, rho0: DensityMatrix, sigma0: DensityMatrix, ts: np.ndarray
+) -> np.ndarray:
+    """Column-stacked rho and sigma at every time, shaped (points, n^2, 2).
+
+    Both states step together from each time to the next, one propagator per
+    distinct gap; gaps within 4 ulps of the largest time differ by the grid's
+    rounding only and share one."""
     block = np.stack([_vec(rho0.matrix), _vec(sigma0.matrix)], axis=1)
     propagators: dict[float, np.ndarray] = {}
     rounding = 4 * np.spacing(ts.max())
-    out = []
-    for gap, t in zip(np.diff(ts, prepend=0.0).tolist(), ts.tolist()):
+    blocks = []
+    for gap in np.diff(ts, prepend=0.0).tolist():
         if gap > 0:
             gap = next((g for g in propagators if abs(g - gap) <= rounding), gap)
             if gap not in propagators:
                 propagators[gap] = expm(gap * l)
             block = propagators[gap] @ block
-        rho_t, sigma_t = (_checked_state(v, model.dim, t, tols) for v in block.T)
-        require_faithful(rho_t, f"rho at t={t:.6g}", tols)
-        require_faithful(sigma_t, f"sigma at t={t:.6g}", tols)
-        out.append((float(t), bs_entropy(rho_t, sigma_t, tols)))
-    return out
+        blocks.append(block)
+    return np.stack(blocks)
+
+
+def _stacked_bs_values(blocks: np.ndarray, n: int, tols: Tolerances) -> list[float] | None:
+    """BS value at every point from two stacked eigensolves, or None when any
+    state fails a check of ``_point_bs_value``.
+
+    The first eigensolve verifies all 2P states (trace drift, then those of
+    ``validate_density`` and ``require_faithful``), the second the P cores
+    sqrt(rho) sigma^{-1} sqrt(rho), each core still decomposed on its own."""
+    p = blocks.shape[0]
+    # (P, n^2, 2) -> the P rho, then the P sigma; unvec is the transposed C reshape
+    raw = blocks.transpose(2, 0, 1).reshape(2 * p, n, n).swapaxes(-1, -2)
+    with np.errstate(all="ignore"):  # a non-finite state is the per-point chain's to report
+        raw = hermitize(raw)
+        tr = np.trace(raw, axis1=1, axis2=2).real
+    if not (np.abs(tr - 1.0) <= TRACE_DRIFT_TOL).all():  # a NaN trace fails here too
+        return None
+    checked = faithful_stack(raw / tr[:, None, None], tols)
+    if checked is None:
+        return None
+    m, (vals, vecs) = checked
+    rho_eig = SpectralDecomposition(vals[:p], vecs[:p])
+    sigma_eig = SpectralDecomposition(vals[p:], vecs[p:])
+    try:
+        return _bs_trace(m[:p], rho_eig, sigma_eig, tols, herm_eig_stack).tolist()
+    except QunravelError:
+        return None
+
+
+def _point_bs_value(block: np.ndarray, n: int, t: float, tols: Tolerances) -> float:
+    """BS value of one propagated (n^2, 2) block, through the scalar checks."""
+    rho_t, sigma_t = (_checked_state(v, n, t, tols) for v in block.T)
+    require_faithful(rho_t, f"rho at t={t:.6g}", tols)
+    require_faithful(sigma_t, f"sigma at t={t:.6g}", tols)
+    return bs_entropy(rho_t, sigma_t, tols)

@@ -19,7 +19,10 @@ sums it over the clamped basis weights in the loop of ``f_divergence``.
 
 Functions of rho and sigma themselves come from the eigendecompositions the
 validated states carry (``DensityMatrix.eig``); only each divergence's core
-matrix is decomposed here.
+matrix is decomposed here. The BS formula is written once, for one pair or a
+stack of pairs (``_bs_trace``): ``bs_entropy`` decomposes its core with
+``herm_eig``, and ``contraction_scan`` the cores of all its points with one
+``herm_eig_stack``, each core its own member of the stack.
 
 Per-pair sharing. Two constructions on a pair are needed by several callers
 and are built once per pair of state objects: the common basis, from the
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +54,7 @@ from .errors import (
     NotOperatorConvex,
     NotTracePreserving,
 )
-from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, herm_log, hermitize
+from .matcore import DEFAULT_TOLS, SpectralDecomposition, Tolerances, herm_eig, hermitize
 from .states import DensityMatrix, RngStream, check_pair, validate_density
 
 __all__ = [
@@ -86,9 +90,22 @@ def bs_entropy(
     """
     tols = tols or DEFAULT_TOLS
     check_pair(rho, sigma, tols)
-    sr = rho.eig.sqrt(tols)
-    core = hermitize(sr @ sigma.eig.inv(tols) @ sr)
-    return float(np.real(np.trace(rho.matrix @ herm_log(core, tols))))
+    return float(_bs_trace(rho.matrix, rho.eig, sigma.eig, tols, herm_eig))
+
+
+def _bs_trace(
+    rho: np.ndarray,
+    rho_eig: SpectralDecomposition,
+    sigma_eig: SpectralDecomposition,
+    tols: Tolerances,
+    decompose: Callable[[np.ndarray, Tolerances], SpectralDecomposition],
+) -> np.ndarray:
+    """Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))] of one faithful pair, or of
+    every pair of a stack, with the core decomposed by ``decompose``
+    (``herm_eig`` or ``herm_eig_stack``)."""
+    sr = rho_eig.sqrt(tols)
+    core = hermitize(sr @ sigma_eig.inv(tols) @ sr)
+    return np.trace(rho @ decompose(core, tols).log(tols), axis1=-2, axis2=-1).real
 
 
 def unr_entropy(

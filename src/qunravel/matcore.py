@@ -11,6 +11,17 @@ A verified ``SpectralDecomposition`` maps its own spectrum through scalar
 functions, so one decomposition serves every function of a matrix (see
 ``entropy`` for what is shared). The matrix entry points (``spectral_fn``,
 ``herm_sqrt``, ...) decompose afresh.
+
+``herm_eig_stack`` decomposes an ``(N, d, d)`` stack with one batched
+``eigh`` and applies every check of ``herm_eig`` to every matrix, naming the
+index of the first that fails; batched ``eigh`` returns the eigenpairs the
+per-matrix call returns, bit for bit. ``hermitize`` and
+``SpectralDecomposition`` work on a matrix and on a stack alike. The scalar
+``herm_eig`` keeps its own body rather than being a stack of one: it works
+in Python floats, and the array bookkeeping of the stacked checks costs
+more than the eigensolve at the small dimensions where it is called most
+(with one BLAS thread on a 2-vCPU x86 VM, a stack of one took 52-58 µs
+against 24-37 µs for ``herm_eig`` at d = 2-8).
 """
 from __future__ import annotations
 
@@ -29,6 +40,7 @@ __all__ = [
     "hermitize",
     "hermiticity_defect",
     "herm_eig",
+    "herm_eig_stack",
     "spectral_fn",
     "herm_sqrt",
     "herm_log",
@@ -59,7 +71,9 @@ DEFAULT_TOLS = Tolerances()
 
 
 class SpectralDecomposition(NamedTuple):
-    """Verified eigendecomposition, as returned by ``herm_eig``."""
+    """Verified eigendecomposition, as returned by ``herm_eig``, or stacked
+    ``(N, d)`` / ``(N, d, d)`` arrays of them from ``herm_eig_stack``; every
+    method works on both shapes."""
 
     eigenvalues: np.ndarray  # real, ascending
     eigenvectors: np.ndarray  # orthonormal columns, same order
@@ -81,7 +95,7 @@ class SpectralDecomposition(NamedTuple):
             fvals = np.asarray(f(vals), dtype=float)
         if not np.isfinite(fvals).all():
             raise DomainViolation("scalar function returned a non-finite value on the spectrum")
-        return hermitize((vecs * fvals) @ vecs.conj().T)
+        return hermitize((vecs * fvals[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
 
     def sqrt(self, tols: Tolerances | None = None) -> np.ndarray:
         """Principal square root. Eigenvalues may sit a rounding error below zero
@@ -101,7 +115,7 @@ class SpectralDecomposition(NamedTuple):
     def inv_sqrt(self) -> np.ndarray:
         """``V diag(w)^{-1/2} V^dag`` of a positive spectrum, not re-Hermitized."""
         vals, vecs = self
-        return (vecs / np.sqrt(vals)) @ vecs.conj().T
+        return (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _as_square(mat: np.ndarray) -> np.ndarray:
@@ -114,9 +128,10 @@ def _as_square(mat: np.ndarray) -> np.ndarray:
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Symmetrize roundoff: (M + M^dag)/2, summed as exact halves so finite M stays finite."""
+    """Symmetrize roundoff: (M + M^dag)/2, summed as exact halves so finite M
+    stays finite; of each matrix of a stack, too."""
     half = 0.5 * mat
-    return half + half.conj().T
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def _halves(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -177,6 +192,73 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
     ortho_err = _frobenius(gram)
     if not ortho_err <= 1e-12 * n:
         raise BackendFailure(f"eigenvector columns not orthonormal ({ortho_err:.3e})")
+    return SpectralDecomposition(vals, vecs)
+
+
+def _require_each(ok: np.ndarray, exc: type[Exception], message: Callable[[int], str]) -> None:
+    """Raise ``exc`` for the first False of ``ok``, naming its stack index."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise exc(f"matrix {i} of {ok.size}: {message(i)}")
+
+
+def herm_eig_stack(mats: np.ndarray, tols: Tolerances | None = None) -> SpectralDecomposition:
+    """``herm_eig`` of every matrix of an ``(N, d, d)`` stack, in one ``eigh`` call.
+
+    Every matrix passes the checks of ``herm_eig`` with the same budgets:
+    finite entries, Hermiticity defect, finite hermitized norm, round trip
+    and orthonormality. The first failing matrix raises the error
+    ``herm_eig`` raises, its message prefixed with the matrix's index.
+    Returns ``(N, d)`` ascending eigenvalues and ``(N, d, d)`` eigenvectors;
+    each pair is the one ``herm_eig`` returns for that matrix alone.
+    """
+    tols = tols or DEFAULT_TOLS
+    m = np.asarray(mats, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise NotHermitian(f"expected a stack of square matrices, got shape {m.shape}")
+    _require_each(
+        np.isfinite(m).all(axis=(1, 2)), NotHermitian, lambda i: "matrix contains non-finite entries"
+    )
+    n = m.shape[1]
+    # overflow and NaN are caught by the checks, one matrix at a time
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * m
+        half_h = half.conj().swapaxes(-1, -2)
+        defect = 2.0 * np.abs(half - half_h).max(axis=(1, 2))
+        _require_each(
+            defect <= tols.tol_herm,
+            NotHermitian,
+            lambda i: f"max |M - M^dag| entry {defect[i]:.3e} exceeds tol_herm={tols.tol_herm:.1e}",
+        )
+        m = half + half_h
+        norms = np.linalg.norm(m, axis=(1, 2))
+        _require_each(
+            np.isfinite(norms),
+            NotHermitian,
+            lambda i: "matrix norm overflows double precision once hermitized",
+        )
+        try:
+            vals, vecs = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
+            raise BackendFailure(f"eigensolver did not converge on the stack: {exc}") from exc
+
+        vh = vecs.conj().swapaxes(-1, -2)
+        budget = tols.tol_recon * n * np.maximum(1.0, norms)
+        recon_err = np.linalg.norm((vecs * vals[:, None, :]) @ vh - m, axis=(1, 2))
+        _require_each(
+            recon_err <= budget,  # a NaN defect fails here too
+            BackendFailure,
+            lambda i: f"eigendecomposition round trip off by {recon_err[i]:.3e} "
+            f"(budget {budget[i]:.3e})",
+        )
+        gram = vh @ vecs
+        gram[:, np.arange(n), np.arange(n)] -= 1.0
+        ortho_err = np.linalg.norm(gram, axis=(1, 2))
+        _require_each(
+            ortho_err <= 1e-12 * n,
+            BackendFailure,
+            lambda i: f"eigenvector columns not orthonormal ({ortho_err[i]:.3e})",
+        )
     return SpectralDecomposition(vals, vecs)
 
 

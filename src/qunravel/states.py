@@ -9,6 +9,8 @@ Validation decomposes the matrix once through ``herm_eig``, and the state
 carries that verified eigendecomposition (``DensityMatrix.eig``); every
 function of a validated state downstream (log, square root, inverse,
 inverse square root) is built from it rather than from a fresh eigensolve.
+``faithful_stack`` runs the checks of ``validate_density`` and
+``require_faithful`` over a stack of matrices with one stacked eigensolve.
 Results kept per pair of states are described in ``entropy``.
 
 Inside the package, families of pure states are amplitude arrays, one ray
@@ -22,8 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotFaithful, NotPSD, NotTraceOne
-from .matcore import DEFAULT_TOLS, SpectralDecomposition, Tolerances, herm_eig, hermitize
+from .errors import DimMismatch, NotFaithful, NotPSD, NotTraceOne, QunravelError
+from .matcore import (
+    DEFAULT_TOLS,
+    SpectralDecomposition,
+    Tolerances,
+    herm_eig,
+    herm_eig_stack,
+    hermitize,
+)
 
 __all__ = [
     "PureState",
@@ -47,7 +56,8 @@ def check_unit_rows(amps: np.ndarray) -> None:
     and norm 1 within 1e-12, else ``ValueError`` naming the worst row."""
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes are not all finite")
-    norms = np.linalg.norm(amps, axis=1)
+    # einsum, unlike np.linalg.norm, overflows to inf without a warning
+    norms = np.sqrt(np.einsum("ij,ij->i", amps.conj(), amps).real)
     i = int(np.argmax(np.abs(norms - 1.0)))
     if abs(norms[i] - 1.0) > 1e-12:
         raise ValueError(f"row {i} has norm {norms[i]!r}, not 1 within 1e-12")
@@ -131,6 +141,28 @@ def require_faithful(state: DensityMatrix, name: str, tols: Tolerances | None = 
             f"{name} is not faithful: smallest eigenvalue "
             f"{state.min_eigenvalue:.3e} <= {tols.eps_faithful:.1e}"
         )
+
+
+def faithful_stack(
+    mats: np.ndarray, tols: Tolerances | None = None
+) -> tuple[np.ndarray, SpectralDecomposition] | None:
+    """``validate_density`` and ``require_faithful`` for every matrix of an
+    ``(N, d, d)`` stack, through one ``herm_eig_stack`` call.
+
+    Returns the hermitized stack and its verified spectra when every matrix
+    passes, else None: the scalar functions own the error messages, so a
+    caller that needs the error reruns them on the members in order.
+    """
+    tols = tols or DEFAULT_TOLS
+    try:
+        eig = herm_eig_stack(mats, tols)
+    except QunravelError:
+        return None
+    m = hermitize(np.asarray(mats, dtype=complex))  # the stack herm_eig_stack decomposed
+    tr = np.trace(m, axis1=1, axis2=2).real
+    lo = eig.eigenvalues[:, 0]
+    ok = (np.abs(tr - 1.0) <= TRACE_TOL) & (lo >= PSD_FLOOR) & (lo > tols.eps_faithful)
+    return (m, eig) if ok.all() else None
 
 
 def check_pair(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None) -> None:

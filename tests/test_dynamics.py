@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,10 +25,13 @@ from qunravel import (
     validate_density,
 )
 import qunravel.dynamics as dynamics
+import qunravel.matcore as matcore
+from qunravel import DEFAULT_TOLS
 from qunravel.errors import (
     DimMismatch,
     NotFaithful,
     NotHermitian,
+    QunravelError,
     StepExplosion,
     ValidationFailure,
 )
@@ -183,9 +188,9 @@ def test_sse_step_explosion_names_step_and_time():
 
 
 def test_nan_norm_is_a_step_explosion():
-    # rates whose squares overflow make the drift, and so the step norm, NaN
+    # jumps whose S^dag S overflows make the drift, and so the step norm, NaN
     # (numpy warns on the way); the norm window must catch NaN, not pass it on
-    huge = LindbladModel(np.zeros((2, 2)), (SM, SZ), (1e200, 1e200))
+    huge = LindbladModel(np.zeros((2, 2)), (1e200 * SM, 1e200 * SZ), (1.0, 1.0))
     mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StepExplosion, match="norm nan"):
@@ -466,3 +471,106 @@ def test_step_count_rejects_non_finite_times(t_final, dt):
         sse_trajectory(DAMPING, psi, t_final, dt, RngStream(6))
     with pytest.raises(ValueError, match="finite"):
         evolve_ensemble(DAMPING, mu, t_final, dt, 2, RngStream(6))
+
+
+def count_calls(monkeypatch, fn):
+    """Route ``fn``, under every name the package imported it as, through a
+    counter; returns the list of recorded call arguments."""
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qunravel" or name.startswith("qunravel."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return seen
+
+
+@pytest.mark.parametrize("points", [2, 21])
+def test_passing_scan_runs_two_stacked_eigensolves_and_no_scalar_one(monkeypatch, points):
+    rng = RngStream(102)
+    model, rho, sigma = random_model(4, rng, 2), sample_faithful(4, rng), sample_faithful(4, rng)
+    scalar = count_calls(monkeypatch, matcore.herm_eig)
+    stacked = count_calls(monkeypatch, matcore.herm_eig_stack)
+    contraction_scan(model, rho, sigma, np.linspace(0.0, 2.0, points))
+    assert scalar == []
+    # all 2P states, then the P BS cores, each core its own member of the stack
+    assert [args[0].shape for args in stacked] == [(2 * points, 4, 4), (points, 4, 4)]
+
+
+def corrupted_propagation(monkeypatch, faults):
+    """Make the scan's propagation apply ``faults[k]`` to the (n^2, 2) block of point k."""
+    orig = dynamics._propagate
+
+    def propagate(*args):
+        blocks = orig(*args).copy()
+        for k, fault in faults.items():
+            blocks[k] = fault(blocks[k])
+        return blocks
+
+    monkeypatch.setattr(dynamics, "_propagate", propagate)
+
+
+def leak_trace(block):
+    return 1.01 * block
+
+
+def sigma_pure(block):
+    # sigma becomes |0><0|: unit trace and PSD, but not faithful
+    block[:, 1] = dynamics._vec(np.diag([1.0, 0.0]).astype(complex))
+    return block
+
+
+def rho_not_psd(block):
+    block[:, 0] = dynamics._vec(np.diag([1.5, -0.5]).astype(complex))
+    return block
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [(leak_trace, sigma_pure), (sigma_pure, leak_trace), (rho_not_psd, sigma_pure)],
+    ids=["drift-then-unfaithful", "unfaithful-then-drift", "not-psd-then-unfaithful"],
+)
+def test_failing_scan_raises_the_earliest_point_error_of_the_per_point_chain(
+    monkeypatch, first, later
+):
+    rng = RngStream(103)
+    rho, sigma = sample_faithful(2, rng), sample_faithful(2, rng)
+    times = np.linspace(0.0, 1.0, 6)
+    blocks = dynamics._propagate(lindblad_superop(DEPHASING), rho, sigma, times)
+    with pytest.raises(QunravelError) as expected:
+        dynamics._point_bs_value(first(blocks[2].copy()), 2, float(times[2]), DEFAULT_TOLS)
+    corrupted_propagation(monkeypatch, {2: first, 4: later})
+    with pytest.raises(type(expected.value)) as raised:
+        contraction_scan(DEPHASING, rho, sigma, times)
+    assert str(raised.value) == str(expected.value)
+    assert "t=0.4" in str(raised.value)
+
+
+def test_model_rejects_a_rate_whose_square_overflows():
+    rho = validate_density(np.eye(2) / 2)
+    calls = [
+        lambda m: lindblad_evolve(m, rho, 1.0),
+        lambda m: contraction_scan(m, rho, rho, np.array([0.0, 1.0])),
+        lambda m: sse_trajectory(m, KET1, 1.0, 1e-3, RngStream(7)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=r"rate 1e\+200 overflows"):
+                call(LindbladModel(np.zeros((2, 2)), (SM,), (1e200,)))
+    # the largest rate whose square is finite still builds a generator
+    LindbladModel(np.zeros((2, 2)), (SM,), (1e154,))
+
+
+def test_step_count_rejects_an_overflowing_quotient():
+    psi = haar_pure(2, RngStream(5))
+    mu = DiscreteEnsemble((psi,), np.array([1.0]))
+    with pytest.raises(ValueError, match=r"t_final=1e\+308, dt=1e-10"):
+        sse_trajectory(DAMPING, psi, 1e308, 1e-10, RngStream(6))
+    with pytest.raises(ValueError, match=r"t_final=1e\+308, dt=1e-10"):
+        evolve_ensemble(DAMPING, mu, 1e308, 1e-10, 2, RngStream(6))

@@ -8,6 +8,7 @@ from qunravel import (
     DEFAULT_TOLS,
     LindbladModel,
     herm_eig,
+    herm_eig_stack,
     herm_inv,
     herm_log,
     herm_sqrt,
@@ -235,3 +236,107 @@ def test_tolerance_overrides_flow_through():
     assert np.isfinite(vals).all()
     with pytest.raises(NotHermitian):
         herm_eig(m)
+
+
+def random_spd_stack(count, n, rng):
+    return np.stack([random_spd(n, rng) for _ in range(count)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_herm_eig_stack_matches_herm_eig_bit_for_bit(n):
+    rng = np.random.default_rng(1000 + n)
+    mats = np.concatenate([random_spd_stack(6, n, rng), [random_hermitian(n, rng)]])
+    vals, vecs = herm_eig_stack(mats)
+    assert vals.shape == (7, n) and vecs.shape == (7, n, n)
+    for m, w, v in zip(mats, vals, vecs):
+        ref_w, ref_v = herm_eig(m)
+        assert np.array_equal(w, ref_w)
+        assert np.array_equal(v, ref_v)
+
+
+def test_stacked_apply_and_hermitize_match_the_matrix_forms():
+    mats = random_spd_stack(5, 4, np.random.default_rng(7))
+    stacked = herm_eig_stack(mats)
+    assert np.array_equal(hermitize(mats), np.stack([hermitize(m) for m in mats]))
+    for fn in (lambda e: e.sqrt(), lambda e: e.log(), lambda e: e.inv(), lambda e: e.inv_sqrt()):
+        expected = np.stack([fn(herm_eig(m)) for m in mats])
+        assert np.allclose(fn(stacked), expected, rtol=0, atol=1e-13)
+
+
+def test_herm_eig_stack_rejects_a_non_stack():
+    with pytest.raises(NotHermitian, match="stack of square matrices"):
+        herm_eig_stack(np.eye(3))
+    with pytest.raises(NotHermitian, match="stack of square matrices"):
+        herm_eig_stack(np.ones((2, 3, 4)))
+
+
+def corrupt(mats, index, value):
+    bad = mats.copy()
+    bad[index] = value
+    return bad
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_herm_eig_stack_names_the_first_non_finite_matrix(entry):
+    mats = random_spd_stack(4, 3, np.random.default_rng(11))
+    bad = mats.copy()
+    bad[2, 0, 1] = entry
+    bad[3, 1, 1] = entry
+    with pytest.raises(NotHermitian, match=r"^matrix 2 of 4: matrix contains non-finite"):
+        herm_eig_stack(bad)
+
+
+def test_herm_eig_stack_names_the_non_hermitian_matrix():
+    mats = random_spd_stack(4, 3, np.random.default_rng(12))
+    mats[1, 0, 2] += 1e-6
+    with pytest.raises(NotHermitian, match=r"^matrix 1 of 4: max \|M - M\^dag\| entry 1\.000e-06"):
+        herm_eig_stack(mats)
+
+
+def test_herm_eig_stack_names_the_matrix_that_overflows_once_hermitized():
+    mats = corrupt(random_spd_stack(3, 2, np.random.default_rng(13)), 2, np.diag([1e308, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian, match=r"^matrix 2 of 3: matrix norm overflows"):
+            herm_eig_stack(mats)
+
+
+def perturb_member(monkeypatch, index, perturb):
+    """Make ``np.linalg.eigh`` return ``perturb(vals, vecs)`` for one matrix of a stack."""
+    orig = np.linalg.eigh
+
+    def eigh(m):
+        vals, vecs = orig(m)
+        vals, vecs = vals.copy(), vecs.copy()
+        vals[index], vecs[index] = perturb(vals[index], vecs[index])
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+def test_herm_eig_stack_names_the_matrix_with_a_round_trip_off_budget(monkeypatch):
+    mats = random_spd_stack(5, 4, np.random.default_rng(14))
+    perturb_member(monkeypatch, 3, lambda vals, vecs: (vals * (1.0 + 1e-6), vecs))
+    with pytest.raises(BackendFailure, match="^matrix 3 of 5: eigendecomposition round trip off by"):
+        herm_eig_stack(mats)
+
+
+def test_herm_eig_stack_names_a_nan_decomposition(monkeypatch):
+    mats = random_spd_stack(3, 3, np.random.default_rng(15))
+    perturb_member(monkeypatch, 0, lambda vals, vecs: (np.full_like(vals, np.nan), vecs))
+    with pytest.raises(BackendFailure, match="^matrix 0 of 3: eigendecomposition round trip off by"):
+        herm_eig_stack(mats)
+
+
+def test_herm_eig_stack_names_the_matrix_with_non_orthonormal_columns(monkeypatch):
+    # as for herm_eig: stretching the zero eigenvalue's column breaks only orthonormality
+    mats = corrupt(random_spd_stack(4, 3, np.random.default_rng(16)), 1, np.diag([0.0, 1.0, 2.0]))
+
+    def stretch(vals, vecs):
+        assert vals[0] == 0.0
+        vecs[:, 0] *= 1.0 + 1e-6
+        return vals, vecs
+
+    perturb_member(monkeypatch, 1, stretch)
+    with pytest.raises(BackendFailure, match=r"^matrix 1 of 4: eigenvector columns not orthonormal"):
+        herm_eig_stack(mats)

@@ -339,3 +339,43 @@ def test_validated_state_is_read_only():
             arr[0] = 0.5
     m[0, 0] = 0.5  # the caller's input stays its own
     assert rho.matrix[0, 0] == 0.75
+
+
+@pytest.mark.parametrize(
+    "row", [[1e308, 1e308], [1e200, 0.0], [1e308j, 1e308]], ids=["both", "square", "complex"]
+)
+def test_unit_check_of_a_row_whose_norm_overflows_raises_without_warning(row):
+    # the suite turns RuntimeWarning into an error, so numpy's overflow warning would fail here
+    amps = np.array(row, dtype=complex)
+    with pytest.raises(ValueError, match="row 0 has norm .*inf"):
+        PureState(amps)
+    with pytest.raises(ValueError, match="row 0 has norm .*inf"):
+        DiscreteEnsemble(amps[None], [1.0])
+
+
+def test_faithful_stack_accepts_what_validate_density_accepts():
+    rng = RngStream(120)
+    good = np.stack([sample_faithful(3, rng).matrix for _ in range(4)])
+    m, (vals, vecs) = states.faithful_stack(good)
+    for mat, w, v, ref in zip(m, vals, vecs, good):
+        state = validate_density(ref)
+        assert np.array_equal(mat, state.matrix)
+        assert np.array_equal(w, state.eig.eigenvalues)
+        assert np.array_equal(v, state.eig.eigenvectors)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.diag([0.6, 0.6, 0.0]),  # trace
+        np.diag([1.2, -0.1, -0.1]),  # PSD floor
+        np.diag([1.0, 0.0, 0.0]),  # faithful
+        np.array([[0.5, 1e-6, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]]),  # Hermitian
+        np.diag([np.nan, 0.5, 0.5]),  # finite
+    ],
+    ids=["trace", "psd", "faithful", "hermitian", "finite"],
+)
+def test_faithful_stack_rejects_a_stack_with_one_failing_member(bad):
+    rng = RngStream(121)
+    mats = np.stack([sample_faithful(3, rng).matrix, bad, sample_faithful(3, rng).matrix])
+    assert states.faithful_stack(mats) is None
