@@ -7,12 +7,13 @@ The master equation evolved here is
 
 with Hermitian H, arbitrary jump operators S_j, and nonnegative coupling
 rates gamma_j (units 1 / sqrt(time), so gamma^2 is a rate, and must be
-finite). Written with the
-drift D = -i H - 1/2 sum_j gamma_j^2 S_j^dag S_j (``_drift_matrix``, shared
-with the stochastic equation below), the generator is
-L(rho) = D rho + rho D^dag + sum_j gamma_j^2 S_j rho S_j^dag. Propagation uses
-the matrix exponential of the vectorized generator, which is exact up to the
-exponential's own roundoff at these dimensions.
+finite). Written with the drift D = -i H - 1/2 sum_j gamma_j^2 S_j^dag S_j,
+the generator is L(rho) = D rho + rho D^dag + sum_j gamma_j^2 S_j rho S_j^dag.
+The model builds D once, at construction, and keeps it read-only as
+``LindbladModel.drift``; a model whose D is not finite is rejected there, so
+the generator and the stochastic equation below read the one checked matrix.
+Propagation uses the matrix exponential of the vectorized generator, which is
+exact up to the exponential's own roundoff at these dimensions.
 
 A contraction scan builds the generator once and steps both states together,
 one exponential per distinct gap, propagating every point before checking
@@ -29,7 +30,8 @@ equation, integrated by Euler-Maruyama:
 
     d psi = D psi dt + i sum_j gamma_j S_j psi dX_j,    dX_j ~ N(0, dt),
 
-over round(t_final / dt) steps, for finite t_final >= dt > 0.
+over round(t_final / dt) steps, for finite t_final >= dt > 0. A path keeps
+its states as the rows of one ``(steps + 1, d)`` array, ``Trajectory.amps``.
 
 This equation is linear, so paths preserve their norm only in mean. Each
 step is renormalized for numerical conditioning, and the discarded squared
@@ -45,7 +47,7 @@ order dt, so they are not optional bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -64,7 +66,6 @@ from .matcore import (
     DEFAULT_TOLS,
     SpectralDecomposition,
     Tolerances,
-    herm_eig_stack,
     hermitize,
     hermiticity_defect,
 )
@@ -93,17 +94,20 @@ TRACE_DRIFT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Generator data: Hamiltonian, jump operators, coupling rates.
+    """Generator data: Hamiltonian, jump operators, coupling rates, and the
+    drift D = -i H - 1/2 sum_j gamma_j^2 S_j^dag S_j built from them.
 
-    A rate must be finite and nonnegative, and so must its square, which the
-    generator uses; else ``ValueError`` names the rate."""
+    A rate must be finite and nonnegative, and D must be finite; else
+    ``ValueError`` names the rate, or the first jump whose term overflows D.
+    The model keeps read-only copies of its arrays."""
 
     hamiltonian: np.ndarray
     jumps: tuple[np.ndarray, ...] = ()
     rates: tuple[float, ...] = ()
+    drift: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = np.ascontiguousarray(self.hamiltonian, dtype=complex)
+        h = np.array(self.hamiltonian, dtype=complex, order="C")  # the caller's stays its own
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimMismatch(f"Hamiltonian must be square, got shape {h.shape}")
         if not np.isfinite(h).all():
@@ -111,7 +115,7 @@ class LindbladModel:
         defect = hermiticity_defect(h)
         if defect > DEFAULT_TOLS.tol_herm:
             raise NotHermitian(f"Hamiltonian defect {defect:.3e} exceeds tolerance")
-        jumps = tuple(np.ascontiguousarray(s, dtype=complex) for s in self.jumps)
+        jumps = tuple(np.array(s, dtype=complex, order="C") for s in self.jumps)
         for s in jumps:
             if s.shape != h.shape:
                 raise DimMismatch(f"jump shape {s.shape} does not match {h.shape}")
@@ -122,12 +126,18 @@ class LindbladModel:
             raise DimMismatch(f"{len(jumps)} jumps but {len(rates)} rates")
         if not all(math.isfinite(g) and g >= 0 for g in rates):
             raise ValueError(f"rates must be finite and nonnegative, got {rates}")
-        for g in rates:  # the generator uses gamma^2
-            if not math.isfinite(g * g):
-                raise ValueError(f"rate {g!r} overflows double precision once squared")
+        drift = -1j * h
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            for j, (s, g) in enumerate(zip(jumps, rates)):
+                drift -= 0.5 * (g * g) * (s.conj().T @ s)
+                if not np.isfinite(drift).all():
+                    raise ValueError(f"jump {j} at rate {g!r} overflows the drift")
+        for arr in (h, *jumps, drift):  # drift stays true to the data it was built from
+            arr.flags.writeable = False
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "drift", drift)
 
     @property
     def dim(self) -> int:
@@ -138,18 +148,23 @@ class LindbladModel:
 class Trajectory:
     """One stochastic pure-state path with its reproducibility record.
 
-    ``log_weights[i]`` is the log likelihood weight accumulated up to
-    ``times[i]``: twice the summed log of the pre-normalization step norms.
-    Averages against the path measure weight state i by
-    ``exp(log_weights[i])``; the array starts at 0 and has mean weight 1
-    over trajectories at every fixed time.
+    Row i of ``amps`` is the unit state at ``times[i]``. ``log_weights[i]``
+    is the log likelihood weight accumulated up to ``times[i]``: twice the
+    summed log of the pre-normalization step norms. Averages against the
+    path measure weight state i by ``exp(log_weights[i])``; the array starts
+    at 0 and has mean weight 1 over trajectories at every fixed time.
     """
 
     times: np.ndarray
-    states: tuple[PureState, ...]
+    amps: np.ndarray
     log_weights: np.ndarray
     seed: int
     stream_id: int
+
+    @property
+    def states(self) -> tuple[PureState, ...]:
+        """The rows of ``amps`` as pure states, built on access."""
+        return tuple(PureState(a) for a in self.amps)
 
 
 def _vec(mat: np.ndarray) -> np.ndarray:
@@ -157,23 +172,11 @@ def _vec(mat: np.ndarray) -> np.ndarray:
     return mat.flatten(order="F")
 
 
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape((n, n), order="F")
-
-
-def _drift_matrix(model: LindbladModel) -> np.ndarray:
-    """The drift D = -i H - 1/2 sum_j gamma_j^2 S_j^dag S_j."""
-    d = -1j * model.hamiltonian.astype(complex)
-    for s, g in zip(model.jumps, model.rates):
-        d -= 0.5 * (g * g) * (s.conj().T @ s)
-    return d
-
-
 def lindblad_superop(model: LindbladModel) -> np.ndarray:
     """Dense n^2 x n^2 generator matrix acting on column-stacked states,
     I kron D + conj(D) kron I + sum_j gamma_j^2 conj(S_j) kron S_j."""
     eye = np.eye(model.dim)
-    d = _drift_matrix(model)
+    d = model.drift
     l = np.kron(eye, d) + np.kron(d.conj(), eye)
     for s, g in zip(model.jumps, model.rates):
         l += (g * g) * np.kron(s.conj(), s)
@@ -182,7 +185,7 @@ def lindblad_superop(model: LindbladModel) -> np.ndarray:
 
 def _checked_state(v: np.ndarray, n: int, t: float, tols: Tolerances | None):
     # drift is read off the raw propagated column, before renormalizing
-    out = hermitize(_unvec(v, n))
+    out = hermitize(v.reshape((n, n), order="F"))
     tr = float(np.real(np.trace(out)))
     if not abs(tr - 1.0) <= TRACE_DRIFT_TOL:  # a NaN trace fails here too
         raise ValidationFailure(
@@ -241,7 +244,7 @@ def _sse_steps(
     the trajectory, the step and t.
     """
     steps = noise.shape[1]
-    drift_t = _drift_matrix(model).T
+    drift_t = model.drift.T
     jump_ts = [s.T for s in model.jumps]
     p = psi0
     logw = np.zeros(p.shape[0])
@@ -283,15 +286,12 @@ def sse_trajectory(
         raise DimMismatch(f"model dim {model.dim} vs state dim {psi0.dim}")
     steps = _n_steps(t_final, dt)
     noise = rng.gen.standard_normal((1, steps, len(model.jumps))) * math.sqrt(dt)
-    states = [psi0]
-    log_weights = [0.0]
-    for p, logw in _sse_steps(model, psi0.amplitudes[None, :], noise, dt):
-        states.append(PureState(p[0]))
-        log_weights.append(float(logw[0]))
-    times = dt * np.arange(steps + 1)
-    return Trajectory(
-        times, tuple(states), np.array(log_weights), rng.seed, rng.stream_id
-    )
+    amps = np.empty((steps + 1, model.dim), dtype=complex)
+    log_weights = np.zeros(steps + 1)
+    amps[0] = psi0.amplitudes
+    for i, (p, logw) in enumerate(_sse_steps(model, amps[:1], noise, dt), start=1):
+        amps[i], log_weights[i] = p[0], logw[0]
+    return Trajectory(dt * np.arange(steps + 1), amps, log_weights, rng.seed, rng.stream_id)
 
 
 def evolve_ensemble(
@@ -327,7 +327,7 @@ def evolve_ensemble(
     shape = (steps, len(model.jumps))
 
     finals, logws = [], []
-    for a, (row, weight) in enumerate(zip(mu0.amps, mu0.weights)):
+    for a, row in enumerate(mu0.amps):
         streams = range(a * n_per_atom, (a + 1) * n_per_atom)
         noise = np.stack([rng.split(g).gen.standard_normal(shape) for g in streams])
         noise *= math.sqrt(dt)
@@ -335,11 +335,11 @@ def evolve_ensemble(
         for last, logw in _sse_steps(model, block, noise, dt):
             pass  # only the final step is kept
         finals.append(last)
-        logws.append((weight, logw))
+        logws.append(logw)
 
+    logw = np.concatenate(logws)
     # common shift keeps exp() tame; it cancels in the final normalization
-    shift = max(lw.max() for _, lw in logws)
-    traj_w = np.concatenate([(w / n_per_atom) * np.exp(lw - shift) for w, lw in logws])
+    traj_w = np.repeat(mu0.weights / n_per_atom, n_per_atom) * np.exp(logw - logw.max())
     return _merged_ensemble(np.concatenate(finals), traj_w)
 
 
@@ -409,7 +409,7 @@ def _stacked_bs_values(blocks: np.ndarray, n: int, tols: Tolerances) -> list[flo
     ``validate_density`` and ``require_faithful``), the second the P cores
     sqrt(rho) sigma^{-1} sqrt(rho), each core still decomposed on its own."""
     p = blocks.shape[0]
-    # (P, n^2, 2) -> the P rho, then the P sigma; unvec is the transposed C reshape
+    # (P, n^2, 2) -> the P rho, then the P sigma; undoing _vec is the transposed C reshape
     raw = blocks.transpose(2, 0, 1).reshape(2 * p, n, n).swapaxes(-1, -2)
     with np.errstate(all="ignore"):  # a non-finite state is the per-point chain's to report
         raw = hermitize(raw)
@@ -423,7 +423,7 @@ def _stacked_bs_values(blocks: np.ndarray, n: int, tols: Tolerances) -> list[flo
     rho_eig = SpectralDecomposition(vals[:p], vecs[:p])
     sigma_eig = SpectralDecomposition(vals[p:], vecs[p:])
     try:
-        return _bs_trace(m[:p], rho_eig, sigma_eig, tols, herm_eig_stack).tolist()
+        return _bs_trace(m[:p], rho_eig, sigma_eig, tols).tolist()
     except QunravelError:
         return None
 

@@ -333,7 +333,7 @@ def coarse_grain(
 ) -> tuple[CoarseKernel, DiscreteEnsemble]:
     """Greedy ball cover of the atoms; returns the kernel and the coarsened
     ensemble. The first uncovered atom in order opens a new center."""
-    if radius < 0:
+    if not radius >= 0:  # a NaN radius fails here too
         raise ValueError(f"radius must be nonnegative, got {radius}")
     centers: list[int] = []
     assignment: list[int] = []

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -54,7 +53,9 @@ from .errors import (
     NotOperatorConvex,
     NotTracePreserving,
 )
-from .matcore import DEFAULT_TOLS, SpectralDecomposition, Tolerances, herm_eig, hermitize
+from .matcore import (
+    DEFAULT_TOLS, SpectralDecomposition, Tolerances, herm_eig, herm_eig_stack, hermitize
+)
 from .states import DensityMatrix, RngStream, check_pair, validate_density
 
 __all__ = [
@@ -90,7 +91,7 @@ def bs_entropy(
     """
     tols = tols or DEFAULT_TOLS
     check_pair(rho, sigma, tols)
-    return float(_bs_trace(rho.matrix, rho.eig, sigma.eig, tols, herm_eig))
+    return float(_bs_trace(rho.matrix, rho.eig, sigma.eig, tols))
 
 
 def _bs_trace(
@@ -98,13 +99,12 @@ def _bs_trace(
     rho_eig: SpectralDecomposition,
     sigma_eig: SpectralDecomposition,
     tols: Tolerances,
-    decompose: Callable[[np.ndarray, Tolerances], SpectralDecomposition],
 ) -> np.ndarray:
-    """Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))] of one faithful pair, or of
-    every pair of a stack, with the core decomposed by ``decompose``
-    (``herm_eig`` or ``herm_eig_stack``)."""
+    """Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))] of one faithful pair (core
+    by ``herm_eig``), or of each pair of a stack (cores by ``herm_eig_stack``)."""
     sr = rho_eig.sqrt(tols)
     core = hermitize(sr @ sigma_eig.inv(tols) @ sr)
+    decompose = herm_eig_stack if core.ndim == 3 else herm_eig
     return np.trace(rho @ decompose(core, tols).log(tols), axis1=-2, axis2=-1).real
 
 
@@ -171,7 +171,7 @@ class KrausMap:
                 raise DimMismatch(f"Kraus operator shapes differ: {k.shape} vs {shape}")
         total = sum(k.conj().T @ k for k in ops)
         defect = float(np.abs(total - np.eye(shape[1])).max())
-        if defect > 1e-10:
+        if not defect <= 1e-10:  # a NaN operator fails here too
             raise NotTracePreserving(
                 f"sum K^dag K deviates from identity by {defect:.3e}"
             )

@@ -202,7 +202,7 @@ def _reference_weights(exp: LdpExperiment, override) -> np.ndarray:
         w = np.asarray(override, dtype=float)
         if w.shape != (exp.cb.dim,):
             raise DimMismatch(f"need {exp.cb.dim} weights, got shape {w.shape}")
-        if (w <= 0).any() or abs(w.sum() - 1.0) > 1e-10:
+        if not ((w > 0).all() and abs(w.sum() - 1.0) <= 1e-10):  # NaN fails too
             raise ValueError("reference weights must be positive and sum to 1")
         return w
     return exp.sigma_weights

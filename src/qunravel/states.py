@@ -60,7 +60,7 @@ def check_unit_rows(amps: np.ndarray) -> None:
     norms = np.sqrt(np.einsum("ij,ij->i", amps.conj(), amps).real)
     i = int(np.argmax(np.abs(norms - 1.0)))
     if abs(norms[i] - 1.0) > 1e-12:
-        raise ValueError(f"row {i} has norm {norms[i]!r}, not 1 within 1e-12")
+        raise ValueError(f"row {i} has norm {float(norms[i])!r}, not 1 within 1e-12")
 
 
 @dataclass(frozen=True)

@@ -316,6 +316,22 @@ def test_contraction_rejects_non_finite_model_as_input_error(capsys, tmp_path):
     assert json.loads(err)["error"] == "NotHermitian"
 
 
+def test_contraction_rejects_a_model_whose_drift_overflows_as_input_error(capsys, tmp_path):
+    # finite entries whose S^dag S overflows: the model rejects its drift, so the
+    # run stops as an input error (exit 2) before any flow is propagated
+    path = tmp_path / "huge_model.json"
+    path.write_text(
+        '{"dim": 2, "hamiltonian": [[0.0, 0.0], [0.0, 0.0]],'
+        ' "jumps": [[[0.0, 1e200], [0.0, 0.0]]], "rates": [1.0]}'
+    )
+    code, out, err = run(capsys, "contraction", str(path), RHO_X, SIGMA_Y)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ValueError", "message": "jump 0 at rate 1.0 overflows the drift"
+    }
+
+
 def test_parser_is_built_once_and_parses_each_call_afresh(capsys, tmp_path, monkeypatch):
     from qunravel import cli
 

@@ -188,15 +188,57 @@ def test_sse_step_explosion_names_step_and_time():
 
 
 def test_nan_norm_is_a_step_explosion():
-    # jumps whose S^dag S overflows make the drift, and so the step norm, NaN
-    # (numpy warns on the way); the norm window must catch NaN, not pass it on
-    huge = LindbladModel(np.zeros((2, 2)), (1e200 * SM, 1e200 * SZ), (1.0, 1.0))
+    # a NaN drift makes the step norm NaN; the norm window must catch NaN, not
+    # pass it on. The model rejects a non-finite drift, so one is written in after
+    nan_drift = LindbladModel(np.zeros((2, 2)), (SM,), (1.0,))
+    object.__setattr__(nan_drift, "drift", np.full((2, 2), complex("nan+nanj")))
     mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(StepExplosion, match="norm nan"):
-            sse_trajectory(huge, KET1, 0.1, 0.01, RngStream(88))
-        with pytest.raises(StepExplosion, match="norm nan"):
-            evolve_ensemble(huge, mu0, 0.1, 0.01, 3, RngStream(88))
+    with pytest.raises(StepExplosion, match="norm nan"):
+        sse_trajectory(nan_drift, KET1, 0.1, 0.01, RngStream(88))
+    with pytest.raises(StepExplosion, match="norm nan"):
+        evolve_ensemble(nan_drift, mu0, 0.1, 0.01, 3, RngStream(88))
+
+
+def test_model_rejects_jumps_whose_drift_overflows():
+    # finite jumps whose S^dag S overflows: the drift is checked as it is built,
+    # so the model names the first jump that overflows it, and numpy never warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^jump 0 at rate 1\.0 overflows the drift"):
+            LindbladModel(np.zeros((2, 2)), (1e200 * SM, 1e200 * SZ), (1.0, 1.0))
+        with pytest.raises(ValueError, match=r"^jump 1 at rate 1\.0 overflows the drift"):
+            LindbladModel(np.zeros((2, 2)), (SM, 1e200 * SZ), (1.0, 1.0))
+
+
+def test_model_builds_its_drift_once_and_read_only():
+    model = random_model(3, RngStream(104), n_jumps=2)
+    expected = -1j * model.hamiltonian
+    for s, g in zip(model.jumps, model.rates):
+        expected = expected - 0.5 * (g * g) * (s.conj().T @ s)
+    assert np.array_equal(model.drift, expected)
+    for arr in (model.hamiltonian, *model.jumps, model.drift):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    assert "drift" not in repr(model)
+    # the model keeps copies, so a caller's later edit cannot leave D stale
+    h = np.diag([1.0, -1.0]).astype(complex)
+    jump = SM.copy()
+    model = LindbladModel(h, (jump,), (1.0,))
+    h[0, 0], jump[0, 1] = 5.0, 3.0
+    assert model.hamiltonian[0, 0] == 1.0 and model.jumps[0][0, 1] == 1.0
+    assert np.array_equal(model.drift, np.diag([-1j, 1j - 0.5]))
+    with pytest.raises(TypeError):
+        LindbladModel(np.zeros((2, 2)), drift=np.zeros((2, 2)))
+
+
+def test_sse_trajectory_keeps_its_path_as_one_amplitude_array():
+    traj = sse_trajectory(DAMPING, KET1, 0.1, 1e-3, RngStream(85, 0))
+    assert traj.amps.shape == (101, 2)
+    assert traj.amps.dtype == complex
+    assert np.array_equal(traj.amps[0], KET1.amplitudes)
+    states = traj.states  # built on access from the rows
+    assert all(isinstance(s, PureState) for s in states)
+    assert np.array_equal(np.array([s.amplitudes for s in states]), traj.amps)
 
 
 def scalar_sse_reference(model, psi0, t_final, dt, rng):

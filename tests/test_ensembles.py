@@ -331,6 +331,12 @@ def test_coarse_grain_full_collapse():
     assert fubini_study(out.atoms[0], KET0) < 1e-12
 
 
+def test_coarse_grain_rejects_a_nan_radius():
+    mu = DiscreteEnsemble((KET0, KET1), np.array([0.4, 0.6]))
+    with pytest.raises(ValueError, match="radius must be nonnegative, got nan"):
+        coarse_grain(mu, float("nan"))
+
+
 def test_coarse_grain_kernel_replays_on_shared_atoms():
     rng = RngStream(24)
     atoms = tuple(haar_pure(2, rng) for _ in range(12))

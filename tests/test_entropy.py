@@ -202,6 +202,9 @@ def test_kraus_validation():
         KrausMap((0.5 * np.eye(2),))
     with pytest.raises(DimMismatch):
         KrausMap(())
+    # the identity defect is NaN here, which a plain "defect > tol" lets through
+    with pytest.raises(NotTracePreserving, match="by nan"):
+        KrausMap((np.full((2, 2), np.nan),))
 
 
 def test_pauli_twirl_depolarizes():

@@ -184,6 +184,12 @@ def test_reference_weight_validation():
         ball_probability_exact(exp, 10, reference_weights=[0.7, 0.2])
     with pytest.raises(ValueError):
         ball_probability_exact(exp, 10, reference_weights=[1.0, 0.0])
+    # NaN compares False both ways; the bound must reject it, not pass it on to
+    # the log (a RuntimeWarning, which the suite makes an error) or to numpy's sampler
+    with pytest.raises(ValueError, match="positive and sum to 1"):
+        ball_probability_exact(exp, 10, reference_weights=[np.nan, np.nan])
+    with pytest.raises(ValueError, match="positive and sum to 1"):
+        ball_probability_mc(exp, 10, 5, RngStream(3), reference_weights=[np.nan, np.nan])
 
 
 def test_type_class_asymptotics():

@@ -353,6 +353,14 @@ def test_unit_check_of_a_row_whose_norm_overflows_raises_without_warning(row):
         DiscreteEnsemble(amps[None], [1.0])
 
 
+def test_unit_check_prints_the_norm_as_a_plain_float():
+    with pytest.raises(ValueError) as raised:
+        PureState(np.array([1e308, 1e308]))
+    assert str(raised.value) == "row 0 has norm inf, not 1 within 1e-12"
+    with pytest.raises(ValueError, match=r"^row 0 has norm 2\.0, not 1"):
+        PureState(np.array([2.0, 0.0]))
+
+
 def test_faithful_stack_accepts_what_validate_density_accepts():
     rng = RngStream(120)
     good = np.stack([sample_faithful(3, rng).matrix for _ in range(4)])
