@@ -68,6 +68,7 @@ from .matcore import (
     Tolerances,
     hermitize,
     hermiticity_defect,
+    is_square,
 )
 from .states import (
     DensityMatrix,
@@ -108,8 +109,8 @@ class LindbladModel:
 
     def __post_init__(self):
         h = np.array(self.hamiltonian, dtype=complex, order="C")  # the caller's stays its own
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DimMismatch(f"Hamiltonian must be square, got shape {h.shape}")
+        if not is_square(h.shape):
+            raise DimMismatch(f"Hamiltonian must be square with d >= 1, got shape {h.shape}")
         if not np.isfinite(h).all():
             raise NotHermitian("Hamiltonian has non-finite entries")
         defect = hermiticity_defect(h)

@@ -9,11 +9,15 @@ API callers. Divergences between two ensembles are computed after moving
 the weights of one onto the atom order of the other; atoms closer than
 ``TOL_MATCH`` count as the same ray. KL is the f-divergence of the ``xlogx``
 generator, and every divergence sums its cells in one loop (``_f_sum``);
-``entropy`` takes the generators from here. Each support is screened for
-close pairs once: by the constructor, or not at all where its builder proves
-distinctness (``DiscreteEnsemble._distinct``): ``_merged_ensemble`` merges
-every pair within ``TOL_MATCH``, and ``cb_measures`` reuses its first
-measure's screened rows. Coarse-graining and couplings live here too,
+``entropy`` takes the generators from here. One screen, ``_near_pairs``,
+finds the rows within ``TOL_MATCH`` of each other in blocks of rows, and it
+serves distinctness, merging and alignment alike: the constructor rejects a
+support with a close pair, ``_merged_ensemble`` merges every such pair, and
+the divergences match the atoms of two supports through it. Each support is
+screened for distinctness once, or not at all where its builder proves it
+(``DiscreteEnsemble._distinct``): ``_merged_ensemble``'s merge leaves no
+close pair, and ``cb_measures`` reuses its first measure's screened rows.
+Coarse-graining and couplings live here too,
 since both are purely measure-level operations on angle tables.
 """
 from __future__ import annotations
@@ -105,22 +109,30 @@ GENERATORS: dict[str, DivergenceGenerator] = {
 }
 
 
-def _near_pairs(amps: np.ndarray) -> Iterator[tuple[int, int, float]]:
-    """Row pairs i < j within Fubini-Study distance ``TOL_MATCH``, ordered by
-    i then j, each with its distance."""
-    # two-stage: a cheap overlap screen of the upper triangle in blocks, then
-    # the accurate angle only for suspicious pairs
+def _near_pairs(
+    a: np.ndarray, b: Optional[np.ndarray] = None
+) -> Iterator[tuple[int, int, float]]:
+    """Pairs (i, j) of a row i of ``a`` and a row j of ``b`` within
+    Fubini-Study distance ``TOL_MATCH``, ordered by i then j, each with its
+    distance; without ``b``, the pairs i < j of rows of ``a``."""
+    # two-stage: a cheap overlap screen in blocks of rows of a (against the
+    # upper triangle when a meets itself), then the accurate angle only for
+    # suspicious pairs
     block = 512
-    for start in range(0, amps.shape[0], block):
-        ov = np.abs(amps[start : start + block].conj() @ amps[start:].T)
-        rows, cols = np.nonzero(ov >= OVERLAP_SCREEN)
-        upper = rows < cols
-        if upper.any():
-            i, j = rows[upper] + start, cols[upper] + start
-            angles = fs_angles(amps[i], amps[j])
-            for a, b, d in zip(i.tolist(), j.tolist(), angles.tolist()):
+    other = a if b is None else b
+    for start in range(0, a.shape[0], block):
+        cols_from = start if b is None else 0
+        ov = np.abs(a[start : start + block].conj() @ other[cols_from:].T)
+        i, j = np.nonzero(ov >= OVERLAP_SCREEN)
+        i, j = i + start, j + cols_from
+        if b is None:
+            upper = i < j
+            i, j = i[upper], j[upper]
+        if i.size:
+            angles = fs_angles(a[i], other[j])
+            for p, q, d in zip(i.tolist(), j.tolist(), angles.tolist()):
                 if d <= TOL_MATCH:
-                    yield a, b, d
+                    yield p, q, d
 
 
 def _merge_coincident(amps: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,9 +245,9 @@ def _aligned_weights(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> Optional[np.
     ray that nu lacks.
 
     Identity alignment is tried first (the common case: both ensembles share
-    one array). Otherwise rays are matched through the overlap screen and
-    their angles, and the match is rejected as ambiguous when an atom of
-    either ensemble lies within the tolerance of two atoms of the other.
+    one array). Otherwise rays are matched through ``_near_pairs``, and the
+    match is rejected as ambiguous when an atom of either ensemble lies
+    within the tolerance of two atoms of the other.
     """
     if mu.dim != nu.dim:
         raise DimMismatch(f"ensemble dimensions differ: {mu.dim} vs {nu.dim}")
@@ -244,9 +256,8 @@ def _aligned_weights(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> Optional[np.
     ):
         return mu.weights
 
-    i, j = np.nonzero(np.abs(mu.amps.conj() @ nu.amps.T) >= OVERLAP_SCREEN)
-    close = fs_angles(mu.amps[i], nu.amps[j]) <= TOL_MATCH
-    i, j = i[close], j[close]
+    pairs = np.array([(i, j) for i, j, _ in _near_pairs(mu.amps, nu.amps)], dtype=np.intp)
+    i, j = pairs.reshape(-1, 2).T
     for side, hits in (("mu", i), ("nu", j)):
         twice = np.flatnonzero(np.bincount(hits) > 1)
         if twice.size:
@@ -404,13 +415,13 @@ def coupling_bound_check(
     for i, j, m in matching:
         if not (0 <= i < len(mu)) or not (0 <= j < len(nu)):
             raise InvalidCoupling(f"pair ({i}, {j}) is out of range")
-        if m < 0:
-            raise InvalidCoupling(f"negative mass {m!r} on pair ({i}, {j})")
+        if not m >= 0:  # a NaN mass fails here too
+            raise InvalidCoupling(f"negative or NaN mass {m!r} on pair ({i}, {j})")
         mu_marg[i] += m
         nu_marg[j] += m
-    if np.abs(mu_marg - mu.weights).max() > 1e-10:
+    if not np.abs(mu_marg - mu.weights).max() <= 1e-10:
         raise InvalidCoupling("left marginal does not reproduce mu")
-    if np.abs(nu_marg - nu.weights).max() > 1e-10:
+    if not np.abs(nu_marg - nu.weights).max() <= 1e-10:
         raise InvalidCoupling("right marginal does not reproduce nu")
 
     lhs = trace_distance(realize(mu), realize(nu))

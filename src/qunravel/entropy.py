@@ -164,8 +164,8 @@ class KrausMap:
         if not ops:
             raise DimMismatch("a Kraus map needs at least one operator")
         shape = ops[0].shape
-        if len(shape) != 2:
-            raise DimMismatch(f"Kraus operators must be matrices, got shape {shape}")
+        if len(shape) != 2 or 0 in shape:
+            raise DimMismatch(f"Kraus operators must be nonempty matrices, got shape {shape}")
         for k in ops:
             if k.shape != shape:
                 raise DimMismatch(f"Kraus operator shapes differ: {k.shape} vs {shape}")

@@ -129,10 +129,23 @@ def make_experiment(
     cb = common_basis(rho, sigma, tols)  # checks the pair
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    sizes = tuple(int(n) for n in sample_sizes)
-    if not sizes or any(n < 1 for n in sizes):
-        raise ValueError(f"sample sizes must be positive, got {sizes}")
+    sizes = tuple(_sample_size(n) for n in sample_sizes)
+    if not sizes:
+        raise ValueError("need at least one sample size")
     return LdpExperiment(rho, sigma, cb, float(epsilon), sizes)
+
+
+def _sample_size(n) -> int:
+    """``n`` as an int when it is a positive integral number (``2.0`` is, a
+    boolean is not), else ``ValueError`` naming it."""
+    try:
+        size = int(n)
+        integral = not isinstance(n, bool) and size == n
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or size < 1:
+        raise ValueError(f"sample size must be a positive integer, got {n!r}")
+    return size
 
 
 def log_multinomial(counts, weights) -> float:
@@ -244,6 +257,7 @@ def ball_probability_exact(
     yields an infinite rate. ``BudgetExceeded`` reports the enumeration size
     whenever the cell count or sample size leaves the supported range.
     """
+    n = _sample_size(n)
     k = exp.cb.dim
     size = _enumeration_size(n, k)
     if k > MAX_CELLS or n > MAX_SAMPLES or size > MAX_ENUMERATION:
@@ -276,6 +290,7 @@ def ball_probability_mc(
     reference_weights=None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the ball probability with its binomial stderr."""
+    n = _sample_size(n)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     w = _reference_weights(exp, reference_weights)

@@ -12,16 +12,19 @@ functions, so one decomposition serves every function of a matrix (see
 ``entropy`` for what is shared). The matrix entry points (``spectral_fn``,
 ``herm_sqrt``, ...) decompose afresh.
 
-``herm_eig_stack`` decomposes an ``(N, d, d)`` stack with one batched
-``eigh`` and applies every check of ``herm_eig`` to every matrix, naming the
-index of the first that fails; batched ``eigh`` returns the eigenpairs the
-per-matrix call returns, bit for bit. ``hermitize`` and
+``herm_eig`` runs its checks in two groups: before ``eigh`` (square with
+d >= 1, finite, Hermiticity defect, finite norm) and after it (round trip,
+orthonormality). ``herm_eig_stack`` decomposes an ``(N, d, d)`` stack with
+one batched ``eigh``; one vectorized pass decides every check for every
+matrix, and ``herm_eig``'s own checks then name the failure of the first
+flagged matrix, prefixed with its index. Batched ``eigh`` returns the
+eigenpairs the per-matrix call returns, bit for bit. ``hermitize`` and
 ``SpectralDecomposition`` work on a matrix and on a stack alike. The scalar
-``herm_eig`` keeps its own body rather than being a stack of one: it works
-in Python floats, and the array bookkeeping of the stacked checks costs
-more than the eigensolve at the small dimensions where it is called most
-(with one BLAS thread on a 2-vCPU x86 VM, a stack of one took 52-58 µs
-against 24-37 µs for ``herm_eig`` at d = 2-8).
+``herm_eig`` is not a stack of one: it works in Python floats, and the array
+bookkeeping of the stacked pass costs more than the eigensolve at the small
+dimensions where it is called most (with one BLAS thread on a 2-vCPU x86
+VM, a stack of one took 52-58 µs against 24-37 µs for ``herm_eig`` at
+d = 2-8).
 """
 from __future__ import annotations
 
@@ -118,15 +121,6 @@ class SpectralDecomposition(NamedTuple):
         return (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _as_square(mat: np.ndarray) -> np.ndarray:
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NotHermitian("matrix contains non-finite entries")
-    return m
-
-
 def hermitize(mat: np.ndarray) -> np.ndarray:
     """Symmetrize roundoff: (M + M^dag)/2, summed as exact halves so finite M
     stays finite; of each matrix of a stack, too."""
@@ -152,19 +146,21 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
-def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, verified before returning.
+def is_square(shape: tuple[int, ...]) -> bool:
+    """Whether ``shape`` is that of a d x d matrix with d >= 1."""
+    return len(shape) == 2 and shape[0] == shape[1] >= 1
 
-    Eigenvalues come back ascending with orthonormal eigenvector columns in
-    matching order. The decomposition is rejected (``BackendFailure``) if the
-    round trip ``V diag(w) V^dag`` does not reproduce the input or the columns
-    are not orthonormal. The round-trip budget scales with the matrix norm:
-    backend accuracy is relative, and inputs here range from unit-trace states
-    to their inverses. A matrix whose norm overflows double precision once
-    hermitized cannot be verified and fails as ``NotHermitian``.
-    """
-    tols = tols or DEFAULT_TOLS
-    half, half_h, defect = _halves(_as_square(mat))
+
+def _hermitized(mat: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, float]:
+    """The checks of ``herm_eig`` before ``eigh``: a square, finite matrix
+    within ``tol_herm`` of Hermitian whose hermitized norm is finite. Returns
+    the hermitized matrix and its Frobenius norm."""
+    m = np.asarray(mat, dtype=complex)
+    if not is_square(m.shape):
+        raise NotHermitian(f"expected a square matrix with d >= 1, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotHermitian("matrix contains non-finite entries")
+    half, half_h, defect = _halves(m)
     if defect > tols.tol_herm:
         raise NotHermitian(
             f"max |M - M^dag| entry {defect:.3e} exceeds tol_herm={tols.tol_herm:.1e}"
@@ -173,11 +169,13 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
     norm = _frobenius(m)
     if not math.isfinite(norm):
         raise NotHermitian("matrix norm overflows double precision once hermitized")
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
-        raise BackendFailure(f"eigensolver did not converge: {exc}") from exc
+    return m, norm
 
+
+def _check_eigenpairs(
+    m: np.ndarray, norm: float, vals: np.ndarray, vecs: np.ndarray, tols: Tolerances
+) -> None:
+    """The checks of ``herm_eig`` after ``eigh``: round trip and orthonormality."""
     n = m.shape[0]
     vh = vecs.conj().T
     scale = max(1.0, norm)
@@ -192,73 +190,74 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
     ortho_err = _frobenius(gram)
     if not ortho_err <= 1e-12 * n:
         raise BackendFailure(f"eigenvector columns not orthonormal ({ortho_err:.3e})")
+
+
+def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix, verified before returning.
+
+    Eigenvalues come back ascending with orthonormal eigenvector columns in
+    matching order. The input must be a finite d x d matrix, d >= 1, within
+    ``tol_herm`` of Hermitian (else ``NotHermitian``). The decomposition is
+    rejected (``BackendFailure``) if the round trip ``V diag(w) V^dag`` does
+    not reproduce the input or the columns are not orthonormal. The
+    round-trip budget scales with the matrix norm: backend accuracy is
+    relative, and inputs here range from unit-trace states to their inverses.
+    A matrix whose norm overflows double precision once hermitized cannot be
+    verified and fails as ``NotHermitian``.
+    """
+    tols = tols or DEFAULT_TOLS
+    m, norm = _hermitized(mat, tols)
+    try:
+        vals, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
+        raise BackendFailure(f"eigensolver did not converge: {exc}") from exc
+    _check_eigenpairs(m, norm, vals, vecs, tols)
     return SpectralDecomposition(vals, vecs)
-
-
-def _require_each(ok: np.ndarray, exc: type[Exception], message: Callable[[int], str]) -> None:
-    """Raise ``exc`` for the first False of ``ok``, naming its stack index."""
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise exc(f"matrix {i} of {ok.size}: {message(i)}")
 
 
 def herm_eig_stack(mats: np.ndarray, tols: Tolerances | None = None) -> SpectralDecomposition:
     """``herm_eig`` of every matrix of an ``(N, d, d)`` stack, in one ``eigh`` call.
 
-    Every matrix passes the checks of ``herm_eig`` with the same budgets:
-    finite entries, Hermiticity defect, finite hermitized norm, round trip
-    and orthonormality. The first failing matrix raises the error
-    ``herm_eig`` raises, its message prefixed with the matrix's index.
-    Returns ``(N, d)`` ascending eigenvalues and ``(N, d, d)`` eigenvectors;
-    each pair is the one ``herm_eig`` returns for that matrix alone.
+    One vectorized pass decides the checks of ``herm_eig``, with the same
+    budgets, for every matrix; a matrix failing one before ``eigh`` is
+    decomposed as the identity. Each flagged matrix, in stack order, is then
+    rechecked by ``herm_eig``'s own checks on its stacked eigenpairs, so the
+    first failing matrix raises the error ``herm_eig`` raises, its message
+    prefixed with the matrix's index. Returns ``(N, d)`` ascending
+    eigenvalues and ``(N, d, d)`` eigenvectors; each pair is the one
+    ``herm_eig`` returns for that matrix alone.
     """
     tols = tols or DEFAULT_TOLS
     m = np.asarray(mats, dtype=complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise NotHermitian(f"expected a stack of square matrices, got shape {m.shape}")
-    _require_each(
-        np.isfinite(m).all(axis=(1, 2)), NotHermitian, lambda i: "matrix contains non-finite entries"
-    )
+    if m.ndim != 3 or not is_square(m.shape[1:]):
+        raise NotHermitian(f"expected a stack of square matrices with d >= 1, got shape {m.shape}")
     n = m.shape[1]
-    # overflow and NaN are caught by the checks, one matrix at a time
+    # overflow and NaN only flag a matrix here; the recheck below reports them
     with np.errstate(over="ignore", invalid="ignore"):
         half = 0.5 * m
         half_h = half.conj().swapaxes(-1, -2)
-        defect = 2.0 * np.abs(half - half_h).max(axis=(1, 2))
-        _require_each(
-            defect <= tols.tol_herm,
-            NotHermitian,
-            lambda i: f"max |M - M^dag| entry {defect[i]:.3e} exceeds tol_herm={tols.tol_herm:.1e}",
-        )
-        m = half + half_h
-        norms = np.linalg.norm(m, axis=(1, 2))
-        _require_each(
-            np.isfinite(norms),
-            NotHermitian,
-            lambda i: "matrix norm overflows double precision once hermitized",
-        )
+        h = half + half_h
+        norms = np.linalg.norm(h, axis=(1, 2))
+        # a non-finite entry makes its matrix's norm non-finite
+        ok = (2.0 * np.abs(half - half_h).max(axis=(1, 2)) <= tols.tol_herm) & np.isfinite(norms)
+        if not ok.all():
+            h[~ok] = np.eye(n)
         try:
-            vals, vecs = np.linalg.eigh(m)
+            vals, vecs = np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
             raise BackendFailure(f"eigensolver did not converge on the stack: {exc}") from exc
 
         vh = vecs.conj().swapaxes(-1, -2)
         budget = tols.tol_recon * n * np.maximum(1.0, norms)
-        recon_err = np.linalg.norm((vecs * vals[:, None, :]) @ vh - m, axis=(1, 2))
-        _require_each(
-            recon_err <= budget,  # a NaN defect fails here too
-            BackendFailure,
-            lambda i: f"eigendecomposition round trip off by {recon_err[i]:.3e} "
-            f"(budget {budget[i]:.3e})",
-        )
+        ok &= np.linalg.norm((vecs * vals[:, None, :]) @ vh - h, axis=(1, 2)) <= budget
         gram = vh @ vecs
         gram[:, np.arange(n), np.arange(n)] -= 1.0
-        ortho_err = np.linalg.norm(gram, axis=(1, 2))
-        _require_each(
-            ortho_err <= 1e-12 * n,
-            BackendFailure,
-            lambda i: f"eigenvector columns not orthonormal ({ortho_err[i]:.3e})",
-        )
+        ok &= np.linalg.norm(gram, axis=(1, 2)) <= 1e-12 * n
+        for i in np.flatnonzero(~ok).tolist():
+            try:
+                _check_eigenpairs(*_hermitized(m[i], tols), vals[i], vecs[i], tols)
+            except (NotHermitian, BackendFailure) as exc:
+                raise type(exc)(f"matrix {i} of {len(m)}: {exc}") from None
     return SpectralDecomposition(vals, vecs)
 
 

@@ -616,3 +616,8 @@ def test_step_count_rejects_an_overflowing_quotient():
         sse_trajectory(DAMPING, psi, 1e308, 1e-10, RngStream(6))
     with pytest.raises(ValueError, match=r"t_final=1e\+308, dt=1e-10"):
         evolve_ensemble(DAMPING, mu, 1e308, 1e-10, 2, RngStream(6))
+
+
+def test_lindblad_model_rejects_a_zero_by_zero_hamiltonian():
+    with pytest.raises(DimMismatch, match=r"square with d >= 1, got shape \(0, 0\)"):
+        LindbladModel(np.zeros((0, 0)))

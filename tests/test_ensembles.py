@@ -480,3 +480,71 @@ def test_alignment_moves_weights_onto_the_other_atom_order():
     lost = DiscreteEnsemble((KET1, PLUS), np.array([0.75, 0.25]))
     assert kl_divergence(lost, nu) == math.inf
     assert f_divergence(lost, nu, GENERATORS["xlogx"]) == math.inf
+
+
+def test_coupling_bound_check_rejects_a_nan_mass():
+    mu = DiscreteEnsemble((KET0, KET1), np.array([0.5, 0.5]))
+    with pytest.raises(InvalidCoupling, match="NaN mass nan on pair"):
+        coupling_bound_check(mu, mu, [(0, 0, math.nan), (1, 1, 0.5)])
+
+
+def unit_rows(rng, k, d):
+    v = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def tilted(row, angle, rng):
+    """Two rays at Fubini-Study distance ``angle`` from the unit ``row``, on
+    opposite sides of it (``2 * angle`` apart), phase rotated."""
+    w = rng.standard_normal(row.size) + 1j * rng.standard_normal(row.size)
+    w -= np.vdot(row, w) * row
+    w /= np.linalg.norm(w)
+    return [(math.cos(angle) * row + s * math.sin(angle) * w) * np.exp(0.7j) for s in (1, -1)]
+
+
+def cross_pairs_by_full_table(a, b):
+    """The screen of both supports as one unblocked overlap table."""
+    i, j = np.nonzero(np.abs(a.conj() @ b.T) >= ensembles.OVERLAP_SCREEN)
+    close = ensembles.fs_angles(a[i], b[j]) <= ensembles.TOL_MATCH
+    return list(zip(i[close].tolist(), j[close].tolist()))
+
+
+def test_blocked_cross_screen_finds_the_pairs_of_the_full_table():
+    # planted pairs on both sides of the 512-row block boundary; two tilts
+    # pass the overlap screen but not TOL_MATCH
+    rng = np.random.default_rng(44)
+    a, b = unit_rows(rng, 1100, 4), unit_rows(rng, 900, 4)
+    for i, j, angle in ((3, 800, 0.0), (511, 10, 3e-11), (512, 11, 9e-11), (1099, 0, 5e-7), (700, 450, 2e-10)):
+        b[j] = tilted(a[i], angle, rng)[0]
+    pairs = [(i, j) for i, j, _ in ensembles._near_pairs(a, b)]
+    assert pairs == cross_pairs_by_full_table(a, b) == [(3, 800), (511, 10), (512, 11)]
+
+    nu = DiscreteEnsemble(b, np.full(900, 1 / 900))
+    assert kl_divergence(DiscreteEnsemble(a, np.full(1100, 1 / 1100)), nu) == math.inf
+    inside = DiscreteEnsemble(a[[3, 511, 512]], np.array([0.5, 0.25, 0.25]))
+    expected = 0.5 * math.log(450) + 0.5 * math.log(225)
+    assert kl_divergence(inside, nu) == pytest.approx(expected, rel=1e-14)
+
+    # two rays of nu within TOL_MATCH of a[600], 1.2e-10 apart
+    b[20], b[21] = tilted(a[600], 6e-11, rng)
+    assert [(i, j) for i, j, _ in ensembles._near_pairs(a, b)] == cross_pairs_by_full_table(a, b)
+    twin = DiscreteEnsemble(b, np.full(900, 1 / 900))
+    with pytest.raises(ensembles.AmbiguousMatch, match="mu atom 600 lies within"):
+        kl_divergence(DiscreteEnsemble(a, np.full(1100, 1 / 1100)), twin)
+
+
+def test_matching_reversed_supports_builds_no_full_overlap_table():
+    import tracemalloc
+
+    amps = unit_rows(np.random.default_rng(45), 3000, 4)
+    w = np.random.default_rng(46).dirichlet(np.ones(3000))
+    mu = DiscreteEnsemble(amps, w)
+    nu = DiscreteEnsemble(amps[::-1].copy(), w[::-1].copy())
+    tracemalloc.start()
+    try:
+        assert kl_divergence(mu, nu) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 3000 x 3000 complex table alone is 144 MB
+    assert peak < 100e6

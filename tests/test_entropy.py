@@ -427,3 +427,13 @@ def test_property_shared_spectrum_and_divergence_order(seed, dim):
     bs = bs_entropy(rho, sigma)
     assert bs >= umegaki(rho, sigma) - 1e-9
     assert abs(bs - unr_entropy(rho, sigma)) <= 1e-8 * max(1.0, bs)
+
+
+def test_kraus_map_rejects_an_empty_operator():
+    with pytest.raises(DimMismatch, match=r"nonempty matrices, got shape \(0, 0\)"):
+        KrausMap((np.zeros((0, 0)),))
+
+
+def test_random_cptp_rejects_dimension_zero():
+    with pytest.raises(DimMismatch):
+        random_cptp(0, 1, 1, RngStream(41))

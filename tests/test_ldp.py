@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -393,3 +394,22 @@ def test_property_trace_norm_within_frobenius_bounds(spectrum, seed):
     assert trace_norm <= math.sqrt(dim) * fro + slack
     if dim == 2:
         assert abs(trace_norm - math.sqrt(2.0) * fro) <= slack
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, math.nan, math.inf, "4", True])
+def test_every_entry_point_needs_a_positive_integral_sample_size(n):
+    exp = qubit_experiment(0.1)
+    rng = RngStream(43)
+    for call in (
+        lambda: make_experiment(RHO_C, SIGMA_C, 0.1, [10, n]),
+        lambda: ball_probability_exact(exp, n),
+        lambda: ball_probability_mc(exp, n, 10, rng),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"positive integer, got {n!r}")):
+            call()
+
+
+def test_integral_float_and_numpy_sample_sizes_count_as_integers():
+    exp = make_experiment(RHO_C, SIGMA_C, 0.1, [4.0, np.int64(6)])
+    assert exp.sample_sizes == (4, 6) and all(type(n) is int for n in exp.sample_sizes)
+    assert ball_probability_exact(exp, 4.0) == ball_probability_exact(exp, 4)

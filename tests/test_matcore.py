@@ -340,3 +340,31 @@ def test_herm_eig_stack_names_the_matrix_with_non_orthonormal_columns(monkeypatc
     perturb_member(monkeypatch, 1, stretch)
     with pytest.raises(BackendFailure, match=r"^matrix 1 of 4: eigenvector columns not orthonormal"):
         herm_eig_stack(mats)
+
+
+@pytest.mark.parametrize("entry", [herm_eig, validate_density])
+def test_a_zero_by_zero_matrix_is_not_a_square_matrix(entry):
+    with pytest.raises(NotHermitian, match=r"expected a square matrix with d >= 1, got shape \(0, 0\)"):
+        entry(np.zeros((0, 0)))
+
+
+def test_herm_eig_stack_rejects_a_stack_of_zero_by_zero_matrices():
+    with pytest.raises(NotHermitian, match=r"stack of square matrices with d >= 1, got shape \(3, 0, 0\)"):
+        herm_eig_stack(np.zeros((3, 0, 0)))
+
+
+def test_herm_eig_stack_names_matrix_0_before_a_later_non_finite_one():
+    # each check runs over the whole stack; the first failing matrix is named
+    mats = random_spd_stack(2, 3, np.random.default_rng(17))
+    mats[0, 0, 1] += 1e-6
+    mats[1, 2, 2] = np.nan
+    with pytest.raises(NotHermitian, match=r"^matrix 0 of 2: max \|M - M\^dag\| entry 1\.000e-06"):
+        herm_eig_stack(mats)
+
+
+def test_herm_eig_stack_names_a_round_trip_failure_before_a_later_non_finite_matrix(monkeypatch):
+    mats = random_spd_stack(2, 3, np.random.default_rng(18))
+    mats[1, 0, 0] = np.nan
+    perturb_member(monkeypatch, 0, lambda vals, vecs: (vals * (1.0 + 1e-6), vecs))
+    with pytest.raises(BackendFailure, match="^matrix 0 of 2: eigendecomposition round trip off by"):
+        herm_eig_stack(mats)
