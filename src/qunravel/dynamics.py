@@ -12,14 +12,27 @@ the generator is L(rho) = D rho + rho D^dag + sum_j gamma_j^2 S_j rho S_j^dag.
 The model builds D once, at construction, and keeps it read-only as
 ``LindbladModel.drift``; a model whose D is not finite is rejected there, so
 the generator and the stochastic equation below read the one checked matrix.
-Propagation uses the matrix exponential of the vectorized generator, which is
-exact up to the exponential's own roundoff at these dimensions.
 
-A contraction scan builds the generator once and steps both states together,
-one exponential per distinct gap, propagating every point before checking
-any. It then checks all 2P states of its P points with one stacked
-eigensolve (``faithful_stack``) and takes the BS values from a second one
-over the P cores sqrt(rho) sigma^{-1} sqrt(rho), each core its own member of
+Flows are propagated on the real space of Hermitian matrices. The
+orthonormal Hermitian frame of n x n matrices holds the n diagonal units
+E_ii and, for each i < j, (E_ij + E_ji) / sqrt 2 and i (E_ji - E_ij) / sqrt 2.
+With T the n^2 x n^2 matrix of its column-stacked units (T^H T = I), a
+Hermitian X has real coordinates T^H vec(X). Every row and column of T has
+at most two nonzeros, so both changes of coordinates are index gathers,
+never a dense product with T. The generator L maps Hermitian matrices to
+Hermitian matrices, so G = T^H L T is real, and a flow is exp(t G) on real
+coordinates: a real matrix exponential, at about a quarter of the flops of
+the complex one (scaling and squaring, Al-Mohy & Higham, SIAM J. Matrix
+Anal. Appl. 31, 2009). Mapping real coordinates back writes entry (j, i) as
+the exact conjugate of entry (i, j) and a real diagonal, so every propagated
+state is Hermitian bit for bit. The imaginary part of T^H L T is dropped
+only after a check (see ``_real_generator``).
+
+A contraction scan builds the generator once and steps both states together
+in the real frame, one exponential per distinct gap, propagating every point
+before checking any. It then checks all 2P states of its P points with one
+stacked eigensolve (``faithful_stack``) and takes the BS values from a second
+one over the P cores sqrt(rho) sigma^{-1} sqrt(rho), each core its own member of
 the stack. When any stacked check fails, the scan reruns the per-point chain
 of ``lindblad_evolve``'s checks, ``require_faithful`` and ``bs_entropy``,
 point by point in time order; that chain alone raises, so the error names
@@ -46,6 +59,7 @@ order dt, so they are not optional bookkeeping.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -55,6 +69,7 @@ from scipy.linalg import expm
 
 from .entropy import _bs_trace, bs_entropy
 from .errors import (
+    BudgetExceeded,
     DimMismatch,
     NotHermitian,
     QunravelError,
@@ -75,6 +90,7 @@ from .states import (
     PureState,
     RngStream,
     faithful_stack,
+    positive_count,
     require_faithful,
     validate_density,
 )
@@ -91,6 +107,13 @@ __all__ = [
 ]
 
 TRACE_DRIFT_TOL = 1e-9
+# Largest imaginary entry of T^H L T that the real frame drops, relative to
+# max(1, largest real entry); roundoff is about 1e-16 of that (``_real_generator``).
+GENERATOR_DEFECT_TOL = 1e-10
+# Most Gaussian increments (steps x paths x jumps) one unraveling call draws:
+# 5e7 float64 draws are 400 MB. Criterion 09 draws 1e7 (1e4 paths x 1e3 steps).
+MAX_NOISE_DRAWS = 50_000_000
+_R = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -175,7 +198,11 @@ def _vec(mat: np.ndarray) -> np.ndarray:
 
 def lindblad_superop(model: LindbladModel) -> np.ndarray:
     """Dense n^2 x n^2 generator matrix acting on column-stacked states,
-    I kron D + conj(D) kron I + sum_j gamma_j^2 conj(S_j) kron S_j."""
+    I kron D + conj(D) kron I + sum_j gamma_j^2 conj(S_j) kron S_j.
+
+    It maps Hermitian matrices to Hermitian matrices for any drift D, since
+    D X + X D^dag and S_j X S_j^dag are Hermitian whenever X is; flows use it
+    in the real Hermitian frame (see the module docstring)."""
     eye = np.eye(model.dim)
     d = model.drift
     l = np.kron(eye, d) + np.kron(d.conj(), eye)
@@ -204,21 +231,96 @@ def lindblad_evolve(
     t: float,
     tols: Tolerances | None = None,
 ) -> DensityMatrix:
-    """Propagate rho0 for time t >= 0 through the matrix exponential.
+    """Propagate rho0 for time t >= 0 through the real matrix exponential.
 
-    The result is re-Hermitized and trace-renormalized (the raw trace drift
-    must stay below 1e-9), then revalidated; any remaining invariant failure
-    surfaces as ``ValidationFailure``.
+    The state is stepped as exp(t G) on its real coordinates in the
+    Hermitian frame, G the real generator of ``_real_generator``, so the
+    result is Hermitian by construction. It is trace-renormalized (the raw
+    trace drift must stay below 1e-9), then revalidated; any remaining
+    invariant failure surfaces as ``ValidationFailure``.
     """
     if model.dim != rho0.dim:
         raise DimMismatch(f"model dim {model.dim} vs state dim {rho0.dim}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
-    v = expm(t * lindblad_superop(model)) @ _vec(rho0.matrix)
-    return _checked_state(v, model.dim, t, tols)
+    n = model.dim
+    g = _real_generator(lindblad_superop(model), n)
+    coords = expm(t * g) @ _frame_coords(_vec(rho0.matrix)[:, None], n)
+    return _checked_state(_frame_vecs(coords, n)[:, 0], n, t, tols)
 
 
-def _n_steps(t_final: float, dt: float) -> int:
+@functools.lru_cache(maxsize=None)
+def _frame(n: int) -> np.ndarray:
+    """Column-stacked positions that the Hermitian frame of n x n matrices
+    reads: the n diagonal entries, then (i, j) and then (j, i) for every
+    i < j in ``np.triu_indices`` order."""
+    i, j = np.triu_indices(n, 1)
+    pos = np.concatenate([np.arange(n) * (n + 1), i + n * j, j + n * i])
+    pos.flags.writeable = False
+    return pos
+
+
+def _frame_rows(y: np.ndarray, n: int, phase: complex) -> np.ndarray:
+    """Frame rows from rows ``y`` gathered at ``_frame(n)``: the diagonal
+    rows, then (u + w) / sqrt 2 and phase (u - w) / sqrt 2, with u the (i, j)
+    and w the (j, i) rows. ``phase = 1j`` applies T^H, ``phase = -1j`` T^T."""
+    m = n * (n - 1) // 2
+    d, u, w = y[:n], y[n : n + m], y[n + m :]
+    return np.concatenate([d, _R * (u + w), (phase * _R) * (u - w)])
+
+
+def _frame_coords(v: np.ndarray, n: int) -> np.ndarray:
+    """Real frame coordinates Re(T^H v) of column-stacked matrices, one per
+    column of ``v``; the real part is the coordinates of their Hermitian parts."""
+    return _frame_rows(v[_frame(n)], n, 1j).real
+
+
+def _frame_vecs(c: np.ndarray, n: int) -> np.ndarray:
+    """T c: the column-stacked Hermitian matrices with real frame coordinates
+    ``c`` (frame along the first axis). Entry (j, i) is the exact conjugate
+    of entry (i, j), and the diagonal is real."""
+    m = n * (n - 1) // 2
+    d, s, a = c[:n], _R * c[n : n + m], _R * c[n + m :]
+    out = np.empty(c.shape, dtype=complex)
+    out[_frame(n)] = np.concatenate([d, s - 1j * a, s + 1j * a])
+    return out
+
+
+def _real_generator(l: np.ndarray, n: int) -> np.ndarray:
+    """G = Re(T^H L T), the generator ``l`` on real frame coordinates.
+
+    T^H L T is real whenever ``l`` maps Hermitian matrices to Hermitian
+    matrices, which every ``lindblad_superop`` does in exact arithmetic. That
+    includes the Hamiltonian defect up to ``tol_herm`` that ``LindbladModel``
+    admits: it adds -i (H - H^dag) / 2 to D, which moves the trace (at a
+    rate of at most n tol_herm) but not the Hermiticity of D X + X D^dag.
+    So the imaginary part dropped here is roundoff, and ``ValidationFailure``
+    is raised when it exceeds ``GENERATOR_DEFECT_TOL`` times max(1, largest
+    |entry| of G). A dropped part E would in any case move the Hermitian
+    output of exp(t (G + i E)) only at second order, O((t |E|)^2): its
+    first-order term is anti-Hermitian, which the complex propagation's
+    final hermitization discarded too.
+    """
+    pos = _frame(n)
+    lt = _frame_rows(l[np.ix_(pos, pos)].T, n, -1j).T  # L T, rows still gathered
+    k = _frame_rows(lt, n, 1j)
+    g = np.ascontiguousarray(k.real)
+    defect = float(np.abs(k.imag).max())
+    bound = GENERATOR_DEFECT_TOL * max(1.0, float(np.abs(g).max()))
+    if not defect <= bound:  # a NaN defect fails here too
+        raise ValidationFailure(
+            f"generator does not preserve Hermiticity: imaginary part {defect:.3e} "
+            f"of its real-frame matrix exceeds {bound:.1e}"
+        )
+    return g
+
+
+def _n_steps(t_final: float, dt: float, paths: int, jumps: int) -> int:
+    """round(t_final / dt) for finite t_final >= dt > 0, else ``ValueError``.
+
+    ``BudgetExceeded`` is raised, before any noise is drawn, when the run
+    would draw more than ``MAX_NOISE_DRAWS`` increments, steps x paths x
+    jumps; a jump-free model counts as one jump, so its steps stay bounded."""
     if not (math.isfinite(t_final) and math.isfinite(dt)):
         raise ValueError(f"t_final and dt must be finite, got t_final={t_final}, dt={dt}")
     if dt <= 0:
@@ -228,7 +330,14 @@ def _n_steps(t_final: float, dt: float) -> int:
     steps = t_final / dt
     if not math.isfinite(steps):
         raise ValueError(f"t_final / dt overflows: t_final={t_final}, dt={dt}")
-    return int(round(steps))
+    steps = int(round(steps))
+    draws = steps * paths * max(jumps, 1)
+    if draws > MAX_NOISE_DRAWS:
+        raise BudgetExceeded(
+            f"t_final={t_final}, dt={dt} takes {steps} steps: {draws} noise draws "
+            f"over {paths} paths exceed the budget of {MAX_NOISE_DRAWS}"
+        )
+    return steps
 
 
 def _sse_steps(
@@ -280,12 +389,14 @@ def sse_trajectory(
     and folding the discarded squared norm into the path's running log
     weight. A pre-normalization norm outside [0.5, 2] aborts with
     ``StepExplosion``; that window flags a step size too coarse for the
-    model's rates. The path is a batch of one through the stepping loop of
-    ``evolve_ensemble``, with the same noise consumption.
+    model's rates. A run over ``MAX_NOISE_DRAWS`` increments raises
+    ``BudgetExceeded`` before drawing any. The path is a batch of one
+    through the stepping loop of ``evolve_ensemble``, with the same noise
+    consumption.
     """
     if model.dim != psi0.dim:
         raise DimMismatch(f"model dim {model.dim} vs state dim {psi0.dim}")
-    steps = _n_steps(t_final, dt)
+    steps = _n_steps(t_final, dt, 1, len(model.jumps))
     noise = rng.gen.standard_normal((1, steps, len(model.jumps))) * math.sqrt(dt)
     amps = np.empty((steps + 1, model.dim), dtype=complex)
     log_weights = np.zeros(steps + 1)
@@ -316,15 +427,16 @@ def evolve_ensemble(
 
     The barycenter of the result tracks ``lindblad_evolve`` of the input
     barycenter within Monte Carlo error O(1/sqrt(n_per_atom)) plus O(dt)
-    integrator bias.
+    integrator bias. ``n_per_atom`` must be a positive integer, and a run
+    over ``MAX_NOISE_DRAWS`` increments (all paths of all atoms) raises
+    ``BudgetExceeded`` before drawing any.
     """
     if model.dim != mu0.dim:
         raise DimMismatch(f"model dim {model.dim} vs ensemble dim {mu0.dim}")
-    if n_per_atom < 1:
-        raise ValueError(f"need at least one trajectory per atom, got {n_per_atom}")
+    n_per_atom = positive_count(n_per_atom, "n_per_atom")
     if t == 0.0:
         return mu0
-    steps = _n_steps(t, dt)
+    steps = _n_steps(t, dt, len(mu0) * n_per_atom, len(model.jumps))
     shape = (steps, len(model.jumps))
 
     finals, logws = [], []
@@ -353,11 +465,13 @@ def contraction_scan(
 ) -> list[tuple[float, float]]:
     """BS relative entropy of a co-evolved pair along the flow.
 
-    Returns (t, d_bs) for every requested time. The generator is built once and
-    both states are stepped together from each time to the next, one propagator
-    per distinct gap (see ``_propagate``). Every state then gets the checks of
-    ``lindblad_evolve`` and of faithfulness, and every point its BS value,
-    from two stacked eigensolves whatever the number of points.
+    Returns (t, d_bs) for every requested time. The generator is built once,
+    moved to the real Hermitian frame, and both states are stepped together on
+    their real coordinates from each time to the next, one real propagator per
+    distinct gap (see ``_propagate``); every propagated state is Hermitian by
+    construction. Every state then gets the checks of ``lindblad_evolve`` and
+    of faithfulness, and every point its BS value, from two stacked
+    eigensolves whatever the number of points.
     Both states must stay faithful; a flow that drives one rank-deficient
     raises ``NotFaithful`` stamped with the failing time. Any failure is
     reported by rerunning the checks point by point, so it names the earliest
@@ -385,21 +499,24 @@ def _propagate(
 ) -> np.ndarray:
     """Column-stacked rho and sigma at every time, shaped (points, n^2, 2).
 
-    Both states step together from each time to the next, one propagator per
-    distinct gap; gaps within 4 ulps of the largest time differ by the grid's
-    rounding only and share one."""
-    block = np.stack([_vec(rho0.matrix), _vec(sigma0.matrix)], axis=1)
+    Both states step together on their real frame coordinates, from each
+    time to the next, one real propagator per distinct gap; gaps within 4 ulps
+    of the largest time differ by the grid's rounding only and share one. The
+    coordinates are mapped back to column-stacked matrices once, at the end."""
+    n = rho0.dim
+    g = _real_generator(l, n)
+    block = _frame_coords(np.stack([_vec(rho0.matrix), _vec(sigma0.matrix)], axis=1), n)
     propagators: dict[float, np.ndarray] = {}
     rounding = 4 * np.spacing(ts.max())
     blocks = []
     for gap in np.diff(ts, prepend=0.0).tolist():
         if gap > 0:
-            gap = next((g for g in propagators if abs(g - gap) <= rounding), gap)
+            gap = next((k for k in propagators if abs(k - gap) <= rounding), gap)
             if gap not in propagators:
-                propagators[gap] = expm(gap * l)
+                propagators[gap] = expm(gap * g)
             block = propagators[gap] @ block
         blocks.append(block)
-    return np.stack(blocks)
+    return _frame_vecs(np.stack(blocks, axis=1), n).swapaxes(0, 1)
 
 
 def _stacked_bs_values(blocks: np.ndarray, n: int, tols: Tolerances) -> list[float] | None:

@@ -60,7 +60,7 @@ from scipy.special import gammaln
 from .commonbasis import CommonBasis, clamp_weights, common_basis
 from .errors import BudgetExceeded, DimMismatch
 from .matcore import Tolerances
-from .states import DensityMatrix, RngStream
+from .states import DensityMatrix, RngStream, positive_count
 
 __all__ = [
     "LdpExperiment",
@@ -129,23 +129,10 @@ def make_experiment(
     cb = common_basis(rho, sigma, tols)  # checks the pair
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    sizes = tuple(_sample_size(n) for n in sample_sizes)
+    sizes = tuple(positive_count(n, "sample size") for n in sample_sizes)
     if not sizes:
         raise ValueError("need at least one sample size")
     return LdpExperiment(rho, sigma, cb, float(epsilon), sizes)
-
-
-def _sample_size(n) -> int:
-    """``n`` as an int when it is a positive integral number (``2.0`` is, a
-    boolean is not), else ``ValueError`` naming it."""
-    try:
-        size = int(n)
-        integral = not isinstance(n, bool) and size == n
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or size < 1:
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    return size
 
 
 def log_multinomial(counts, weights) -> float:
@@ -257,7 +244,7 @@ def ball_probability_exact(
     yields an infinite rate. ``BudgetExceeded`` reports the enumeration size
     whenever the cell count or sample size leaves the supported range.
     """
-    n = _sample_size(n)
+    n = positive_count(n, "sample size")
     k = exp.cb.dim
     size = _enumeration_size(n, k)
     if k > MAX_CELLS or n > MAX_SAMPLES or size > MAX_ENUMERATION:
@@ -290,9 +277,8 @@ def ball_probability_mc(
     reference_weights=None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the ball probability with its binomial stderr."""
-    n = _sample_size(n)
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    n = positive_count(n, "sample size")
+    trials = positive_count(trials, "trials")
     w = _reference_weights(exp, reference_weights)
     counts = rng.gen.multinomial(n, w, size=trials).astype(float)
     inside = _ball_mask(exp, counts, n)

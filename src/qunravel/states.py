@@ -215,6 +215,21 @@ def canonical_phase(psi: PureState) -> PureState:
     return PureState(canonical_rows(psi.amplitudes))
 
 
+def positive_count(n, what: str) -> int:
+    """``n`` as an int when it is a positive integral number (``2.0`` and
+    numpy integers are, a boolean or a string is not), else ``ValueError``
+    naming ``what`` and ``n``. The one rule for every sample size, trial
+    count and path count of the package."""
+    try:
+        size = int(n)
+        integral = not isinstance(n, bool) and size == n
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or size < 1:
+        raise ValueError(f"{what} must be a positive integer, got {n!r}")
+    return size
+
+
 class RngStream:
     """Deterministic random stream addressed by (seed, stream_id).
 

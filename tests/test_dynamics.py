@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -28,6 +29,7 @@ import qunravel.dynamics as dynamics
 import qunravel.matcore as matcore
 from qunravel import DEFAULT_TOLS
 from qunravel.errors import (
+    BudgetExceeded,
     DimMismatch,
     NotFaithful,
     NotHermitian,
@@ -621,3 +623,58 @@ def test_step_count_rejects_an_overflowing_quotient():
 def test_lindblad_model_rejects_a_zero_by_zero_hamiltonian():
     with pytest.raises(DimMismatch, match=r"square with d >= 1, got shape \(0, 0\)"):
         LindbladModel(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, 0, -1, True, "3"])
+def test_evolve_ensemble_needs_a_positive_integral_path_count(n):
+    mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
+    message = re.escape(f"n_per_atom must be a positive integer, got {n!r}")
+    with pytest.raises(ValueError, match=message):
+        evolve_ensemble(DAMPING, mu0, 0.1, 1e-2, n, RngStream(97))
+
+
+def test_integral_float_and_numpy_path_counts_count_as_integers():
+    mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
+    by_int = evolve_ensemble(DAMPING, mu0, 0.1, 1e-2, 3, RngStream(97))
+    for n in (3.0, np.int64(3)):
+        out = evolve_ensemble(DAMPING, mu0, 0.1, 1e-2, n, RngStream(97))
+        assert np.array_equal(out.amps, by_int.amps)
+        assert np.array_equal(out.weights, by_int.weights)
+
+
+class NoDraws:
+    """A stream that fails the test if any noise is drawn from it."""
+
+    seed, stream_id = 0, 0
+
+    class gen:
+        @staticmethod
+        def standard_normal(*args, **kwargs):
+            raise AssertionError("noise was drawn")
+
+    def split(self, stream_id):
+        return self
+
+
+@pytest.mark.parametrize("model", [DAMPING, LindbladModel(SZ)], ids=["one-jump", "jump-free"])
+def test_a_run_over_the_noise_budget_raises_before_drawing(model):
+    mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
+    steps = r"t_final=1000000\.0, dt=1e-09 takes 1000000000000000 steps"
+    with pytest.raises(BudgetExceeded, match=steps + r": 1000000000000000 noise draws"):
+        sse_trajectory(model, KET1, 1e6, 1e-9, NoDraws())
+    with pytest.raises(BudgetExceeded, match=steps + r": 2000000000000000 noise draws"):
+        evolve_ensemble(model, mu0, 1e6, 1e-9, 2, NoDraws())
+
+
+def test_the_noise_budget_counts_every_path_of_every_atom():
+    # criterion 09 draws 1e4 paths x 1e3 steps x 1 jump
+    assert 10_000 * 1000 <= dynamics.MAX_NOISE_DRAWS
+    paths = dynamics.MAX_NOISE_DRAWS // 1000
+    assert dynamics._n_steps(1.0, 1e-3, paths, 1) == 1000
+    with pytest.raises(BudgetExceeded, match=f"over {paths + 1} paths"):
+        dynamics._n_steps(1.0, 1e-3, paths + 1, 1)
+    with pytest.raises(BudgetExceeded, match=f"over {paths} paths"):
+        dynamics._n_steps(1.0, 1e-3, paths, 2)
+    mu0 = DiscreteEnsemble((KET1, haar_pure(2, RngStream(98))), np.array([0.5, 0.5]))
+    with pytest.raises(BudgetExceeded, match=f"over {2 * paths} paths"):
+        evolve_ensemble(DAMPING, mu0, 1.0, 1e-3, paths, NoDraws())

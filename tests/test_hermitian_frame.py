@@ -1,0 +1,134 @@
+"""The real Hermitian frame that Lindblad flows are propagated in."""
+import math
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+import qunravel.dynamics as dynamics
+from qunravel import (
+    LindbladModel,
+    RngStream,
+    contraction_scan,
+    lindblad_evolve,
+    lindblad_superop,
+    sample_faithful,
+)
+from qunravel.errors import ValidationFailure
+
+GRIDS = {
+    "uniform": np.linspace(0.0, 2.0, 21),
+    "uneven": np.array([0.0, 0.03, 0.3, 0.31, 1.2, 1.9, 2.0]),
+    "late-start": np.array([0.7, 0.75, 1.1, 2.5]),
+}
+
+
+def random_model(dim, rng, n_jumps=2, anti_hermitian=0.0):
+    h = rng.complex_normal((dim, dim))
+    h = 0.5 * (h + h.conj().T)
+    a = rng.complex_normal((dim, dim))
+    a = 0.5 * (a - a.conj().T)
+    h = h + anti_hermitian * a / np.abs(a).max()
+    jumps = tuple(rng.complex_normal((dim, dim)) / math.sqrt(dim) for _ in range(n_jumps))
+    rates = tuple(float(g) for g in rng.gen.uniform(0.2, 1.0, n_jumps))
+    return LindbladModel(h, jumps, rates)
+
+
+def frame_matrix(n):
+    """The dense frame matrix T, column k the column-stacked unit k."""
+    return dynamics._frame_vecs(np.eye(n * n), n)
+
+
+def columns(*states):
+    return np.stack([s.matrix.flatten(order="F") for s in states], axis=1)
+
+
+def close(got, ref, rel=1e-12):
+    return bool((np.abs(got - ref) <= rel * np.maximum(1.0, np.abs(ref))).all())
+
+
+def evolve_matches(model, rho, t, ref):
+    """``lindblad_evolve`` against the complex column ``ref``, renormalized to
+    trace 1 as the evolved state is."""
+    dim = model.dim
+    got = lindblad_evolve(model, rho, t).matrix.flatten(order="F")
+    return close(got, ref / ref[:: dim + 1].real.sum())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_the_frame_is_orthonormal_and_hermitian(n):
+    t = frame_matrix(n)
+    assert np.abs(t.conj().T @ t - np.eye(n * n)).max() <= 4e-16
+    for unit in t.T:
+        u = unit.reshape((n, n), order="F")
+        assert np.array_equal(u, u.conj().T)
+    # every row and every column has at most two nonzeros
+    assert (np.count_nonzero(t, axis=0) <= 2).all()
+    assert (np.count_nonzero(t, axis=1) <= 2).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_coordinates_are_the_real_part_of_t_dagger_vec(n):
+    rng = RngStream(200 + n)
+    x = rng.complex_normal((n * n, 3))
+    got = dynamics._frame_coords(x, n)
+    assert got.dtype == float
+    ref = (frame_matrix(n).conj().T @ x).real
+    assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * np.abs(x).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_vec_to_coordinates_to_vec_is_exact_to_roundoff(n):
+    rng = RngStream(210 + n)
+    m = rng.complex_normal((n, n))
+    herm = 0.5 * (m + m.conj().T)
+    v = herm.flatten(order="F")
+    back = dynamics._frame_vecs(dynamics._frame_coords(v[:, None], n), n)[:, 0]
+    assert np.abs(back - v).max() <= 4 * np.finfo(float).eps * np.abs(v).max()
+    out = back.reshape((n, n), order="F")
+    assert np.array_equal(out, out.conj().T)  # Hermitian bit for bit
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_propagation_matches_the_complex_exponential(dim, grid):
+    rng = RngStream(220 + dim)
+    model = random_model(dim, rng)
+    rho, sigma = sample_faithful(dim, rng), sample_faithful(dim, rng)
+    l = lindblad_superop(model)
+    blocks = dynamics._propagate(l, rho, sigma, grid)
+    assert blocks.shape == (grid.size, dim * dim, 2)
+    for t, block in zip(grid.tolist(), blocks):
+        ref = expm(t * l) @ columns(rho, sigma)
+        assert close(block, ref)
+        assert evolve_matches(model, rho, t, ref[:, 0])
+        for v in block.T:
+            m = v.reshape((dim, dim), order="F")
+            assert np.array_equal(m, m.conj().T)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_the_admitted_anti_hermitian_part_of_h_meets_the_same_bound(dim):
+    rng = RngStream(230 + dim)
+    model = random_model(dim, rng, anti_hermitian=1e-11)
+    assert 0 < np.abs(model.hamiltonian - model.hamiltonian.conj().T).max() <= 1e-10
+    rho, sigma = sample_faithful(dim, rng), sample_faithful(dim, rng)
+    l = lindblad_superop(model)
+    grid = GRIDS["uneven"]
+    blocks = dynamics._propagate(l, rho, sigma, grid)
+    for t, block in zip(grid.tolist(), blocks):
+        ref = expm(t * l) @ columns(rho, sigma)
+        assert close(block, ref)
+        assert evolve_matches(model, rho, t, ref[:, 0])
+
+
+def test_a_generator_that_breaks_hermiticity_is_a_validation_failure(monkeypatch):
+    leaky = lambda model: lindblad_superop(model) + 1e-3j * np.eye(model.dim**2)
+    monkeypatch.setattr(dynamics, "lindblad_superop", leaky)
+    rng = RngStream(240)
+    model = random_model(3, rng)
+    rho, sigma = sample_faithful(3, rng), sample_faithful(3, rng)
+    with pytest.raises(ValidationFailure, match="does not preserve Hermiticity"):
+        contraction_scan(model, rho, sigma, GRIDS["uniform"])
+    with pytest.raises(ValidationFailure, match="does not preserve Hermiticity"):
+        lindblad_evolve(model, rho, 0.5)

@@ -413,3 +413,17 @@ def test_integral_float_and_numpy_sample_sizes_count_as_integers():
     exp = make_experiment(RHO_C, SIGMA_C, 0.1, [4.0, np.int64(6)])
     assert exp.sample_sizes == (4, 6) and all(type(n) is int for n in exp.sample_sizes)
     assert ball_probability_exact(exp, 4.0) == ball_probability_exact(exp, 4)
+
+
+@pytest.mark.parametrize("trials", [2.5, math.nan, math.inf, 0, -1, True, "3"])
+def test_monte_carlo_needs_a_positive_integral_trial_count(trials):
+    message = re.escape(f"trials must be a positive integer, got {trials!r}")
+    with pytest.raises(ValueError, match=message):
+        ball_probability_mc(qubit_experiment(0.1), 10, trials, RngStream(44))
+
+
+def test_integral_float_and_numpy_trial_counts_count_as_integers():
+    exp = qubit_experiment(0.1)
+    by_int = ball_probability_mc(exp, 10, 3, RngStream(45))
+    assert ball_probability_mc(exp, 10, 3.0, RngStream(45)) == by_int
+    assert ball_probability_mc(exp, 10, np.int64(3), RngStream(45)) == by_int
