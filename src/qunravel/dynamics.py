@@ -110,8 +110,9 @@ TRACE_DRIFT_TOL = 1e-9
 # Largest imaginary entry of T^H L T that the real frame drops, relative to
 # max(1, largest real entry); roundoff is about 1e-16 of that (``_real_generator``).
 GENERATOR_DEFECT_TOL = 1e-10
-# Most Gaussian increments (steps x paths x jumps) one unraveling call draws:
-# 5e7 float64 draws are 400 MB. Criterion 09 draws 1e7 (1e4 paths x 1e3 steps).
+# Most float64 words one unraveling call draws and keeps: its Gaussian
+# increments (steps x paths x jumps) plus the path ``sse_trajectory`` stores.
+# 5e7 float64 are 400 MB. Criterion 09 draws 1e7 (1e4 paths x 1e3 steps).
 MAX_NOISE_DRAWS = 50_000_000
 _R = math.sqrt(0.5)
 
@@ -315,12 +316,12 @@ def _real_generator(l: np.ndarray, n: int) -> np.ndarray:
     return g
 
 
-def _n_steps(t_final: float, dt: float, paths: int, jumps: int) -> int:
+def _n_steps(t_final: float, dt: float, paths: int, jumps: int, kept: int = 0) -> int:
     """round(t_final / dt) for finite t_final >= dt > 0, else ``ValueError``.
 
-    ``BudgetExceeded`` is raised, before any noise is drawn, when the run
-    would draw more than ``MAX_NOISE_DRAWS`` increments, steps x paths x
-    jumps; a jump-free model counts as one jump, so its steps stay bounded."""
+    ``BudgetExceeded`` is raised, before anything is drawn or allocated, when
+    the increments, steps x paths x jumps, plus ``kept`` stored float64 words
+    per time exceed ``MAX_NOISE_DRAWS``; a jump-free model counts as one jump."""
     if not (math.isfinite(t_final) and math.isfinite(dt)):
         raise ValueError(f"t_final and dt must be finite, got t_final={t_final}, dt={dt}")
     if dt <= 0:
@@ -332,10 +333,12 @@ def _n_steps(t_final: float, dt: float, paths: int, jumps: int) -> int:
         raise ValueError(f"t_final / dt overflows: t_final={t_final}, dt={dt}")
     steps = int(round(steps))
     draws = steps * paths * max(jumps, 1)
-    if draws > MAX_NOISE_DRAWS:
+    words = (steps + 1) * kept
+    if draws + words > MAX_NOISE_DRAWS:
+        stored = f" and {words} stored path words" if kept else ""
         raise BudgetExceeded(
             f"t_final={t_final}, dt={dt} takes {steps} steps: {draws} noise draws "
-            f"over {paths} paths exceed the budget of {MAX_NOISE_DRAWS}"
+            f"over {paths} paths{stored} exceed the budget of {MAX_NOISE_DRAWS}"
         )
     return steps
 
@@ -389,14 +392,15 @@ def sse_trajectory(
     and folding the discarded squared norm into the path's running log
     weight. A pre-normalization norm outside [0.5, 2] aborts with
     ``StepExplosion``; that window flags a step size too coarse for the
-    model's rates. A run over ``MAX_NOISE_DRAWS`` increments raises
-    ``BudgetExceeded`` before drawing any. The path is a batch of one
+    model's rates. A run whose increments and stored path (2 dim + 2 float64
+    per time) exceed ``MAX_NOISE_DRAWS`` raises ``BudgetExceeded`` before
+    drawing or allocating anything. The path is a batch of one
     through the stepping loop of ``evolve_ensemble``, with the same noise
     consumption.
     """
     if model.dim != psi0.dim:
         raise DimMismatch(f"model dim {model.dim} vs state dim {psi0.dim}")
-    steps = _n_steps(t_final, dt, 1, len(model.jumps))
+    steps = _n_steps(t_final, dt, 1, len(model.jumps), kept=2 * model.dim + 2)
     noise = rng.gen.standard_normal((1, steps, len(model.jumps))) * math.sqrt(dt)
     amps = np.empty((steps + 1, model.dim), dtype=complex)
     log_weights = np.zeros(steps + 1)

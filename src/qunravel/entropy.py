@@ -17,12 +17,15 @@ to arbitrary operator-convex generators with f(1) = 0. The generators
 ``ensembles`` and are re-exported here; xlogx gives KL, and ``unr_entropy``
 sums it over the clamped basis weights in the loop of ``f_divergence``.
 
-Functions of rho and sigma themselves come from the eigendecompositions the
-validated states carry (``DensityMatrix.eig``); only each divergence's core
-matrix is decomposed here. The BS formula is written once, for one pair or a
-stack of pairs (``_bs_trace``): ``bs_entropy`` decomposes its core with
-``herm_eig``, and ``contraction_scan`` the cores of all its points with one
-``herm_eig_stack``, each core its own member of the stack.
+Each divergence is a spectral sum on a verified spectrum
+(``SpectralDecomposition.trace_with``), Tr[A f(M)] = sum_i f(w_i) <v_i|A|v_i>,
+and no log or f matrix is built: Umegaki sums on the spectra the validated
+states carry (``DensityMatrix.eig``), BS and max-f each on its core's. The
+square roots and inverses in the cores also come from the states' spectra;
+only each divergence's core is decomposed here. The BS formula is written
+once, for one pair or a stack of pairs (``_bs_trace``): ``bs_entropy``
+decomposes its core with ``herm_eig``, and ``contraction_scan`` the cores of
+all its points with one ``herm_eig_stack``, each core its own member of the stack.
 
 Per-pair sharing. Two constructions on a pair are needed by several callers
 and are built once per pair of state objects: the common basis, from the
@@ -74,11 +77,12 @@ __all__ = [
 def umegaki(
     rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None
 ) -> float:
-    """Umegaki relative entropy Tr[rho (log rho - log sigma)] in nats."""
+    """Umegaki relative entropy Tr[rho (log rho - log sigma)] in nats, as the
+    spectral sums Tr[rho log rho] - Tr[rho log sigma] on the states' spectra."""
     tols = tols or DEFAULT_TOLS
     check_pair(rho, sigma, tols)
-    diff = rho.eig.log(tols) - sigma.eig.log(tols)
-    return float(np.real(np.trace(rho.matrix @ diff)))
+    r, eps = rho.matrix, tols.eps_faithful
+    return float(rho.eig.trace_with(r, np.log, eps) - sigma.eig.trace_with(r, np.log, eps))
 
 
 def bs_entropy(
@@ -86,8 +90,9 @@ def bs_entropy(
 ) -> float:
     """Belavkin-Staszewski relative entropy in nats.
 
-    Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))]; never below ``umegaki`` up
-    to roundoff, with equality when the states commute.
+    Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))], summed as
+    sum_i log(c_i) <v_i|rho|v_i> over the verified eigenpairs of the core;
+    never below ``umegaki`` up to roundoff, with equality when the states commute.
     """
     tols = tols or DEFAULT_TOLS
     check_pair(rho, sigma, tols)
@@ -101,11 +106,12 @@ def _bs_trace(
     tols: Tolerances,
 ) -> np.ndarray:
     """Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))] of one faithful pair (core
-    by ``herm_eig``), or of each pair of a stack (cores by ``herm_eig_stack``)."""
+    by ``herm_eig``), or of each pair of a stack (cores by ``herm_eig_stack``),
+    as the spectral sum of log on the core's spectrum."""
     sr = rho_eig.sqrt(tols)
     core = hermitize(sr @ sigma_eig.inv(tols) @ sr)
     decompose = herm_eig_stack if core.ndim == 3 else herm_eig
-    return np.trace(rho @ decompose(core, tols).log(tols), axis1=-2, axis2=-1).real
+    return decompose(core, tols).trace_with(rho, np.log, tols.eps_faithful)
 
 
 def unr_entropy(
@@ -133,7 +139,8 @@ def max_f_divergence(
 
     Requires the generator's operator-convexity flag; equals the classical
     f-divergence of the common-basis measures. The generator xlogx reproduces
-    ``bs_entropy``.
+    ``bs_entropy``. Summed as sum_i f(c_i) <v_i|sigma|v_i> on the verified
+    spectrum of the core, which every generator on the pair shares.
     """
     tols = tols or DEFAULT_TOLS
     check_pair(rho, sigma, tols)
@@ -141,8 +148,8 @@ def max_f_divergence(
         raise NotOperatorConvex(
             f"generator {gen.name!r} is not marked operator convex"
         )
-    fval = _max_f_core(rho, sigma, tols).apply(gen.f, tols.eps_faithful)
-    return float(np.real(np.trace(sigma.matrix @ fval)))
+    core = _max_f_core(rho, sigma, tols)
+    return float(core.trace_with(sigma.matrix, gen.f, tols.eps_faithful))
 
 
 @functools.lru_cache(maxsize=1)

@@ -8,9 +8,11 @@ not thousands), which keeps full dense eigensolves cheap enough to verify
 on every call.
 
 A verified ``SpectralDecomposition`` maps its own spectrum through scalar
-functions, so one decomposition serves every function of a matrix (see
-``entropy`` for what is shared). The matrix entry points (``spectral_fn``,
-``herm_sqrt``, ...) decompose afresh.
+functions, so one decomposition serves every function of a matrix. Where
+only a trace is needed, ``trace_with`` takes Re Tr[A f(M)] as the spectral
+sum sum_i f(w_i) <v_i|A|v_i> and builds no f(M); every divergence of
+``entropy`` is such a sum on a verified spectrum. The matrix entry points
+(``spectral_fn``, ``herm_sqrt``, ...) decompose afresh.
 
 ``herm_eig`` runs its checks in two groups: before ``eigh`` (square with
 d >= 1, finite, Hermiticity defect, finite norm) and after it (round trip,
@@ -81,24 +83,37 @@ class SpectralDecomposition(NamedTuple):
     eigenvalues: np.ndarray  # real, ascending
     eigenvectors: np.ndarray  # orthonormal columns, same order
 
+    def _mapped(self, f: Callable[[np.ndarray], np.ndarray], domain_min: float) -> np.ndarray:
+        """f of the spectrum, checked as ``apply`` says; the least eigenvalue is
+        the first of the ascending spectrum (of each matrix of a stack)."""
+        vals = self.eigenvalues
+        lo = vals[0] if vals.ndim == 1 else vals[:, 0].min()
+        if lo < domain_min:
+            raise DomainViolation(
+                f"eigenvalue {float(lo):.6e} lies below the domain minimum {domain_min:.6e}"
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fvals = np.asarray(f(vals), dtype=float)
+        if not np.isfinite(fvals).all():
+            raise DomainViolation("scalar function returned a non-finite value on the spectrum")
+        return fvals
+
     def apply(self, f: Callable[[np.ndarray], np.ndarray], domain_min: float) -> np.ndarray:
         """``V f(diag) V^dag``, re-Hermitized, for a vectorized real f.
 
         An eigenvalue below ``domain_min``, or a non-finite value of f on the
         spectrum, raises ``DomainViolation`` naming the offender.
         """
-        vals, vecs = self
-        below = vals < domain_min
-        if below.any():
-            worst = float(vals[below].min())
-            raise DomainViolation(
-                f"eigenvalue {worst:.6e} lies below the domain minimum {domain_min:.6e}"
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fvals = np.asarray(f(vals), dtype=float)
-        if not np.isfinite(fvals).all():
-            raise DomainViolation("scalar function returned a non-finite value on the spectrum")
+        vecs = self.eigenvectors
+        fvals = self._mapped(f, domain_min)
         return hermitize((vecs * fvals[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
+
+    def trace_with(self, a: np.ndarray, f: Callable, domain_min: float) -> np.ndarray:
+        """Re Tr[A f(M)] = sum_i f(w_i) Re <v_i|A|v_i>, without building f(M);
+        one float64, or one per matrix of a stack (with A stacked alike).
+        Checks and errors are those of ``apply``."""
+        v = self.eigenvectors
+        return (self._mapped(f, domain_min) * (v.conj() * (a @ v)).sum(-2).real).sum(-1)
 
     def sqrt(self, tols: Tolerances | None = None) -> np.ndarray:
         """Principal square root. Eigenvalues may sit a rounding error below zero

@@ -196,11 +196,11 @@ def fs_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def canonical_rows(amps: np.ndarray) -> np.ndarray:
-    """Rotate the global phase of each unit row so its first amplitude above
-    1e-12 is real positive (a unit vector of any practical size has one)."""
-    pivot_at = np.argmax(np.abs(amps) > PHASE_CUTOFF, axis=-1)[..., None]
-    pivot = np.take_along_axis(amps, pivot_at, axis=-1)
-    return amps * (pivot.conj() / np.abs(pivot))
+    """Rotate the global phase of each unit row (or of one vector) so its first
+    amplitude above 1e-12 is real positive (a unit vector of any practical size has one)."""
+    at = np.argmax(np.abs(amps) > PHASE_CUTOFF, axis=-1)
+    pivot = amps[at] if amps.ndim == 1 else amps[np.arange(len(amps)), at]
+    return amps * (pivot.conj() / np.abs(pivot))[..., None]
 
 
 def fubini_study(psi: PureState, phi: PureState) -> float:

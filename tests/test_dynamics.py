@@ -678,3 +678,22 @@ def test_the_noise_budget_counts_every_path_of_every_atom():
     mu0 = DiscreteEnsemble((KET1, haar_pure(2, RngStream(98))), np.array([0.5, 0.5]))
     with pytest.raises(BudgetExceeded, match=f"over {2 * paths} paths"):
         evolve_ensemble(DAMPING, mu0, 1.0, 1e-3, paths, NoDraws())
+
+
+def test_the_budget_counts_the_path_sse_trajectory_stores():
+    # 1e7 steps draw 1e7 increments, within the budget, but the stored path
+    # adds 6 float64 words (two complex amplitudes, time, log weight) per time
+    assert dynamics._n_steps(10.0, 1e-6, 1, 1) == 10_000_000
+    stored = re.escape(
+        "t_final=10.0, dt=1e-06 takes 10000000 steps: 10000000 noise draws "
+        "over 1 paths and 60000006 stored path words exceed the budget of 50000000"
+    )
+    with pytest.raises(BudgetExceeded, match=stored):
+        sse_trajectory(DAMPING, KET1, 10.0, 1e-6, NoDraws())
+
+
+def test_the_stored_path_budget_edge():
+    # steps + 6 (steps + 1) words: 49999998 fit, one step more is 50000005
+    assert dynamics._n_steps(7_142_856.0, 1.0, 1, 1, kept=6) == 7_142_856
+    with pytest.raises(BudgetExceeded, match="and 42857148 stored path words"):
+        dynamics._n_steps(7_142_857.0, 1.0, 1, 1, kept=6)

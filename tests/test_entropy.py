@@ -21,7 +21,6 @@ from qunravel import (
     common_basis,
     f_divergence,
     herm_inv,
-    herm_log,
     herm_sqrt,
     hermitize,
     kl_divergence,
@@ -255,13 +254,17 @@ def seeded_pairs(dims=(2, 3, 4, 8, 32), per_dim=4, seed=67):
 
 
 def test_divergences_equal_their_formulas_from_fresh_decompositions():
-    # the states' stored spectra must give what decomposing from scratch gives
+    # the states' stored spectra must give what decomposing from scratch gives,
+    # through the same spectral sums (their matrix formulas: test_matcore.py)
+    eps = DEFAULT_TOLS.eps_faithful
     for rho, sigma in seeded_pairs():
         r, s = rho.matrix, sigma.matrix
-        assert umegaki(rho, sigma) == float(np.real(np.trace(r @ (herm_log(r) - herm_log(s)))))
+        log_r = matcore.herm_eig(r).trace_with(r, np.log, eps)
+        log_s = matcore.herm_eig(s).trace_with(r, np.log, eps)
+        assert umegaki(rho, sigma) == float(log_r - log_s)
         sr = herm_sqrt(r)
         core = hermitize(sr @ herm_inv(s) @ sr)
-        assert bs_entropy(rho, sigma) == float(np.real(np.trace(r @ herm_log(core))))
+        assert bs_entropy(rho, sigma) == float(matcore.herm_eig(core).trace_with(r, np.log, eps))
 
 
 def count_herm_eig(monkeypatch):
@@ -397,18 +400,17 @@ def test_threads_on_different_pairs_get_their_own_results():
 
 def test_shared_results_equal_fresh_ones_bit_for_bit():
     # every call on fresh copies of the states misses both memos; the max-f
-    # values also equal the generator applied to a fresh decomposition
+    # values also equal the generator's spectral sum on a fresh decomposition
     for rho, sigma in seeded_pairs(per_dim=2):
         fresh = lambda: (validate_density(rho.matrix), validate_density(sigma.matrix))
         shared = benchmark_pair_op(rho.matrix, sigma.matrix)
         expected = [umegaki(*fresh()), bs_entropy(*fresh()), unr_entropy(*fresh())]
         mu, nu = cb_measures(common_basis(*fresh()))
         inv_sqrt_s = sigma.eig.inv_sqrt()
-        core = hermitize(inv_sqrt_s @ rho.matrix @ inv_sqrt_s)
+        core = matcore.herm_eig(hermitize(inv_sqrt_s @ rho.matrix @ inv_sqrt_s))
         for gen in GENERATORS.values():
             maxf = max_f_divergence(*fresh(), gen)
-            fval = matcore.spectral_fn(core, gen.f, DEFAULT_TOLS.eps_faithful)
-            assert maxf == float(np.real(np.trace(sigma.matrix @ fval)))
+            assert maxf == float(core.trace_with(sigma.matrix, gen.f, DEFAULT_TOLS.eps_faithful))
             expected += [maxf, f_divergence(mu, nu, gen)]
         assert shared == expected
 

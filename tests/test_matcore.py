@@ -6,6 +6,7 @@ import pytest
 
 from qunravel import (
     DEFAULT_TOLS,
+    GENERATORS,
     LindbladModel,
     herm_eig,
     herm_eig_stack,
@@ -368,3 +369,66 @@ def test_herm_eig_stack_names_a_round_trip_failure_before_a_later_non_finite_mat
     perturb_member(monkeypatch, 0, lambda vals, vecs: (vals * (1.0 + 1e-6), vecs))
     with pytest.raises(BackendFailure, match="^matrix 0 of 2: eigendecomposition round trip off by"):
         herm_eig_stack(mats)
+
+
+def spectral_sum_cases(dim, rng):
+    """(M, A) pairs as the divergences meet them: a state's spectrum against
+    another state, and the max-f core sigma^-1/2 rho sigma^-1/2 against sigma."""
+    rho, sigma = (validate_density(m / np.trace(m).real) for m in random_spd_stack(2, dim, rng))
+    inv_sqrt_s = sigma.eig.inv_sqrt()
+    core = hermitize(inv_sqrt_s @ rho.matrix @ inv_sqrt_s)
+    return [(sigma.matrix, rho.matrix), (core, sigma.matrix)]
+
+
+SCALAR_FUNCTIONS = {"log": np.log, **{name: g.f for name, g in GENERATORS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_FUNCTIONS))
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 32])
+def test_trace_with_is_the_trace_of_the_matrix_function(dim, name):
+    f = SCALAR_FUNCTIONS[name]
+    eps = DEFAULT_TOLS.eps_faithful
+    for m, a in spectral_sum_cases(dim, np.random.default_rng(100 + dim)):
+        decomposition = herm_eig(m)
+        expected = float(np.trace(a @ decomposition.apply(f, eps)).real)
+        got = decomposition.trace_with(a, f, eps)
+        assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("dim", [2, 8, 32])
+def test_stacked_trace_with_equals_its_members_bit_for_bit(dim):
+    rng = np.random.default_rng(200 + dim)
+    mats = random_spd_stack(6, dim, rng)
+    others = np.stack([random_hermitian(dim, rng) for _ in mats])
+    got = herm_eig_stack(mats).trace_with(others, np.log, DEFAULT_TOLS.eps_faithful)
+    assert got.shape == (6,)
+    for m, a, value in zip(mats, others, got):
+        assert value == herm_eig(m).trace_with(a, np.log, DEFAULT_TOLS.eps_faithful)
+
+
+def domain_errors(decomposition, a, f, domain_min):
+    """The messages ``apply`` and ``trace_with`` raise on the same input."""
+    messages = []
+    for call in (lambda: decomposition.apply(f, domain_min),
+                 lambda: decomposition.trace_with(a, f, domain_min)):
+        with pytest.raises(DomainViolation) as info:
+            call()
+        messages.append(str(info.value))
+    return messages
+
+
+def test_apply_and_trace_with_raise_the_same_domain_violation():
+    below = herm_eig(np.diag([-0.5, 0.25, 1.0]))
+    a = np.eye(3)
+    one, two = domain_errors(below, a, np.log, DEFAULT_TOLS.eps_faithful)
+    assert one == two == "eigenvalue -5.000000e-01 lies below the domain minimum 1.000000e-12"
+    pole = herm_eig(np.diag([1.0, 2.0, 3.0]))
+    one, two = domain_errors(pole, a, lambda x: 1.0 / (x - 2.0), 0.0)
+    assert one == two == "scalar function returned a non-finite value on the spectrum"
+
+
+def test_a_stack_reports_its_least_eigenvalue_below_the_domain():
+    diagonals = ([0.5, 1.0], [-2.0, 1.0], [-0.5, 3.0])
+    stack = herm_eig_stack(np.stack([np.diag(v) for v in diagonals]))
+    one, two = domain_errors(stack, np.stack([np.eye(2)] * 3), np.log, 0.0)
+    assert one == two == "eigenvalue -2.000000e+00 lies below the domain minimum 0.000000e+00"
