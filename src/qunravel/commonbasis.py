@@ -19,11 +19,13 @@ than the similar non-Hermitian rho^{-1} sigma keeps the eigenproblem
 well-behaved and makes the rho-orthogonality <u_i|rho|u_j> = delta_ij
 automatic, degenerate eigenvalues included.
 
-The basis is kept as one d x d matrix ``psis`` whose columns are the psi_i,
-next to the dual matrix and the two weight vectors; ``basis`` rebuilds the
-``PureState`` objects for API callers only.
-
-One pair of state objects has one basis, built once (see ``entropy``).
+No rho^{-1/2} is formed: in rho's eigenbasis A = C^dag C, with
+C = W_sigma^{1/2} V_sigma^dag V_rho W_rho^{-1/2} from the states' verified
+spectra, and the quadratic forms are squared column norms of y, C y and
+W_rho^{1/2} y. The basis is kept as one d x d matrix ``psis`` whose columns
+are the psi_i, next to the dual matrix and the two weight vectors; ``basis``
+rebuilds the ``PureState`` objects for API callers. One pair of state
+objects has one basis, built once (see ``entropy``).
 
 When the spectrum of A is simple the basis is unique up to permutation and
 phase, which ``basis_match`` recovers; with degeneracies the construction is
@@ -40,7 +42,7 @@ import numpy as np
 
 from .ensembles import DiscreteEnsemble, _greedy_plan
 from .errors import BackendFailure, DimMismatch
-from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, hermitize
+from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, hermitize, populations
 from .states import DensityMatrix, PureState, canonical_rows, check_pair, fs_angles
 
 __all__ = [
@@ -100,25 +102,21 @@ def common_basis(
 @functools.lru_cache(maxsize=1)
 def _common_basis(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances) -> CommonBasis:
     check_pair(rho, sigma, tols)
-    r = rho.matrix
-    s = sigma.matrix
+    (w, v), c = rho.eig, sigma.eig.overlap(rho.eig, -0.5)
+    kappa, y = herm_eig(hermitize(c.conj().T @ c), tols)  # A in rho's eigenbasis
 
-    inv_sqrt_r = rho.eig.inv_sqrt()
-    a = hermitize(inv_sqrt_r @ s @ inv_sqrt_r)
-    kappa, y = herm_eig(a, tols)
-
-    u = inv_sqrt_r @ y  # columns u_i, rho-orthonormal by construction
-    ru = r @ u
-    su = s @ u
-    norms2 = np.einsum("ij,ij->j", ru.conj(), ru).real
-    uru = np.einsum("ij,ij->j", u.conj(), ru).real
-    usu = np.einsum("ij,ij->j", u.conj(), su).real
+    # there u_i = W^{-1/2} y_i, rho-orthonormal by construction, and rho u_i = W^{1/2} y_i
+    cy = c @ y
+    norms2 = populations(w, y)
+    uru = np.einsum("ij,ij->j", y.conj(), y).real
+    usu = np.einsum("ij,ij->j", cy.conj(), cy).real
 
     norms = np.sqrt(norms2)
-    psis = ru / norms
+    sw = np.sqrt(w)[:, None]
+    psis = v @ (sw * y) / norms
     rho_coeffs = norms2 / uru
     sigma_coeffs = rho_coeffs * usu / uru
-    dual = u * (norms / uru)
+    dual = v @ (y / sw) * (norms / uru)
 
     cb = CommonBasis(
         psis=psis,

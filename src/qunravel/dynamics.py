@@ -32,11 +32,11 @@ A contraction scan builds the generator once and steps both states together
 in the real frame, one exponential per distinct gap, propagating every point
 before checking any. It then checks all 2P states of its P points with one
 stacked eigensolve (``faithful_stack``) and takes the BS values from a second
-one over the P cores sqrt(rho) sigma^{-1} sqrt(rho), each core its own member of
-the stack. When any stacked check fails, the scan reruns the per-point chain
-of ``lindblad_evolve``'s checks, ``require_faithful`` and ``bs_entropy``,
-point by point in time order; that chain alone raises, so the error names
-the earliest failing time exactly as a point-by-point scan would.
+one over the P BS cores, built in eigen-coordinates (see ``entropy``), each
+its own member of the stack. When any stacked check fails, the scan reruns
+the per-point chain of ``lindblad_evolve``'s checks, ``require_faithful`` and
+``bs_entropy``, point by point in time order; that chain alone raises, so
+the error names the earliest failing time as a point-by-point scan would.
 
 The stochastic counterpart is a diffusive (Brownian-noise) pure-state
 equation, integrated by Euler-Maruyama:
@@ -441,18 +441,19 @@ def evolve_ensemble(
     if t == 0.0:
         return mu0
     steps = _n_steps(t, dt, len(mu0) * n_per_atom, len(model.jumps))
-    shape = (steps, len(model.jumps))
+    noise = np.empty((n_per_atom, steps, len(model.jumps)))  # one atom's, refilled
 
     finals, logws = [], []
     for a, row in enumerate(mu0.amps):
-        streams = range(a * n_per_atom, (a + 1) * n_per_atom)
-        noise = np.stack([rng.split(g).gen.standard_normal(shape) for g in streams])
+        for i in range(n_per_atom):
+            rng.split(a * n_per_atom + i).gen.standard_normal(out=noise[i])
         noise *= math.sqrt(dt)
         block = np.broadcast_to(row, (n_per_atom, model.dim))
         for last, logw in _sse_steps(model, block, noise, dt):
             pass  # only the final step is kept
         finals.append(last)
         logws.append(logw)
+    del noise  # the merge's screen never sits on top of the noise
 
     logw = np.concatenate(logws)
     # common shift keeps exp() tame; it cancels in the final normalization
@@ -529,7 +530,7 @@ def _stacked_bs_values(blocks: np.ndarray, n: int, tols: Tolerances) -> list[flo
 
     The first eigensolve verifies all 2P states (trace drift, then those of
     ``validate_density`` and ``require_faithful``), the second the P cores
-    sqrt(rho) sigma^{-1} sqrt(rho), each core still decomposed on its own."""
+    B^dag B of ``_bs_trace``, each core still decomposed on its own."""
     p = blocks.shape[0]
     # (P, n^2, 2) -> the P rho, then the P sigma; undoing _vec is the transposed C reshape
     raw = blocks.transpose(2, 0, 1).reshape(2 * p, n, n).swapaxes(-1, -2)
@@ -541,11 +542,11 @@ def _stacked_bs_values(blocks: np.ndarray, n: int, tols: Tolerances) -> list[flo
     checked = faithful_stack(raw / tr[:, None, None], tols)
     if checked is None:
         return None
-    m, (vals, vecs) = checked
+    vals, vecs = checked[1]
     rho_eig = SpectralDecomposition(vals[:p], vecs[:p])
     sigma_eig = SpectralDecomposition(vals[p:], vecs[p:])
     try:
-        return _bs_trace(m[:p], rho_eig, sigma_eig, tols).tolist()
+        return _bs_trace(rho_eig, sigma_eig, tols).tolist()
     except QunravelError:
         return None
 

@@ -115,11 +115,11 @@ def _near_pairs(
     """Pairs (i, j) of a row i of ``a`` and a row j of ``b`` within
     Fubini-Study distance ``TOL_MATCH``, ordered by i then j, each with its
     distance; without ``b``, the pairs i < j of rows of ``a``."""
-    # two-stage: a cheap overlap screen in blocks of rows of a (against the
-    # upper triangle when a meets itself), then the accurate angle only for
-    # suspicious pairs
-    block = 512
+    # two-stage: a cheap overlap screen in blocks of at most 512 rows of a and
+    # 2^19 overlaps, 8 MB (against the upper triangle when a meets itself), then
+    # the accurate angle only for suspicious pairs
     other = a if b is None else b
+    block = max(1, min(512, (1 << 19) // len(other)))
     for start in range(0, a.shape[0], block):
         cols_from = start if b is None else 0
         ov = np.abs(a[start : start + block].conj() @ other[cols_from:].T)

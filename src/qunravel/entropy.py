@@ -17,30 +17,28 @@ to arbitrary operator-convex generators with f(1) = 0. The generators
 ``ensembles`` and are re-exported here; xlogx gives KL, and ``unr_entropy``
 sums it over the clamped basis weights in the loop of ``f_divergence``.
 
-Each divergence is a spectral sum on a verified spectrum
-(``SpectralDecomposition.trace_with``), Tr[A f(M)] = sum_i f(w_i) <v_i|A|v_i>,
-and no log or f matrix is built: Umegaki sums on the spectra the validated
-states carry (``DensityMatrix.eig``), BS and max-f each on its core's. The
-square roots and inverses in the cores also come from the states' spectra;
-only each divergence's core is decomposed here. The BS formula is written
-once, for one pair or a stack of pairs (``_bs_trace``): ``bs_entropy``
-decomposes its core with ``herm_eig``, and ``contraction_scan`` the cores of
-all its points with one ``herm_eig_stack``, each core its own member of the stack.
+Every core is built in the eigen-coordinates of the states' verified spectra
+(``DensityMatrix.eig``) from their overlap M = V_sigma^dag V_rho, and no matrix
+function is formed (``SpectralDecomposition.overlap``). With
+B = W_sigma^{-1/2} M W_rho^{1/2}, the BS core sqrt(rho) sigma^{-1} sqrt(rho) is
+B^dag B in rho's eigenbasis and the max-f core sigma^{-1/2} rho sigma^{-1/2} is
+B B^dag in sigma's. Each is hermitized and decomposed by its own ``herm_eig``;
+Tr[A f(core)], A diagonal there, is sum_i f(c_i) (w_A @ |U|^2)_i
+(``populations``). Umegaki needs no core. ``_bs_trace`` serves one pair and
+the stack of ``contraction_scan`` alike.
 
-Per-pair sharing. Two constructions on a pair are needed by several callers
-and are built once per pair of state objects: the common basis, from the
-eigensolve of rho^{-1/2} sigma rho^{-1/2} (``unr_entropy``, then
-``common_basis`` in ``qunravel entropy``), and the verified spectrum of the
-max-f core sigma^{-1/2} rho sigma^{-1/2}, which every generator of
-``max_f_divergence`` reads. Each is a ``functools.lru_cache(maxsize=1)``
-function of ``(rho, sigma, tols)``. A ``DensityMatrix`` compares and hashes
-by identity, so a hit needs the very same two state objects and equal
-``Tolerances``; the one entry holds the latest pair only, failures are not
-kept, and the arrays of states and bases are read-only, so a kept result
-stays true to its inputs. The two caches are separate, and the BS core
-sqrt(rho) sigma^{-1} sqrt(rho) is decomposed afresh on every call, so BS
-against ``unr_entropy`` (acceptance criterion 01) and the maximal against
-the basis f-divergence (criterion 11) still compare independent eigensolves.
+Per-pair sharing. The common basis (``unr_entropy``, then ``common_basis``
+in ``qunravel entropy``) and the max-f core with its weights, which every
+generator reads, are each built once per pair of state objects by a
+``functools.lru_cache(maxsize=1)`` function of ``(rho, sigma, tols)``. A
+``DensityMatrix`` hashes by identity, so a hit needs the very same two state
+objects and equal ``Tolerances``; the one entry holds the latest pair only,
+failures are not kept, and the arrays of states and bases are read-only. The
+BS core is decomposed afresh on every call and the basis decomposes its own
+C^dag C (``commonbasis``), so criteria 01 (BS against ``unr_entropy``) and 11
+(max-f against the basis f-divergence) still compare independent
+eigensolves. BS and max-f are two Gram products of one B, so
+``test_max_f_xlogx_reproduces_bs`` is a structural check of the two.
 """
 from __future__ import annotations
 
@@ -57,7 +55,8 @@ from .errors import (
     NotTracePreserving,
 )
 from .matcore import (
-    DEFAULT_TOLS, SpectralDecomposition, Tolerances, herm_eig, herm_eig_stack, hermitize
+    DEFAULT_TOLS, SpectralDecomposition, Tolerances, herm_eig, herm_eig_stack, hermitize,
+    populations,
 )
 from .states import DensityMatrix, RngStream, check_pair, validate_density
 
@@ -78,11 +77,11 @@ def umegaki(
     rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None
 ) -> float:
     """Umegaki relative entropy Tr[rho (log rho - log sigma)] in nats, as the
-    spectral sums Tr[rho log rho] - Tr[rho log sigma] on the states' spectra."""
+    sums sum_i w_i log w_i - sum_j log(s_j) <s_j|rho|s_j> on the states' spectra."""
     tols = tols or DEFAULT_TOLS
     check_pair(rho, sigma, tols)
-    r, eps = rho.matrix, tols.eps_faithful
-    return float(rho.eig.trace_with(r, np.log, eps) - sigma.eig.trace_with(r, np.log, eps))
+    (wr, vr), (ws, vs) = rho.eig, sigma.eig
+    return float(wr @ np.log(wr) - np.log(ws) @ populations(wr, vr.conj().T @ vs))
 
 
 def bs_entropy(
@@ -91,27 +90,25 @@ def bs_entropy(
     """Belavkin-Staszewski relative entropy in nats.
 
     Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))], summed as
-    sum_i log(c_i) <v_i|rho|v_i> over the verified eigenpairs of the core;
+    sum_i log(c_i) <u_i|rho|u_i> over the verified eigenpairs of the core;
     never below ``umegaki`` up to roundoff, with equality when the states commute.
     """
     tols = tols or DEFAULT_TOLS
     check_pair(rho, sigma, tols)
-    return float(_bs_trace(rho.matrix, rho.eig, sigma.eig, tols))
+    return float(_bs_trace(rho.eig, sigma.eig, tols))
 
 
 def _bs_trace(
-    rho: np.ndarray,
-    rho_eig: SpectralDecomposition,
-    sigma_eig: SpectralDecomposition,
-    tols: Tolerances,
+    rho_eig: SpectralDecomposition, sigma_eig: SpectralDecomposition, tols: Tolerances
 ) -> np.ndarray:
-    """Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))] of one faithful pair (core
-    by ``herm_eig``), or of each pair of a stack (cores by ``herm_eig_stack``),
-    as the spectral sum of log on the core's spectrum."""
-    sr = rho_eig.sqrt(tols)
-    core = hermitize(sr @ sigma_eig.inv(tols) @ sr)
-    decompose = herm_eig_stack if core.ndim == 3 else herm_eig
-    return decompose(core, tols).trace_with(rho, np.log, tols.eps_faithful)
+    """Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))] of one faithful pair, or of each
+    pair of a stack (cores by ``herm_eig_stack``): in rho's eigenbasis, where rho
+    is diagonal, the core is B^dag B, B = W_sigma^{-1/2} M W_rho^{1/2}."""
+    b = sigma_eig.overlap(rho_eig, 0.5)
+    decompose = herm_eig_stack if b.ndim == 3 else herm_eig
+    core = decompose(hermitize(b.conj().swapaxes(-1, -2) @ b), tols)
+    weights = populations(rho_eig.eigenvalues, core.eigenvectors)
+    return (core.mapped(np.log, tols.eps_faithful) * weights).sum(-1)
 
 
 def unr_entropy(
@@ -148,16 +145,18 @@ def max_f_divergence(
         raise NotOperatorConvex(
             f"generator {gen.name!r} is not marked operator convex"
         )
-    core = _max_f_core(rho, sigma, tols)
-    return float(core.trace_with(sigma.matrix, gen.f, tols.eps_faithful))
+    core, weights = _max_f_core(rho, sigma, tols)
+    return float(core.mapped(gen.f, tols.eps_faithful) @ weights)
 
 
 @functools.lru_cache(maxsize=1)
 def _max_f_core(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances):
-    """Verified spectrum of sigma^{-1/2} rho sigma^{-1/2}; every generator on
-    the pair is a function of it."""
-    inv_sqrt_s = sigma.eig.inv_sqrt()
-    return herm_eig(hermitize(inv_sqrt_s @ rho.matrix @ inv_sqrt_s), tols)
+    """Verified spectrum of sigma^{-1/2} rho sigma^{-1/2} in sigma's eigenbasis,
+    B B^dag with B as in ``_bs_trace``, and the weights of Tr[sigma f(core)]
+    on it; every generator on the pair is a function of the two."""
+    b = sigma.eig.overlap(rho.eig, 0.5)
+    core = herm_eig(hermitize(b @ b.conj().T), tols)
+    return core, populations(sigma.eig.eigenvalues, core.eigenvectors)
 
 
 @dataclass(frozen=True)

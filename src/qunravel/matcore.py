@@ -8,11 +8,11 @@ not thousands), which keeps full dense eigensolves cheap enough to verify
 on every call.
 
 A verified ``SpectralDecomposition`` maps its own spectrum through scalar
-functions, so one decomposition serves every function of a matrix. Where
-only a trace is needed, ``trace_with`` takes Re Tr[A f(M)] as the spectral
-sum sum_i f(w_i) <v_i|A|v_i> and builds no f(M); every divergence of
-``entropy`` is such a sum on a verified spectrum. The matrix entry points
-(``spectral_fn``, ``herm_sqrt``, ...) decompose afresh.
+functions (``mapped``), so one decomposition serves every function of a
+matrix, and ``overlap`` relates the eigenbases of two. A trace Re Tr[A f(M)]
+is the sum sum_i f(w_i) <v_i|A|v_i> (``trace_with``), whose weights are
+``populations`` when A is diagonal; no f(M) is built. The matrix entry
+points (``spectral_fn``, ``herm_sqrt``, ...) decompose afresh.
 
 ``herm_eig`` runs its checks in two groups: before ``eigh`` (square with
 d >= 1, finite, Hermiticity defect, finite norm) and after it (round trip,
@@ -83,7 +83,7 @@ class SpectralDecomposition(NamedTuple):
     eigenvalues: np.ndarray  # real, ascending
     eigenvectors: np.ndarray  # orthonormal columns, same order
 
-    def _mapped(self, f: Callable[[np.ndarray], np.ndarray], domain_min: float) -> np.ndarray:
+    def mapped(self, f: Callable[[np.ndarray], np.ndarray], domain_min: float) -> np.ndarray:
         """f of the spectrum, checked as ``apply`` says; the least eigenvalue is
         the first of the ascending spectrum (of each matrix of a stack)."""
         vals = self.eigenvalues
@@ -105,7 +105,7 @@ class SpectralDecomposition(NamedTuple):
         spectrum, raises ``DomainViolation`` naming the offender.
         """
         vecs = self.eigenvectors
-        fvals = self._mapped(f, domain_min)
+        fvals = self.mapped(f, domain_min)
         return hermitize((vecs * fvals[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
 
     def trace_with(self, a: np.ndarray, f: Callable, domain_min: float) -> np.ndarray:
@@ -113,7 +113,13 @@ class SpectralDecomposition(NamedTuple):
         one float64, or one per matrix of a stack (with A stacked alike).
         Checks and errors are those of ``apply``."""
         v = self.eigenvectors
-        return (self._mapped(f, domain_min) * (v.conj() * (a @ v)).sum(-2).real).sum(-1)
+        return (self.mapped(f, domain_min) * (v.conj() * (a @ v)).sum(-2).real).sum(-1)
+
+    def overlap(self, other: "SpectralDecomposition", p: float) -> np.ndarray:
+        """W^{-p} V^dag V_other W_other^{p}, W the diagonals of two positive
+        spectra: the overlap of the two eigenbases, with rows and columns scaled."""
+        (w, v), (wo, vo) = self, other
+        return (v.conj().swapaxes(-1, -2) @ vo) * (wo[..., None, :] / w[..., :, None]) ** p
 
     def sqrt(self, tols: Tolerances | None = None) -> np.ndarray:
         """Principal square root. Eigenvalues may sit a rounding error below zero
@@ -134,6 +140,11 @@ class SpectralDecomposition(NamedTuple):
         """``V diag(w)^{-1/2} V^dag`` of a positive spectrum, not re-Hermitized."""
         vals, vecs = self
         return (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def populations(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k p_k |U_ki|^2 for each column i: the diagonal of U^dag diag(p) U."""
+    return (p[..., None, :] @ np.abs(u) ** 2)[..., 0, :]
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ explicit, splittable random stream so that Monte Carlo runs are reproducible
 and parallelizable without shared state.
 
 Validation decomposes the matrix once through ``herm_eig``, and the state
-carries that verified eigendecomposition (``DensityMatrix.eig``); every
-function of a validated state downstream (log, square root, inverse,
-inverse square root) is built from it rather than from a fresh eigensolve.
+carries that verified eigendecomposition (``DensityMatrix.eig``); the
+divergences and the common basis work in its eigen-coordinates, and every
+function of the state (log, square root, inverse) is built from it.
 ``faithful_stack`` runs the checks of ``validate_density`` and
 ``require_faithful`` over a stack of matrices with one stacked eigensolve.
 Results kept per pair of states are described in ``entropy``.

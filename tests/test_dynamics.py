@@ -697,3 +697,19 @@ def test_the_stored_path_budget_edge():
     assert dynamics._n_steps(7_142_856.0, 1.0, 1, 1, kept=6) == 7_142_856
     with pytest.raises(BudgetExceeded, match="and 42857148 stored path words"):
         dynamics._n_steps(7_142_857.0, 1.0, 1, 1, kept=6)
+
+
+def test_unraveling_holds_its_noise_block_once():
+    import tracemalloc
+
+    # one atom, 2000 paths of 1000 steps with one jump: a 16 MB noise block,
+    # filled in place and freed before the final states are merged
+    mu = DiscreteEnsemble([haar_pure(2, RngStream(94))], [1.0])
+    block = 2000 * 1000 * 8
+    tracemalloc.start()
+    try:
+        evolve_ensemble(DAMPING, mu, 1.0, 1e-3, 2000, RngStream(95))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * block

@@ -6,12 +6,13 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qunravel.matcore as matcore
 from qunravel.matcore import DEFAULT_TOLS, Tolerances
 from qunravel import (
     GENERATORS,
+    DiscreteEnsemble,
     DivergenceGenerator,
     KrausMap,
     RngStream,
@@ -20,13 +21,17 @@ from qunravel import (
     cb_measures,
     common_basis,
     f_divergence,
+    haar_pure,
     herm_inv,
+    herm_log,
     herm_sqrt,
     hermitize,
     kl_divergence,
     max_f_divergence,
     random_cptp,
+    realize,
     sample_faithful,
+    spectral_fn,
     umegaki,
     unr_entropy,
     validate_density,
@@ -253,18 +258,49 @@ def seeded_pairs(dims=(2, 3, 4, 8, 32), per_dim=4, seed=67):
             yield sample_faithful(dim, rng), sample_faithful(dim, rng)
 
 
+def eigen_coordinate_formulas(r, s):
+    """Umegaki, BS, and the max-f core with its weights, written out in the
+    eigen-coordinates of fresh decompositions of r and s: M = V_s^dag V_r,
+    B = W_s^-1/2 M W_r^1/2, the BS core B^dag B and the max-f core B B^dag."""
+    (wr, vr), (ws, vs) = matcore.herm_eig(r), matcore.herm_eig(s)
+    weigh = lambda p, u: (p[None, :] @ np.abs(u) ** 2)[0]
+    d_u = wr @ np.log(wr) - np.log(ws) @ weigh(wr, vr.conj().T @ vs)
+    b = (vs.conj().T @ vr) * (wr[None, :] / ws[:, None]) ** 0.5
+    bs_vals, bs_vecs = matcore.herm_eig(hermitize(b.conj().T @ b))
+    d_bs = (np.log(bs_vals) * weigh(wr, bs_vecs)).sum()
+    maxf_vals, maxf_vecs = matcore.herm_eig(hermitize(b @ b.conj().T))
+    return float(d_u), float(d_bs), maxf_vals, weigh(ws, maxf_vecs)
+
+
 def test_divergences_equal_their_formulas_from_fresh_decompositions():
     # the states' stored spectra must give what decomposing from scratch gives,
-    # through the same spectral sums (their matrix formulas: test_matcore.py)
-    eps = DEFAULT_TOLS.eps_faithful
+    # through the same eigen-coordinate formulas (the matrix formulas: the
+    # tolerance test below)
+    for rho, sigma in seeded_pairs():
+        d_u, d_bs, _, _ = eigen_coordinate_formulas(rho.matrix, sigma.matrix)
+        assert umegaki(rho, sigma) == d_u
+        assert bs_entropy(rho, sigma) == d_bs
+
+
+def test_divergences_equal_their_matrix_formulas():
+    # Tr[rho (log rho - log sigma)], Tr[rho log(sqrt(rho) sigma^-1 sqrt(rho))] and
+    # Tr[sigma f(sigma^-1/2 rho sigma^-1/2)], each built from matrix functions
     for rho, sigma in seeded_pairs():
         r, s = rho.matrix, sigma.matrix
-        log_r = matcore.herm_eig(r).trace_with(r, np.log, eps)
-        log_s = matcore.herm_eig(s).trace_with(r, np.log, eps)
-        assert umegaki(rho, sigma) == float(log_r - log_s)
+        expected = [np.trace(r @ (herm_log(r) - herm_log(s))).real]
         sr = herm_sqrt(r)
-        core = hermitize(sr @ herm_inv(s) @ sr)
-        assert bs_entropy(rho, sigma) == float(matcore.herm_eig(core).trace_with(r, np.log, eps))
+        expected.append(np.trace(r @ herm_log(hermitize(sr @ herm_inv(s) @ sr))).real)
+        isr = herm_inv(herm_sqrt(s))
+        core = hermitize(isr @ r @ isr)
+        got = [umegaki(rho, sigma), bs_entropy(rho, sigma)]
+        for gen in GENERATORS.values():
+            expected.append(np.trace(s @ spectral_fn(core, gen.f, 0.0)).real)
+            got.append(max_f_divergence(rho, sigma, gen))
+        for value, formula in zip(got, expected):
+            assert abs(value - formula) <= 1e-12 * max(1.0, abs(formula))
+        kappa = common_basis(rho, sigma).eigenvalues
+        ir = herm_inv(sr)
+        assert np.abs(kappa - np.linalg.eigvalsh(hermitize(ir @ s @ ir))).max() <= 1e-12 * kappa[-1]
 
 
 def count_herm_eig(monkeypatch):
@@ -406,11 +442,10 @@ def test_shared_results_equal_fresh_ones_bit_for_bit():
         shared = benchmark_pair_op(rho.matrix, sigma.matrix)
         expected = [umegaki(*fresh()), bs_entropy(*fresh()), unr_entropy(*fresh())]
         mu, nu = cb_measures(common_basis(*fresh()))
-        inv_sqrt_s = sigma.eig.inv_sqrt()
-        core = matcore.herm_eig(hermitize(inv_sqrt_s @ rho.matrix @ inv_sqrt_s))
+        _, _, core, weights = eigen_coordinate_formulas(rho.matrix, sigma.matrix)
         for gen in GENERATORS.values():
             maxf = max_f_divergence(*fresh(), gen)
-            assert maxf == float(core.trace_with(sigma.matrix, gen.f, DEFAULT_TOLS.eps_faithful))
+            assert maxf == float(gen.f(core) @ weights)
             expected += [maxf, f_divergence(mu, nu, gen)]
         assert shared == expected
 
@@ -439,3 +474,89 @@ def test_kraus_map_rejects_an_empty_operator():
 def test_random_cptp_rejects_dimension_zero():
     with pytest.raises(DimMismatch):
         random_cptp(0, 1, 1, RngStream(41))
+
+
+def edge_state(dim, lam, rng):
+    """A state with smallest eigenvalue lam, the rest of its spectrum at least
+    lam and Dirichlet-spread, in a Haar-random eigenbasis (QR of a complex
+    Gaussian matrix, with the phases of R's diagonal taken into Q)."""
+    q, r = np.linalg.qr(rng.complex_normal((dim, dim)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    w = np.empty(dim)
+    w[0] = lam
+    w[1:] = lam + (1.0 - dim * lam) * rng.gen.dirichlet(np.ones(dim - 1))
+    return validate_density((u * w) @ u.conj().T)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-8])
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_criteria_01_and_11_hold_at_the_ill_conditioned_edge(dim, lam):
+    # both states' smallest eigenvalue at lam, far below sample_faithful's
+    # 0.02 / dim floor: the basis must build, and BS and max-f must still equal
+    # their classical counterparts on it
+    rng = RngStream(2026)
+    for _ in range(40):
+        rho, sigma = edge_state(dim, lam, rng), edge_state(dim, lam, rng)
+        mu, nu = cb_measures(common_basis(rho, sigma))
+        bs = bs_entropy(rho, sigma)
+        assert abs(bs - unr_entropy(rho, sigma)) <= 1e-8 * max(1.0, bs)
+        for gen in GENERATORS.values():
+            f = f_divergence(mu, nu, gen)
+            assert abs(max_f_divergence(rho, sigma, gen) - f) <= 1e-8 * max(1.0, abs(f))
+
+
+# f' of each generator, for the first-order error bound below
+GENERATOR_SLOPES = {
+    "xlogx": lambda x: math.log(x) + 1.0,
+    "x2mx": lambda x: 2.0 * x - 1.0,
+    "neglog": lambda x: -1.0 / x,
+}
+
+
+def spectral_sum_tol(rho, sigma, f, slope):
+    """First-order bound on the error of Tr[A f(core)], Tr A = 1, for either
+    pair core (spectrum within [lo, hi] = [min rho / max sigma, max rho / min
+    sigma]) when each of the three decompositions meets its ``herm_eig``
+    round-trip budget, tol_recon * d * max(1, ||M||_F): the core's own budget,
+    plus the states' budgets carried into the core through sigma^-1 and
+    sqrt(rho), moves its spectrum by at most delta, and the sum by delta times
+    the largest |f'| on [lo, hi] (f is convex, so that is at an end); the
+    states' budgets move the weights, which sum to Tr A, by at most
+    tol_recon * d, and the sum by that times the largest |f|."""
+    d, eta = rho.dim, DEFAULT_TOLS.tol_recon * rho.dim
+    (r_lo, r_hi), (s_lo, s_hi) = (s.eig.eigenvalues[[0, -1]] for s in (rho, sigma))
+    lo, hi = r_lo / s_hi, r_hi / s_lo
+    delta = eta * (max(1.0, math.sqrt(d) * hi) + d * hi * (s_hi / s_lo + math.sqrt(r_hi / r_lo)))
+    return delta * max(abs(slope(lo)), abs(slope(hi))) + eta * max(1.0, abs(f(lo)), abs(f(hi)))
+
+
+@st.composite
+def realizing_pairs(draw):
+    """Two Dirichlet weight vectors on one support of d to 3d - 1 Haar atoms."""
+    dim = draw(st.sampled_from([2, 3, 4, 8]))
+    k = draw(st.integers(dim, 3 * dim - 1))
+    rng = RngStream(draw(st.integers(0, 2**32 - 1)))
+    atoms = np.stack([haar_pure(dim, rng).amplitudes for _ in range(k)])
+    mu = DiscreteEnsemble(atoms, rng.gen.dirichlet(np.ones(k)))
+    nu = DiscreteEnsemble(atoms, rng.gen.dirichlet(np.ones(k)))
+    rho, sigma = realize(mu), realize(nu)
+    assume(rho.faithful and sigma.faithful)
+    return mu, nu, rho, sigma
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(pair=realizing_pairs())
+def test_property_every_realizing_pair_pays_at_least_bs(pair):
+    mu, nu, rho, sigma = pair
+    tol = spectral_sum_tol(rho, sigma, math.log, lambda x: 1.0 / x)
+    assert kl_divergence(mu, nu) >= bs_entropy(rho, sigma) - tol
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(pair=realizing_pairs())
+def test_property_every_realizing_pair_pays_at_least_max_f(pair):
+    mu, nu, rho, sigma = pair
+    assert GENERATOR_SLOPES.keys() == GENERATORS.keys()
+    for name, gen in GENERATORS.items():
+        tol = spectral_sum_tol(rho, sigma, gen.f, GENERATOR_SLOPES[name])
+        assert f_divergence(mu, nu, gen) >= max_f_divergence(rho, sigma, gen) - tol
