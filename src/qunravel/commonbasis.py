@@ -158,7 +158,7 @@ def dual_consistency(
     """
     if cb.dim != rho.dim:
         raise DimMismatch(f"dimensions differ: {cb.dim} vs {rho.dim}")
-    inv = rho.eig.inv(tols)
+    inv = rho.eig.apply(np.reciprocal, (tols or DEFAULT_TOLS).eps_faithful)
     approx = (cb.dual / cb.rho_coeffs) @ cb.dual.conj().T
     return float(np.linalg.norm(approx - inv))
 

@@ -25,8 +25,8 @@ coordinates: a real matrix exponential, at about a quarter of the flops of
 the complex one (scaling and squaring, Al-Mohy & Higham, SIAM J. Matrix
 Anal. Appl. 31, 2009). Mapping real coordinates back writes entry (j, i) as
 the exact conjugate of entry (i, j) and a real diagonal, so every propagated
-state is Hermitian bit for bit. The imaginary part of T^H L T is dropped
-only after a check (see ``_real_generator``).
+state is Hermitian bit for bit and is checked as it stands. The imaginary
+part of T^H L T is dropped only after a check (see ``_real_generator``).
 
 A contraction scan builds the generator once and steps both states together
 in the real frame, one exponential per distinct gap, propagating every point
@@ -81,7 +81,6 @@ from .matcore import (
     DEFAULT_TOLS,
     SpectralDecomposition,
     Tolerances,
-    hermitize,
     hermiticity_defect,
     is_square,
 )
@@ -213,8 +212,8 @@ def lindblad_superop(model: LindbladModel) -> np.ndarray:
 
 
 def _checked_state(v: np.ndarray, n: int, t: float, tols: Tolerances | None):
-    # drift is read off the raw propagated column, before renormalizing
-    out = hermitize(v.reshape((n, n), order="F"))
+    # v is Hermitian as _frame_vecs built it; drift is read before renormalizing
+    out = v.reshape((n, n), order="F")
     tr = float(np.real(np.trace(out)))
     if not abs(tr - 1.0) <= TRACE_DRIFT_TOL:  # a NaN trace fails here too
         raise ValidationFailure(
@@ -316,16 +315,21 @@ def _real_generator(l: np.ndarray, n: int) -> np.ndarray:
     return g
 
 
+def _check_times(t_final: float, dt: float) -> None:
+    """Finite t_final and a finite dt > 0, else ``ValueError``."""
+    if not (math.isfinite(t_final) and math.isfinite(dt)):
+        raise ValueError(f"t_final and dt must be finite, got t_final={t_final}, dt={dt}")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+
+
 def _n_steps(t_final: float, dt: float, paths: int, jumps: int, kept: int = 0) -> int:
     """round(t_final / dt) for finite t_final >= dt > 0, else ``ValueError``.
 
     ``BudgetExceeded`` is raised, before anything is drawn or allocated, when
     the increments, steps x paths x jumps, plus ``kept`` stored float64 words
     per time exceed ``MAX_NOISE_DRAWS``; a jump-free model counts as one jump."""
-    if not (math.isfinite(t_final) and math.isfinite(dt)):
-        raise ValueError(f"t_final and dt must be finite, got t_final={t_final}, dt={dt}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_times(t_final, dt)
     if t_final < dt:
         raise ValueError(f"t_final {t_final} is below one step dt={dt}")
     steps = t_final / dt
@@ -438,6 +442,7 @@ def evolve_ensemble(
     if model.dim != mu0.dim:
         raise DimMismatch(f"model dim {model.dim} vs ensemble dim {mu0.dim}")
     n_per_atom = positive_count(n_per_atom, "n_per_atom")
+    _check_times(t, dt)  # dt is checked even when t = 0 needs no step
     if t == 0.0:
         return mu0
     steps = _n_steps(t, dt, len(mu0) * n_per_atom, len(model.jumps))
@@ -532,17 +537,17 @@ def _stacked_bs_values(blocks: np.ndarray, n: int, tols: Tolerances) -> list[flo
     ``validate_density`` and ``require_faithful``), the second the P cores
     B^dag B of ``_bs_trace``, each core still decomposed on its own."""
     p = blocks.shape[0]
-    # (P, n^2, 2) -> the P rho, then the P sigma; undoing _vec is the transposed C reshape
+    # (P, n^2, 2) -> the P rho, then the P sigma, each Hermitian as _frame_vecs built
+    # it; undoing _vec is the transposed C reshape
     raw = blocks.transpose(2, 0, 1).reshape(2 * p, n, n).swapaxes(-1, -2)
     with np.errstate(all="ignore"):  # a non-finite state is the per-point chain's to report
-        raw = hermitize(raw)
         tr = np.trace(raw, axis1=1, axis2=2).real
     if not (np.abs(tr - 1.0) <= TRACE_DRIFT_TOL).all():  # a NaN trace fails here too
         return None
     checked = faithful_stack(raw / tr[:, None, None], tols)
     if checked is None:
         return None
-    vals, vecs = checked[1]
+    vals, vecs = checked
     rho_eig = SpectralDecomposition(vals[:p], vecs[:p])
     sigma_eig = SpectralDecomposition(vals[p:], vecs[p:])
     try:

@@ -9,10 +9,10 @@ on every call.
 
 A verified ``SpectralDecomposition`` maps its own spectrum through scalar
 functions (``mapped``), so one decomposition serves every function of a
-matrix, and ``overlap`` relates the eigenbases of two. A trace Re Tr[A f(M)]
-is the sum sum_i f(w_i) <v_i|A|v_i> (``trace_with``), whose weights are
-``populations`` when A is diagonal; no f(M) is built. The matrix entry
-points (``spectral_fn``, ``herm_sqrt``, ...) decompose afresh.
+matrix, and ``overlap`` relates the eigenbases of two. f(M) is formed only
+by ``apply`` on a verified spectrum or by ``spectral_fn``, which decomposes
+afresh. A trace Re Tr[A f(M)] needs no f(M): it is sum_i f(w_i) <v_i|A|v_i>,
+whose weights are ``populations`` when A is diagonal in a known basis.
 
 ``herm_eig`` runs its checks in two groups: before ``eigh`` (square with
 d >= 1, finite, Hermiticity defect, finite norm) and after it (round trip,
@@ -47,9 +47,6 @@ __all__ = [
     "herm_eig",
     "herm_eig_stack",
     "spectral_fn",
-    "herm_sqrt",
-    "herm_log",
-    "herm_inv",
 ]
 
 
@@ -108,38 +105,11 @@ class SpectralDecomposition(NamedTuple):
         fvals = self.mapped(f, domain_min)
         return hermitize((vecs * fvals[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
 
-    def trace_with(self, a: np.ndarray, f: Callable, domain_min: float) -> np.ndarray:
-        """Re Tr[A f(M)] = sum_i f(w_i) Re <v_i|A|v_i>, without building f(M);
-        one float64, or one per matrix of a stack (with A stacked alike).
-        Checks and errors are those of ``apply``."""
-        v = self.eigenvectors
-        return (self.mapped(f, domain_min) * (v.conj() * (a @ v)).sum(-2).real).sum(-1)
-
     def overlap(self, other: "SpectralDecomposition", p: float) -> np.ndarray:
         """W^{-p} V^dag V_other W_other^{p}, W the diagonals of two positive
         spectra: the overlap of the two eigenbases, with rows and columns scaled."""
         (w, v), (wo, vo) = self, other
         return (v.conj().swapaxes(-1, -2) @ vo) * (wo[..., None, :] / w[..., :, None]) ** p
-
-    def sqrt(self, tols: Tolerances | None = None) -> np.ndarray:
-        """Principal square root. Eigenvalues may sit a rounding error below zero
-        (validated states allow down to ``-eps_faithful``); they clip to zero."""
-        eps = (tols or DEFAULT_TOLS).eps_faithful
-        return self.apply(lambda x: np.sqrt(np.clip(x, 0.0, None)), -eps)
-
-    def log(self, tols: Tolerances | None = None) -> np.ndarray:
-        """Logarithm; needs every eigenvalue above ``eps_faithful``."""
-        return self.apply(np.log, (tols or DEFAULT_TOLS).eps_faithful)
-
-    def inv(self, tols: Tolerances | None = None) -> np.ndarray:
-        """Inverse; needs every eigenvalue above ``eps_faithful``. Accuracy
-        degrades with the condition number, as for any floating-point inverse."""
-        return self.apply(lambda x: 1.0 / x, (tols or DEFAULT_TOLS).eps_faithful)
-
-    def inv_sqrt(self) -> np.ndarray:
-        """``V diag(w)^{-1/2} V^dag`` of a positive spectrum, not re-Hermitized."""
-        vals, vecs = self
-        return (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def populations(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -296,19 +266,3 @@ def spectral_fn(
     """Apply a scalar function to a Hermitian matrix (within ``tol_herm``)
     through its spectrum; see ``SpectralDecomposition.apply``."""
     return herm_eig(mat, tols).apply(f, domain_min)
-
-
-def herm_sqrt(mat: np.ndarray, tols: Tolerances | None = None) -> np.ndarray:
-    """Principal square root of a PSD matrix; see ``SpectralDecomposition.sqrt``."""
-    return herm_eig(mat, tols).sqrt(tols)
-
-
-def herm_log(mat: np.ndarray, tols: Tolerances | None = None) -> np.ndarray:
-    """Matrix logarithm of a strictly positive matrix."""
-    return herm_eig(mat, tols).log(tols)
-
-
-def herm_inv(mat: np.ndarray, tols: Tolerances | None = None) -> np.ndarray:
-    """Inverse of a strictly positive matrix via its spectrum. Callers guard
-    conditioning through the faithfulness floor."""
-    return herm_eig(mat, tols).inv(tols)

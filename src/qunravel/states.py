@@ -7,10 +7,10 @@ and parallelizable without shared state.
 
 Validation decomposes the matrix once through ``herm_eig``, and the state
 carries that verified eigendecomposition (``DensityMatrix.eig``); the
-divergences and the common basis work in its eigen-coordinates, and every
-function of the state (log, square root, inverse) is built from it.
-``faithful_stack`` runs the checks of ``validate_density`` and
-``require_faithful`` over a stack of matrices with one stacked eigensolve.
+divergences and the common basis work in its eigen-coordinates, and a
+function of the state is ``state.eig.apply(f, domain_min)``. ``faithful_stack``
+runs the checks of ``validate_density`` and ``require_faithful`` over a stack
+of matrices with one stacked eigensolve and returns the verified spectra.
 Results kept per pair of states are described in ``entropy``.
 
 Inside the package, families of pure states are amplitude arrays, one ray
@@ -145,24 +145,23 @@ def require_faithful(state: DensityMatrix, name: str, tols: Tolerances | None = 
 
 def faithful_stack(
     mats: np.ndarray, tols: Tolerances | None = None
-) -> tuple[np.ndarray, SpectralDecomposition] | None:
+) -> SpectralDecomposition | None:
     """``validate_density`` and ``require_faithful`` for every matrix of an
     ``(N, d, d)`` stack, through one ``herm_eig_stack`` call.
 
-    Returns the hermitized stack and its verified spectra when every matrix
-    passes, else None: the scalar functions own the error messages, so a
-    caller that needs the error reruns them on the members in order.
+    Returns the verified spectra when every matrix passes, else None: the
+    scalar functions own the error messages, so a caller that needs the error
+    reruns them on the members in order. Hermitizing keeps the real trace.
     """
     tols = tols or DEFAULT_TOLS
     try:
         eig = herm_eig_stack(mats, tols)
     except QunravelError:
         return None
-    m = hermitize(np.asarray(mats, dtype=complex))  # the stack herm_eig_stack decomposed
-    tr = np.trace(m, axis1=1, axis2=2).real
+    tr = np.trace(mats, axis1=1, axis2=2).real
     lo = eig.eigenvalues[:, 0]
     ok = (np.abs(tr - 1.0) <= TRACE_TOL) & (lo >= PSD_FLOOR) & (lo > tols.eps_faithful)
-    return (m, eig) if ok.all() else None
+    return eig if ok.all() else None
 
 
 def check_pair(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None) -> None:

@@ -9,10 +9,10 @@ from qunravel import (
     common_basis,
     dual_consistency,
     fubini_study,
-    herm_inv,
     kl_divergence,
     realize,
     sample_faithful,
+    spectral_fn,
     trace_distance,
     validate_density,
 )
@@ -136,7 +136,7 @@ def test_dual_consistency_orthonormal_case():
     cb = common_basis(rho, sigma)
     assert dual_consistency(cb, rho) < 1e-12
     # for the commuting pair the dual equals the basis scaled by 1/weight
-    inv = herm_inv(rho.matrix)
+    inv = spectral_fn(rho.matrix, np.reciprocal, DEFAULT_TOLS.eps_faithful)
     approx = (cb.dual / cb.rho_coeffs) @ cb.dual.conj().T
     assert np.abs(approx - inv).max() < 1e-12
 

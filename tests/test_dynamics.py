@@ -292,6 +292,23 @@ def test_evolve_ensemble_time_zero_unchanged():
     assert out is mu0
 
 
+@pytest.mark.parametrize(
+    "dt, message",
+    [
+        (-1.0, "dt must be positive"),
+        (0.0, "dt must be positive"),
+        (math.nan, "t_final and dt must be finite"),
+        (math.inf, "t_final and dt must be finite"),
+    ],
+    ids=["negative", "zero", "nan", "inf"],
+)
+def test_evolve_ensemble_checks_dt_at_time_zero(dt, message):
+    # t = 0 takes no step, but a step size that every t > 0 rejects is still an error
+    mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))
+    with pytest.raises(ValueError, match=message):
+        evolve_ensemble(DAMPING, mu0, 0.0, dt, 10, RngStream(90))
+
+
 def test_evolve_ensemble_noiseless_collapses_to_one_atom():
     free = LindbladModel(np.diag([1.0, -1.0]).astype(complex))
     mu0 = DiscreteEnsemble((KET1,), np.array([1.0]))

@@ -22,9 +22,6 @@ from qunravel import (
     common_basis,
     f_divergence,
     haar_pure,
-    herm_inv,
-    herm_log,
-    herm_sqrt,
     hermitize,
     kl_divergence,
     max_f_divergence,
@@ -285,12 +282,15 @@ def test_divergences_equal_their_formulas_from_fresh_decompositions():
 def test_divergences_equal_their_matrix_formulas():
     # Tr[rho (log rho - log sigma)], Tr[rho log(sqrt(rho) sigma^-1 sqrt(rho))] and
     # Tr[sigma f(sigma^-1/2 rho sigma^-1/2)], each built from matrix functions
+    def fn(m, f):
+        return spectral_fn(m, f, DEFAULT_TOLS.eps_faithful)
+
     for rho, sigma in seeded_pairs():
         r, s = rho.matrix, sigma.matrix
-        expected = [np.trace(r @ (herm_log(r) - herm_log(s))).real]
-        sr = herm_sqrt(r)
-        expected.append(np.trace(r @ herm_log(hermitize(sr @ herm_inv(s) @ sr))).real)
-        isr = herm_inv(herm_sqrt(s))
+        expected = [np.trace(r @ (fn(r, np.log) - fn(s, np.log))).real]
+        sr = fn(r, np.sqrt)
+        expected.append(np.trace(r @ fn(hermitize(sr @ fn(s, np.reciprocal) @ sr), np.log)).real)
+        isr = fn(s, lambda x: x ** -0.5)
         core = hermitize(isr @ r @ isr)
         got = [umegaki(rho, sigma), bs_entropy(rho, sigma)]
         for gen in GENERATORS.values():
@@ -299,7 +299,7 @@ def test_divergences_equal_their_matrix_formulas():
         for value, formula in zip(got, expected):
             assert abs(value - formula) <= 1e-12 * max(1.0, abs(formula))
         kappa = common_basis(rho, sigma).eigenvalues
-        ir = herm_inv(sr)
+        ir = fn(r, lambda x: x ** -0.5)
         assert np.abs(kappa - np.linalg.eigvalsh(hermitize(ir @ s @ ir))).max() <= 1e-12 * kappa[-1]
 
 
