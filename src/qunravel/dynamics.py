@@ -28,15 +28,19 @@ the exact conjugate of entry (i, j) and a real diagonal, so every propagated
 state is Hermitian bit for bit and is checked as it stands. The imaginary
 part of T^H L T is dropped only after a check (see ``_real_generator``).
 
-A contraction scan builds the generator once and steps both states together
-in the real frame, one exponential per distinct gap, propagating every point
-before checking any. It then checks all 2P states of its P points with one
-stacked eigensolve (``faithful_stack``) and takes the BS values from a second
-one over the P BS cores, built in eigen-coordinates (see ``entropy``), each
-its own member of the stack. When any stacked check fails, the scan reruns
-the per-point chain of ``lindblad_evolve``'s checks, ``require_faithful`` and
-``bs_entropy``, point by point in time order; that chain alone raises, so
-the error names the earliest failing time as a point-by-point scan would.
+One propagator, ``_propagate``, runs every flow: it checks the time grid and
+the states' dimensions, builds the generator once, steps all its states
+together in the real frame, one exponential per distinct gap, and returns
+every state at every time as a Hermitian matrix. ``lindblad_evolve`` is a
+one-state, one-point run of it. A contraction scan propagates its pair to
+every point before checking any. It then checks all 2P states of its P
+points with one stacked eigensolve (``faithful_stack``) and takes the BS
+values from a second one over the P BS cores, built in eigen-coordinates
+(see ``entropy``), each its own member of the stack. When any stacked check
+fails, the scan reruns the per-point chain of ``lindblad_evolve``'s checks,
+``require_faithful`` and ``bs_entropy``, point by point in time order; that
+chain alone raises, so the error names the earliest failing time as a
+point-by-point scan would.
 
 The stochastic counterpart is a diffusive (Brownian-noise) pure-state
 equation, integrated by Euler-Maruyama:
@@ -191,11 +195,6 @@ class Trajectory:
         return tuple(PureState(a) for a in self.amps)
 
 
-def _vec(mat: np.ndarray) -> np.ndarray:
-    # column-major stacking: vec(A rho B) = (B^T kron A) vec(rho)
-    return mat.flatten(order="F")
-
-
 def lindblad_superop(model: LindbladModel) -> np.ndarray:
     """Dense n^2 x n^2 generator matrix acting on column-stacked states,
     I kron D + conj(D) kron I + sum_j gamma_j^2 conj(S_j) kron S_j.
@@ -211,16 +210,15 @@ def lindblad_superop(model: LindbladModel) -> np.ndarray:
     return l
 
 
-def _checked_state(v: np.ndarray, n: int, t: float, tols: Tolerances | None):
-    # v is Hermitian as _frame_vecs built it; drift is read before renormalizing
-    out = v.reshape((n, n), order="F")
-    tr = float(np.real(np.trace(out)))
+def _checked_state(mat: np.ndarray, t: float, tols: Tolerances | None) -> DensityMatrix:
+    # mat is Hermitian as _frame_vecs built it; drift is read before renormalizing
+    tr = float(np.real(np.trace(mat)))
     if not abs(tr - 1.0) <= TRACE_DRIFT_TOL:  # a NaN trace fails here too
         raise ValidationFailure(
             f"trace drifted to {tr!r} at t={t} (budget {TRACE_DRIFT_TOL:.1e})"
         )
     try:
-        return validate_density(out / tr, tols)
+        return validate_density(mat / tr, tols)
     except ValidationError as exc:
         raise ValidationFailure(f"evolved state invalid at t={t}: {exc}") from exc
 
@@ -233,20 +231,15 @@ def lindblad_evolve(
 ) -> DensityMatrix:
     """Propagate rho0 for time t >= 0 through the real matrix exponential.
 
-    The state is stepped as exp(t G) on its real coordinates in the
-    Hermitian frame, G the real generator of ``_real_generator``, so the
-    result is Hermitian by construction. It is trace-renormalized (the raw
-    trace drift must stay below 1e-9), then revalidated; any remaining
-    invariant failure surfaces as ``ValidationFailure``.
+    This is a one-state, one-point run of the scan's propagator
+    (``_propagate``): the state is stepped as exp(t G) on its real
+    coordinates in the Hermitian frame, so the result is Hermitian by
+    construction. It is trace-renormalized (the raw trace drift must stay
+    below 1e-9), then revalidated; any remaining invariant failure surfaces
+    as ``ValidationFailure``. A time that is not finite and nonnegative is a
+    ``ValueError``, a state of another dimension ``DimMismatch``.
     """
-    if model.dim != rho0.dim:
-        raise DimMismatch(f"model dim {model.dim} vs state dim {rho0.dim}")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
-    n = model.dim
-    g = _real_generator(lindblad_superop(model), n)
-    coords = expm(t * g) @ _frame_coords(_vec(rho0.matrix)[:, None], n)
-    return _checked_state(_frame_vecs(coords, n)[:, 0], n, t, tols)
+    return _checked_state(_propagate(model, (rho0,), [t])[0, 0], t, tols)
 
 
 @functools.lru_cache(maxsize=None)
@@ -488,34 +481,36 @@ def contraction_scan(
     failing time. Monotone decrease is the caller's check, not enforced here.
     """
     tols = tols or DEFAULT_TOLS
+    mats = _propagate(model, (rho0, sigma0), times)
+    ts = np.asarray(times, dtype=float).tolist()
+    values = _stacked_bs_values(mats, tols)
+    if values is None:  # the per-point chain names the first failure
+        values = [_point_bs_value(pair, t, tols) for pair, t in zip(mats.swapaxes(0, 1), ts)]
+    return list(zip(ts, values))
+
+
+def _propagate(model: LindbladModel, states, times) -> np.ndarray:
+    """Every state of ``states`` at every time of ``times``, as a C-contiguous
+    ``(len(states), P, n, n)`` stack of Hermitian matrices.
+
+    ``times`` must be a nonempty grid of finite, nonnegative, strictly
+    increasing times (else ``ValueError``) and every state of the model's
+    dimension (else ``DimMismatch``). The states step together on their real
+    frame coordinates, from each time to the next, one real propagator per
+    distinct gap; gaps within 4 ulps of the largest time differ by the grid's
+    rounding only and share one. The coordinates are mapped back to matrices
+    once, at the end."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a nonempty 1-d array")
     if not np.isfinite(ts).all() or (ts < 0).any() or (np.diff(ts) <= 0).any():
         raise ValueError("times must be finite, nonnegative and strictly increasing")
-    if not model.dim == rho0.dim == sigma0.dim:
-        raise DimMismatch(f"model dim {model.dim} vs states {rho0.dim}, {sigma0.dim}")
-
     n = model.dim
-    blocks = _propagate(lindblad_superop(model), rho0, sigma0, ts)
-    values = _stacked_bs_values(blocks, n, tols)
-    if values is None:  # the per-point chain names the first failure
-        values = [_point_bs_value(b, n, t, tols) for b, t in zip(blocks, ts.tolist())]
-    return list(zip(ts.tolist(), values))
-
-
-def _propagate(
-    l: np.ndarray, rho0: DensityMatrix, sigma0: DensityMatrix, ts: np.ndarray
-) -> np.ndarray:
-    """Column-stacked rho and sigma at every time, shaped (points, n^2, 2).
-
-    Both states step together on their real frame coordinates, from each
-    time to the next, one real propagator per distinct gap; gaps within 4 ulps
-    of the largest time differ by the grid's rounding only and share one. The
-    coordinates are mapped back to column-stacked matrices once, at the end."""
-    n = rho0.dim
-    g = _real_generator(l, n)
-    block = _frame_coords(np.stack([_vec(rho0.matrix), _vec(sigma0.matrix)], axis=1), n)
+    if any(s.dim != n for s in states):
+        raise DimMismatch(f"model dim {n} vs states {', '.join(str(s.dim) for s in states)}")
+    g = _real_generator(lindblad_superop(model), n)
+    # column-stacked: vec(A rho B) = (B^T kron A) vec(rho)
+    block = _frame_coords(np.stack([s.matrix.flatten(order="F") for s in states], axis=1), n)
     propagators: dict[float, np.ndarray] = {}
     rounding = 4 * np.spacing(ts.max())
     blocks = []
@@ -526,20 +521,20 @@ def _propagate(
                 propagators[gap] = expm(gap * g)
             block = propagators[gap] @ block
         blocks.append(block)
-    return _frame_vecs(np.stack(blocks, axis=1), n).swapaxes(0, 1)
+    vecs = _frame_vecs(np.stack(blocks, axis=1), n)  # (n^2, P, states), column-stacked
+    return np.ascontiguousarray(vecs.reshape(n, n, *vecs.shape[1:]).transpose(3, 2, 1, 0))
 
 
-def _stacked_bs_values(blocks: np.ndarray, n: int, tols: Tolerances) -> list[float] | None:
-    """BS value at every point from two stacked eigensolves, or None when any
-    state fails a check of ``_point_bs_value``.
+def _stacked_bs_values(mats: np.ndarray, tols: Tolerances) -> list[float] | None:
+    """BS value at every point of a ``(2, P, n, n)`` stack of rho and sigma
+    from two stacked eigensolves, or None when any state fails a check of
+    ``_point_bs_value``.
 
     The first eigensolve verifies all 2P states (trace drift, then those of
     ``validate_density`` and ``require_faithful``), the second the P cores
     B^dag B of ``_bs_trace``, each core still decomposed on its own."""
-    p = blocks.shape[0]
-    # (P, n^2, 2) -> the P rho, then the P sigma, each Hermitian as _frame_vecs built
-    # it; undoing _vec is the transposed C reshape
-    raw = blocks.transpose(2, 0, 1).reshape(2 * p, n, n).swapaxes(-1, -2)
+    p = mats.shape[1]
+    raw = mats.reshape(2 * p, *mats.shape[2:])  # the P rho, then the P sigma
     with np.errstate(all="ignore"):  # a non-finite state is the per-point chain's to report
         tr = np.trace(raw, axis1=1, axis2=2).real
     if not (np.abs(tr - 1.0) <= TRACE_DRIFT_TOL).all():  # a NaN trace fails here too
@@ -556,9 +551,10 @@ def _stacked_bs_values(blocks: np.ndarray, n: int, tols: Tolerances) -> list[flo
         return None
 
 
-def _point_bs_value(block: np.ndarray, n: int, t: float, tols: Tolerances) -> float:
-    """BS value of one propagated (n^2, 2) block, through the scalar checks."""
-    rho_t, sigma_t = (_checked_state(v, n, t, tols) for v in block.T)
+def _point_bs_value(pair: np.ndarray, t: float, tols: Tolerances) -> float:
+    """BS value of one propagated point, its rho and sigma stacked as
+    ``(2, n, n)``, through the scalar checks."""
+    rho_t, sigma_t = (_checked_state(m, t, tols) for m in pair)
     require_faithful(rho_t, f"rho at t={t:.6g}", tols)
     require_faithful(sigma_t, f"sigma at t={t:.6g}", tols)
     return bs_entropy(rho_t, sigma_t, tols)

@@ -244,16 +244,15 @@ def _aligned_weights(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> Optional[np.
     """mu's weights moved onto nu's atom order, or None when mu puts mass on a
     ray that nu lacks.
 
-    Identity alignment is tried first (the common case: both ensembles share
-    one array). Otherwise rays are matched through ``_near_pairs``, and the
-    match is rejected as ambiguous when an atom of either ensemble lies
-    within the tolerance of two atoms of the other.
+    Only ensembles that share one array align without a screen (the common
+    case, as ``cb_measures`` builds them). Otherwise rays are matched through
+    ``_near_pairs``, and the match is rejected as ambiguous when an atom of
+    either ensemble lies within the tolerance of two atoms of the other,
+    whatever the lengths of the supports.
     """
     if mu.dim != nu.dim:
         raise DimMismatch(f"ensemble dimensions differ: {mu.dim} vs {nu.dim}")
-    if mu.amps is nu.amps or (
-        len(mu) == len(nu) and (fs_angles(mu.amps, nu.amps) <= TOL_MATCH).all()
-    ):
+    if mu.amps is nu.amps:
         return mu.weights
 
     pairs = np.array([(i, j) for i, j, _ in _near_pairs(mu.amps, nu.amps)], dtype=np.intp)
@@ -275,8 +274,7 @@ def kl_divergence(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> float:
     """Kullback-Leibler divergence D(mu || nu) in nats: ``f_divergence`` with
     the ``xlogx`` generator. Mass of mu outside the support of nu makes it
     infinite; atoms carrying zero mu-weight contribute nothing."""
-    p = _aligned_weights(mu, nu)
-    return math.inf if p is None else _f_sum(p, nu.weights, GENERATORS["xlogx"])
+    return f_divergence(mu, nu, GENERATORS["xlogx"])
 
 
 def f_divergence(mu: DiscreteEnsemble, nu: DiscreteEnsemble, gen: DivergenceGenerator) -> float:

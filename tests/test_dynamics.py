@@ -564,31 +564,32 @@ def test_passing_scan_runs_two_stacked_eigensolves_and_no_scalar_one(monkeypatch
 
 
 def corrupted_propagation(monkeypatch, faults):
-    """Make the scan's propagation apply ``faults[k]`` to the (n^2, 2) block of point k."""
+    """Make the scan's propagation apply ``faults[k]`` to the (2, n, n) rho and
+    sigma pair of point k."""
     orig = dynamics._propagate
 
     def propagate(*args):
-        blocks = orig(*args).copy()
+        mats = orig(*args).copy()
         for k, fault in faults.items():
-            blocks[k] = fault(blocks[k])
-        return blocks
+            mats[:, k] = fault(mats[:, k])
+        return mats
 
     monkeypatch.setattr(dynamics, "_propagate", propagate)
 
 
-def leak_trace(block):
-    return 1.01 * block
+def leak_trace(pair):
+    return 1.01 * pair
 
 
-def sigma_pure(block):
+def sigma_pure(pair):
     # sigma becomes |0><0|: unit trace and PSD, but not faithful
-    block[:, 1] = dynamics._vec(np.diag([1.0, 0.0]).astype(complex))
-    return block
+    pair[1] = np.diag([1.0, 0.0])
+    return pair
 
 
-def rho_not_psd(block):
-    block[:, 0] = dynamics._vec(np.diag([1.5, -0.5]).astype(complex))
-    return block
+def rho_not_psd(pair):
+    pair[0] = np.diag([1.5, -0.5])
+    return pair
 
 
 @pytest.mark.parametrize(
@@ -602,9 +603,9 @@ def test_failing_scan_raises_the_earliest_point_error_of_the_per_point_chain(
     rng = RngStream(103)
     rho, sigma = sample_faithful(2, rng), sample_faithful(2, rng)
     times = np.linspace(0.0, 1.0, 6)
-    blocks = dynamics._propagate(lindblad_superop(DEPHASING), rho, sigma, times)
+    mats = dynamics._propagate(DEPHASING, (rho, sigma), times)
     with pytest.raises(QunravelError) as expected:
-        dynamics._point_bs_value(first(blocks[2].copy()), 2, float(times[2]), DEFAULT_TOLS)
+        dynamics._point_bs_value(first(mats[:, 2].copy()), float(times[2]), DEFAULT_TOLS)
     corrupted_propagation(monkeypatch, {2: first, 4: later})
     with pytest.raises(type(expected.value)) as raised:
         contraction_scan(DEPHASING, rho, sigma, times)

@@ -443,8 +443,7 @@ def _tilted(angle):
 
 
 def test_alignment_rejects_atom_near_two_atoms():
-    # the mu atom sits 0.6e-10 from both ends of a nu pair 1.2e-10 apart;
-    # the lengths differ, so the identity alignment is never tried
+    # the mu atom sits 0.6e-10 from both ends of a nu pair 1.2e-10 apart
     from qunravel.errors import AmbiguousMatch
 
     mu = DiscreteEnsemble((_tilted(0.6e-10), KET1), np.array([0.5, 0.5]))
@@ -456,8 +455,7 @@ def test_alignment_rejects_atom_near_two_atoms():
 
 
 def test_alignment_rejects_two_atoms_near_one_atom():
-    # both mu atoms match nu's first atom; the second pair (tilted vs KET1) is
-    # far apart, so the identity alignment fails and the table is used
+    # both mu atoms match nu's first atom; nu's second atom (KET1) matches none
     from qunravel.errors import AmbiguousMatch
 
     mu = DiscreteEnsemble((_tilted(0.0), _tilted(1.2e-10)), np.array([0.5, 0.5]))
@@ -466,6 +464,22 @@ def test_alignment_rejects_two_atoms_near_one_atom():
         kl_divergence(mu, nu)
     with pytest.raises(AmbiguousMatch):
         f_divergence(mu, nu, GENERATORS["x2mx"])
+
+
+def test_same_length_supports_matched_row_by_row_are_still_ambiguous():
+    # row k of mu lies within TOL_MATCH of row k of nu, but mu's first atom
+    # (0.75e-10) lies as close to nu's second (1.5e-10): equal lengths are no
+    # shortcut past the ambiguity rule, as a zero-weight third atom shows
+    from qunravel.errors import AmbiguousMatch
+
+    nu = DiscreteEnsemble((_tilted(0.0), _tilted(1.5e-10)), np.array([0.5, 0.5]))
+    mu = DiscreteEnsemble((_tilted(0.75e-10), _tilted(2.0e-10)), np.array([0.5, 0.5]))
+    padded = DiscreteEnsemble((*nu.atoms, PLUS), np.array([0.5, 0.5, 0.0]))
+    for other in (nu, padded):
+        with pytest.raises(AmbiguousMatch, match="mu atom 0 lies within"):
+            kl_divergence(mu, other)
+        with pytest.raises(AmbiguousMatch, match="mu atom 0 lies within"):
+            f_divergence(mu, other, GENERATORS["x2mx"])
 
 
 def test_alignment_moves_weights_onto_the_other_atom_order():

@@ -39,8 +39,12 @@ def frame_matrix(n):
     return dynamics._frame_vecs(np.eye(n * n), n)
 
 
+def matrix_columns(mats):
+    return np.stack([m.flatten(order="F") for m in mats], axis=1)
+
+
 def columns(*states):
-    return np.stack([s.matrix.flatten(order="F") for s in states], axis=1)
+    return matrix_columns([s.matrix for s in states])
 
 
 def close(got, ref, rel=1e-12):
@@ -96,14 +100,14 @@ def test_propagation_matches_the_complex_exponential(dim, grid):
     model = random_model(dim, rng)
     rho, sigma = sample_faithful(dim, rng), sample_faithful(dim, rng)
     l = lindblad_superop(model)
-    blocks = dynamics._propagate(l, rho, sigma, grid)
-    assert blocks.shape == (grid.size, dim * dim, 2)
-    for t, block in zip(grid.tolist(), blocks):
+    mats = dynamics._propagate(model, (rho, sigma), grid)
+    assert mats.shape == (2, grid.size, dim, dim)
+    assert mats.flags.c_contiguous
+    for t, pair in zip(grid.tolist(), mats.swapaxes(0, 1)):
         ref = expm(t * l) @ columns(rho, sigma)
-        assert close(block, ref)
+        assert close(matrix_columns(pair), ref)
         assert evolve_matches(model, rho, t, ref[:, 0])
-        for v in block.T:
-            m = v.reshape((dim, dim), order="F")
+        for m in pair:
             assert np.array_equal(m, m.conj().T)
 
 
@@ -115,10 +119,10 @@ def test_the_admitted_anti_hermitian_part_of_h_meets_the_same_bound(dim):
     rho, sigma = sample_faithful(dim, rng), sample_faithful(dim, rng)
     l = lindblad_superop(model)
     grid = GRIDS["uneven"]
-    blocks = dynamics._propagate(l, rho, sigma, grid)
-    for t, block in zip(grid.tolist(), blocks):
+    mats = dynamics._propagate(model, (rho, sigma), grid)
+    for t, pair in zip(grid.tolist(), mats.swapaxes(0, 1)):
         ref = expm(t * l) @ columns(rho, sigma)
-        assert close(block, ref)
+        assert close(matrix_columns(pair), ref)
         assert evolve_matches(model, rho, t, ref[:, 0])
 
 

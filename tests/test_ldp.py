@@ -48,12 +48,30 @@ def test_log_multinomial_oracles():
 def test_log_multinomial_rejects():
     with pytest.raises(DimMismatch):
         log_multinomial(np.array([1, 2, 3]), [0.5, 0.5])
+    with pytest.raises(DimMismatch):
+        log_multinomial(np.ones((2, 3), dtype=int), [0.5, 0.5])
     with pytest.raises(ValueError):
         log_multinomial(np.array([-1, 3]), [0.5, 0.5])
+    with pytest.raises(ValueError):
+        log_multinomial(np.array([[1, 1], [-1, 3]]), [0.5, 0.5])
     with pytest.raises(ValueError):
         log_multinomial(np.array([1.0, 1.0]), [0.5, 0.5])
     with pytest.raises(ValueError):
         log_multinomial(np.array([1, 1]), [1.0, 0.0])
+
+
+def test_log_multinomial_takes_a_stack_of_count_vectors():
+    counts = np.array([[[3, 1, 0], [0, 0, 4]], [[2, 2, 0], [1, 1, 2]]])
+    w = [0.3, 0.5, 0.2]
+    got = log_multinomial(counts, w)
+    assert got.shape == (2, 2)
+    for idx in np.ndindex(2, 2):
+        c = counts[idx].tolist()
+        ref = math.lgamma(sum(c) + 1) - sum(
+            math.lgamma(ci + 1) - ci * math.log(wi) for ci, wi in zip(c, w)
+        )
+        assert got[idx] == pytest.approx(ref, abs=1e-13)
+        assert got[idx] == pytest.approx(log_multinomial(counts[idx], w), abs=1e-13)
 
 
 def test_make_experiment_fields_and_validation():
