@@ -42,7 +42,7 @@ import numpy as np
 
 from .ensembles import DiscreteEnsemble, _greedy_plan
 from .errors import BackendFailure, DimMismatch
-from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, hermitize, populations
+from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, hermitize, lapack_eigh, populations
 from .states import DensityMatrix, PureState, canonical_rows, check_pair, fs_angles
 
 __all__ = [
@@ -143,7 +143,7 @@ def _self_check(cb: CommonBasis) -> None:
                 f"{label} weights invalid (min {w.min():.3e}, sum {w.sum()!r})"
             )
     gram = psis.conj().T @ psis
-    gram_min = float(np.linalg.eigvalsh(gram)[0])
+    gram_min = float(lapack_eigh(gram, 0)[0][0])
     if gram_min <= 1e-14:
         raise BackendFailure(f"basis Gram matrix is rank-deficient ({gram_min:.3e})")
 

@@ -514,14 +514,15 @@ def _propagate(model: LindbladModel, states, times) -> np.ndarray:
     propagators: dict[float, np.ndarray] = {}
     rounding = 4 * np.spacing(ts.max())
     blocks = []
-    for gap in np.diff(ts, prepend=0.0).tolist():
-        if gap > 0:
-            gap = next((k for k in propagators if abs(k - gap) <= rounding), gap)
-            if gap not in propagators:
-                propagators[gap] = expm(gap * g)
-            block = propagators[gap] @ block
-        blocks.append(block)
-    vecs = _frame_vecs(np.stack(blocks, axis=1), n)  # (n^2, P, states), column-stacked
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state fails its trace check
+        for gap in np.diff(ts, prepend=0.0).tolist():
+            if gap > 0:
+                gap = next((k for k in propagators if abs(k - gap) <= rounding), gap)
+                if gap not in propagators:
+                    propagators[gap] = expm(gap * g)
+                block = propagators[gap] @ block
+            blocks.append(block)
+        vecs = _frame_vecs(np.stack(blocks, axis=1), n)  # (n^2, P, states), column-stacked
     return np.ascontiguousarray(vecs.reshape(n, n, *vecs.shape[1:]).transpose(3, 2, 1, 0))
 
 

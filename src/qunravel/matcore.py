@@ -14,18 +14,20 @@ by ``apply`` on a verified spectrum or by ``spectral_fn``, which decomposes
 afresh. A trace Re Tr[A f(M)] needs no f(M): it is sum_i f(w_i) <v_i|A|v_i>,
 whose weights are ``populations`` when A is diagonal in a known basis.
 
-``herm_eig`` runs its checks in two groups: before ``eigh`` (square with
-d >= 1, finite, Hermiticity defect, finite norm) and after it (round trip,
-orthonormality). ``herm_eig_stack`` decomposes an ``(N, d, d)`` stack with
-one batched ``eigh``; one vectorized pass decides every check for every
-matrix, and ``herm_eig``'s own checks then name the failure of the first
-flagged matrix, prefixed with its index. Batched ``eigh`` returns the
-eigenpairs the per-matrix call returns, bit for bit. ``hermitize`` and
-``SpectralDecomposition`` work on a matrix and on a stack alike. The scalar
-``herm_eig`` is not a stack of one: it works in Python floats, and the array
-bookkeeping of the stacked pass costs more than the eigensolve at the small
-dimensions where it is called most (with one BLAS thread on a 2-vCPU x86
-VM, a stack of one took 52-58 µs against 24-37 µs for ``herm_eig`` at
+``herm_eig`` runs its checks in two groups: before its eigensolve (square
+with d >= 1, finite, Hermiticity defect, finite norm) and after it (round
+trip, orthonormality). Each scalar eigensolve (``herm_eig``, the common
+basis's Gram check, ``trace_distance``) calls ``lapack_eigh``: LAPACK
+``zheevd`` on the lower triangle, as ``np.linalg.eigh`` calls it, bound
+once from ``scipy.linalg.lapack`` to skip numpy's per-call wrapper.
+``herm_eig_stack`` keeps numpy's batched ``eigh``, whose wrapper runs once
+per stack, and returns the scalar path's eigenpairs bit for bit
+(``test_herm_eig_stack_matches_herm_eig_bit_for_bit``, d = 1-32). One
+vectorized pass decides every check for every matrix; ``herm_eig``'s checks
+then name the first flagged matrix, prefixed with its index. ``hermitize``
+and ``SpectralDecomposition`` work on a matrix and on a stack alike. A stack
+of one costs more than ``herm_eig`` at the small d where it is called most
+(one BLAS thread, 2-vCPU x86 VM, best of 25: 18-23 µs against 8-13 µs at
 d = 2-8).
 """
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import zheevd as _zheevd
 
 from .errors import BackendFailure, DomainViolation, NotHermitian
 
@@ -188,14 +191,25 @@ def _check_eigenpairs(
         raise BackendFailure(f"eigenvector columns not orthonormal ({ortho_err:.3e})")
 
 
+def lapack_eigh(m: np.ndarray, compute_v: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Unverified eigenpairs of a Hermitian matrix: LAPACK ``zheevd`` on its lower
+    triangle, called as by ``np.linalg.eigh`` (``compute_v=0``: ``eigvalsh``, whose
+    blocking above d = 32 this workspace keeps). ``info != 0`` is ``BackendFailure``."""
+    n = m.shape[0]
+    vals, vecs, info = _zheevd(m, compute_v=compute_v, lower=1, lwork=n * (n + 2))
+    if info != 0:
+        raise BackendFailure(f"eigensolver zheevd failed (info {info})")
+    return vals, vecs
+
+
 def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, verified before returning.
 
     Eigenvalues come back ascending with orthonormal eigenvector columns in
     matching order. The input must be a finite d x d matrix, d >= 1, within
     ``tol_herm`` of Hermitian (else ``NotHermitian``). The decomposition is
-    rejected (``BackendFailure``) if the round trip ``V diag(w) V^dag`` does
-    not reproduce the input or the columns are not orthonormal. The
+    rejected (``BackendFailure``) if ``zheevd`` fails, the round trip
+    ``V diag(w) V^dag`` misses the input or the columns are not orthonormal. The
     round-trip budget scales with the matrix norm: backend accuracy is
     relative, and inputs here range from unit-trace states to their inverses.
     A matrix whose norm overflows double precision once hermitized cannot be
@@ -203,10 +217,8 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
     """
     tols = tols or DEFAULT_TOLS
     m, norm = _hermitized(mat, tols)
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
-        raise BackendFailure(f"eigensolver did not converge: {exc}") from exc
+    vals, vecs = lapack_eigh(m)
+    vecs = np.ascontiguousarray(vecs)
     _check_eigenpairs(m, norm, vals, vecs, tols)
     return SpectralDecomposition(vals, vecs)
 

@@ -32,6 +32,7 @@ from .matcore import (
     herm_eig,
     herm_eig_stack,
     hermitize,
+    lapack_eigh,
 )
 
 __all__ = [
@@ -178,7 +179,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
     diff = rho.matrix - sigma.matrix
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+    return float(0.5 * np.abs(lapack_eigh(diff, 0)[0]).sum())
 
 
 def fs_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -133,6 +133,22 @@ def test_evolve_overflowing_time_fails_validation():
         lindblad_evolve(DAMPING, validate_density(np.eye(2) / 2), 1e308)
 
 
+STRONG_DAMPING = LindbladModel(np.zeros((2, 2)), (SM,), (math.sqrt(5.0),))
+
+
+def test_evolve_time_that_overflows_the_generator_fails_validation():
+    # 1e308 * G overflows here (entries of G reach 5), and numpy's overflow
+    # warning must not escape before the trace check
+    with pytest.raises(ValidationFailure, match=r"trace drifted to nan at t=1e\+308"):
+        lindblad_evolve(STRONG_DAMPING, validate_density(np.eye(2) / 2), 1e308)
+
+
+def test_scan_time_that_overflows_the_generator_fails_validation():
+    rho, sigma = validate_density(np.eye(2) / 2), validate_density(np.diag([0.7, 0.3]))
+    with pytest.raises(ValidationFailure, match=r"trace drifted to nan at t=1e\+308"):
+        contraction_scan(STRONG_DAMPING, rho, sigma, [0.0, 1.0, 1e308])
+
+
 def test_evolve_preserves_state_invariants():
     rng = RngStream(84)
     for _ in range(5):
@@ -556,9 +572,10 @@ def test_passing_scan_runs_two_stacked_eigensolves_and_no_scalar_one(monkeypatch
     rng = RngStream(102)
     model, rho, sigma = random_model(4, rng, 2), sample_faithful(4, rng), sample_faithful(4, rng)
     scalar = count_calls(monkeypatch, matcore.herm_eig)
+    lapack = count_calls(monkeypatch, matcore._zheevd)  # every scalar eigensolve's binding
     stacked = count_calls(monkeypatch, matcore.herm_eig_stack)
     contraction_scan(model, rho, sigma, np.linspace(0.0, 2.0, points))
-    assert scalar == []
+    assert scalar == [] and lapack == []
     # all 2P states, then the P BS cores, each core its own member of the stack
     assert [args[0].shape for args in stacked] == [(2 * points, 4, 4), (points, 4, 4)]
 

@@ -368,6 +368,24 @@ def test_pair_op_decomposes_each_core_once(monkeypatch):
                 assert not np.allclose(cores[i], cores[j])
 
 
+def test_pair_op_makes_six_lapack_eigensolves_and_no_numpy_one(monkeypatch):
+    # the five herm_eig calls and the basis Gram check each call zheevd once
+    def numpy_eigensolve(*args, **kwargs):
+        raise AssertionError("a sweep pair reached numpy's eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", numpy_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", numpy_eigensolve)
+    calls = []
+    orig = matcore._zheevd
+    monkeypatch.setattr(matcore, "_zheevd", lambda m, **kw: calls.append(kw) or orig(m, **kw))
+    rng = RngStream(73)
+    for dim in (2, 3, 4, 8):
+        r, s = sample_faithful(dim, rng).matrix, sample_faithful(dim, rng).matrix
+        calls.clear()
+        benchmark_pair_op(r, s)
+        assert sorted(kw["compute_v"] for kw in calls) == [0] + [1] * 5
+
+
 def test_memo_holds_only_the_latest_pair():
     rng = RngStream(70)
     rho, sigma = sample_faithful(3, rng), sample_faithful(3, rng)

@@ -14,6 +14,7 @@ from qunravel import (
     spectral_fn,
     validate_density,
 )
+from qunravel import matcore
 from qunravel.errors import BackendFailure, DomainViolation, NotHermitian
 from qunravel.matcore import Tolerances, hermiticity_defect, populations
 
@@ -90,10 +91,16 @@ def test_herm_eig_large_norm_input():
     assert np.all(vals > 0)
 
 
-def perturb_eigh(monkeypatch, perturb):
-    """Make every ``np.linalg.eigh`` call return ``perturb(vals, vecs)``."""
-    orig = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: perturb(*orig(m)))
+def perturb_eigh(monkeypatch, perturb, info=0):
+    """Make every call of the LAPACK ``zheevd`` binding return
+    ``perturb(vals, vecs)`` and ``info``."""
+    orig = matcore._zheevd
+
+    def zheevd(m, **kwargs):
+        vals, vecs, _ = orig(m, **kwargs)
+        return (*perturb(vals, vecs), info)
+
+    monkeypatch.setattr(matcore, "_zheevd", zheevd)
 
 
 def test_herm_eig_rejects_a_round_trip_off_budget(monkeypatch):
@@ -115,7 +122,7 @@ def test_herm_eig_rejects_non_orthonormal_columns_alone(monkeypatch):
         return vals, vecs
 
     perturb_eigh(monkeypatch, stretch)
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = matcore.lapack_eigh(m)
     assert np.array_equal((vecs * vals) @ vecs.conj().T, m)
     with pytest.raises(BackendFailure, match="eigenvector columns not orthonormal"):
         herm_eig(m)
@@ -163,6 +170,28 @@ def test_herm_eig_rejects_a_nan_decomposition(monkeypatch):
     perturb_eigh(monkeypatch, lambda vals, vecs: (np.full_like(vals, np.nan), vecs))
     with pytest.raises(BackendFailure, match="eigendecomposition round trip off by"):
         herm_eig(m)
+
+
+@pytest.mark.parametrize("info", [-1, 2])
+def test_herm_eig_raises_a_nonzero_info_as_backend_failure(monkeypatch, info):
+    # the eigenpairs are exact, so only info can fail the decomposition
+    perturb_eigh(monkeypatch, lambda vals, vecs: (vals, vecs), info)
+    m = random_spd(3, RNG)
+    for decompose in (herm_eig, lambda m: matcore.lapack_eigh(m, 0)):
+        with pytest.raises(BackendFailure, match=rf"^eigensolver zheevd failed \(info {info}\)$"):
+            decompose(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 33, 40])
+def test_lapack_eigh_returns_what_numpy_returns_bit_for_bit(n):
+    # same LAPACK routine, triangle and blocking as np.linalg.eigh and eigvalsh
+    rng = np.random.default_rng(2000 + n)
+    for m in (random_spd(n, rng), random_hermitian(n, rng)):
+        vals, vecs = matcore.lapack_eigh(m)
+        ref_vals, ref_vecs = np.linalg.eigh(m)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+        assert np.array_equal(matcore.lapack_eigh(m, 0)[0], np.linalg.eigvalsh(m))
+    assert herm_eig(random_spd(n, rng)).eigenvectors.flags.c_contiguous
 
 
 def test_spectral_fn_matches_scalar_on_diagonals():
@@ -215,7 +244,7 @@ def random_spd_stack(count, n, rng):
     return np.stack([random_spd(n, rng) for _ in range(count)])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32])
 def test_herm_eig_stack_matches_herm_eig_bit_for_bit(n):
     rng = np.random.default_rng(1000 + n)
     mats = np.concatenate([random_spd_stack(6, n, rng), [random_hermitian(n, rng)]])
