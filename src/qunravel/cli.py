@@ -6,8 +6,9 @@ encoded ``[re, im]``; tabular results are CSV with 15 significant digits.
 Every run prints a JSON summary to stdout carrying its configuration
 (including the seed), so reruns are reproducible byte for byte.
 
-Exit codes: 0 success, 2 input validation, 3 property violation,
-4 enumeration budget exceeded.
+Exit codes: 0 success, 2 input validation (a bad flag or argument too),
+3 property violation, 4 enumeration budget exceeded. Every failure prints one
+JSON line on stderr.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .errors import (
     BudgetExceeded, ContractionViolation, NotHermitian, QunravelError, ValidationError
 )
 from .ldp import ball_probability_exact, make_experiment, tolerance_budget
-from .matcore import DEFAULT_TOLS, Tolerances, hermitize, hermiticity_defect
+from .matcore import Tolerances, hermitize, hermiticity_defect
 from .states import RngStream, sample_faithful, trace_distance, validate_density
 
 __all__ = ["main", "entry"]
@@ -56,7 +57,7 @@ def _tols_from_args(args) -> tuple[Tolerances, dict]:
         for f in dataclasses.fields(Tolerances)
         if getattr(args, f.name) is not None
     }
-    return (Tolerances(**overrides) if overrides else DEFAULT_TOLS), overrides
+    return Tolerances(**overrides), overrides
 
 
 def _metadata(args, inputs, base: str = "nats", **params) -> dict:
@@ -326,8 +327,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override the faithfulness eigenvalue floor")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors (a bad value, an unknown flag, a missing
+    argument) raise ``ValueError`` for ``main`` to report, instead of exiting;
+    its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qunravel",
         description="Quantum relative entropies via common-basis unravelings.",
     )
@@ -391,8 +401,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.seed is None:  # read here so a bad value gets the JSON error
             args.seed = _default_seed()
         args.tols, args.overrides = _tols_from_args(args)

@@ -85,7 +85,7 @@ class CommonBasis:
 
 
 def common_basis(
-    rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None
+    rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFAULT_TOLS
 ) -> CommonBasis:
     """Construct the common basis of two faithful states.
 
@@ -96,7 +96,7 @@ def common_basis(
     state objects with equal tolerances returns the same object, whose
     arrays are read-only.
     """
-    return _common_basis(rho, sigma, tols or DEFAULT_TOLS)
+    return _common_basis(rho, sigma, tols)
 
 
 @functools.lru_cache(maxsize=1)
@@ -149,7 +149,7 @@ def _self_check(cb: CommonBasis) -> None:
 
 
 def dual_consistency(
-    cb: CommonBasis, rho: DensityMatrix, tols: Tolerances | None = None
+    cb: CommonBasis, rho: DensityMatrix, tols: Tolerances = DEFAULT_TOLS
 ) -> float:
     """Frobenius error of rho^{-1} = sum_i (1/rho_i) |dual_i><dual_i|.
 
@@ -158,7 +158,7 @@ def dual_consistency(
     """
     if cb.dim != rho.dim:
         raise DimMismatch(f"dimensions differ: {cb.dim} vs {rho.dim}")
-    inv = rho.eig.apply(np.reciprocal, (tols or DEFAULT_TOLS).eps_faithful)
+    inv = rho.eig.apply(np.reciprocal, tols.eps_faithful)
     approx = (cb.dual / cb.rho_coeffs) @ cb.dual.conj().T
     return float(np.linalg.norm(approx - inv))
 

@@ -34,9 +34,10 @@ together in the real frame, one exponential per distinct gap, and returns
 every state at every time as a Hermitian matrix. ``lindblad_evolve`` is a
 one-state, one-point run of it. A contraction scan propagates its pair to
 every point before checking any. It then checks all 2P states of its P
-points with one stacked eigensolve (``faithful_stack``) and takes the BS
-values from a second one over the P BS cores, built in eigen-coordinates
-(see ``entropy``), each its own member of the stack. When any stacked check
+points, each divided by its trace, with one stacked eigensolve
+(``herm_eig_stack``) and the faithfulness floor, and takes the BS values
+from a second one over the P BS cores, built in eigen-coordinates (see
+``entropy``), each its own member of the stack. When any stacked check
 fails, the scan reruns the per-point chain of ``lindblad_evolve``'s checks,
 ``require_faithful`` and ``bs_entropy``, point by point in time order; that
 chain alone raises, so the error names the earliest failing time as a
@@ -85,6 +86,7 @@ from .matcore import (
     DEFAULT_TOLS,
     SpectralDecomposition,
     Tolerances,
+    herm_eig_stack,
     hermiticity_defect,
     is_square,
 )
@@ -92,7 +94,6 @@ from .states import (
     DensityMatrix,
     PureState,
     RngStream,
-    faithful_stack,
     positive_count,
     require_faithful,
     validate_density,
@@ -210,7 +211,7 @@ def lindblad_superop(model: LindbladModel) -> np.ndarray:
     return l
 
 
-def _checked_state(mat: np.ndarray, t: float, tols: Tolerances | None) -> DensityMatrix:
+def _checked_state(mat: np.ndarray, t: float, tols: Tolerances) -> DensityMatrix:
     # mat is Hermitian as _frame_vecs built it; drift is read before renormalizing
     tr = float(np.real(np.trace(mat)))
     if not abs(tr - 1.0) <= TRACE_DRIFT_TOL:  # a NaN trace fails here too
@@ -227,7 +228,7 @@ def lindblad_evolve(
     model: LindbladModel,
     rho0: DensityMatrix,
     t: float,
-    tols: Tolerances | None = None,
+    tols: Tolerances = DEFAULT_TOLS,
 ) -> DensityMatrix:
     """Propagate rho0 for time t >= 0 through the real matrix exponential.
 
@@ -290,9 +291,8 @@ def _real_generator(l: np.ndarray, n: int) -> np.ndarray:
     So the imaginary part dropped here is roundoff, and ``ValidationFailure``
     is raised when it exceeds ``GENERATOR_DEFECT_TOL`` times max(1, largest
     |entry| of G). A dropped part E would in any case move the Hermitian
-    output of exp(t (G + i E)) only at second order, O((t |E|)^2): its
-    first-order term is anti-Hermitian, which the complex propagation's
-    final hermitization discarded too.
+    part of exp(t (G + i E)) only at second order, O((t |E|)^2): its
+    first-order term is anti-Hermitian.
     """
     pos = _frame(n)
     lt = _frame_rows(l[np.ix_(pos, pos)].T, n, -1j).T  # L T, rows still gathered
@@ -345,13 +345,15 @@ def _sse_steps(
     psi0: np.ndarray,
     noise: np.ndarray,
     dt: float,
+    first: int = 0,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Euler-Maruyama steps of a (batch, dim) block of trajectories.
 
     ``noise`` holds each trajectory's increments dX, shaped (batch, steps,
     n_jumps). After every step the renormalized block and the running log
     likelihood weights are yielded as fresh arrays; ``StepExplosion`` names
-    the trajectory, the step and t.
+    the trajectory (row k of the block is trajectory ``first + k``), the
+    step and t.
     """
     steps = noise.shape[1]
     drift_t = model.drift.T
@@ -369,7 +371,7 @@ def _sse_steps(
             k = int(np.flatnonzero(bad)[0])
             raise StepExplosion(
                 f"norm {nrm[k]:.3e} left [0.5, 2] at step {step} "
-                f"(trajectory {k}, t={(step + 1) * dt:.6g})"
+                f"(trajectory {first + k}, t={(step + 1) * dt:.6g})"
             )
         p = p / nrm[:, None]
         logw = logw + 2.0 * np.log(nrm)
@@ -447,7 +449,7 @@ def evolve_ensemble(
             rng.split(a * n_per_atom + i).gen.standard_normal(out=noise[i])
         noise *= math.sqrt(dt)
         block = np.broadcast_to(row, (n_per_atom, model.dim))
-        for last, logw in _sse_steps(model, block, noise, dt):
+        for last, logw in _sse_steps(model, block, noise, dt, a * n_per_atom):
             pass  # only the final step is kept
         finals.append(last)
         logws.append(logw)
@@ -464,7 +466,7 @@ def contraction_scan(
     rho0: DensityMatrix,
     sigma0: DensityMatrix,
     times: np.ndarray,
-    tols: Tolerances | None = None,
+    tols: Tolerances = DEFAULT_TOLS,
 ) -> list[tuple[float, float]]:
     """BS relative entropy of a co-evolved pair along the flow.
 
@@ -480,7 +482,6 @@ def contraction_scan(
     reported by rerunning the checks point by point, so it names the earliest
     failing time. Monotone decrease is the caller's check, not enforced here.
     """
-    tols = tols or DEFAULT_TOLS
     mats = _propagate(model, (rho0, sigma0), times)
     ts = np.asarray(times, dtype=float).tolist()
     values = _stacked_bs_values(mats, tols)
@@ -533,20 +534,22 @@ def _stacked_bs_values(mats: np.ndarray, tols: Tolerances) -> list[float] | None
 
     The first eigensolve verifies all 2P states (trace drift, then those of
     ``validate_density`` and ``require_faithful``), the second the P cores
-    B^dag B of ``_bs_trace``, each core still decomposed on its own."""
+    B^dag B of ``_bs_trace``, each core still decomposed on its own. A state
+    divided by its trace has unit trace, and a spectrum above
+    ``eps_faithful >= 0`` clears ``PSD_FLOOR``, so the floor is the one
+    bound of a state left to check after its eigensolve."""
     p = mats.shape[1]
     raw = mats.reshape(2 * p, *mats.shape[2:])  # the P rho, then the P sigma
     with np.errstate(all="ignore"):  # a non-finite state is the per-point chain's to report
         tr = np.trace(raw, axis1=1, axis2=2).real
     if not (np.abs(tr - 1.0) <= TRACE_DRIFT_TOL).all():  # a NaN trace fails here too
         return None
-    checked = faithful_stack(raw / tr[:, None, None], tols)
-    if checked is None:
-        return None
-    vals, vecs = checked
-    rho_eig = SpectralDecomposition(vals[:p], vecs[:p])
-    sigma_eig = SpectralDecomposition(vals[p:], vecs[p:])
     try:
+        vals, vecs = herm_eig_stack(raw / tr[:, None, None], tols)
+        if not (vals[:, 0] > tols.eps_faithful).all():
+            return None
+        rho_eig = SpectralDecomposition(vals[:p], vecs[:p])
+        sigma_eig = SpectralDecomposition(vals[p:], vecs[p:])
         return _bs_trace(rho_eig, sigma_eig, tols).tolist()
     except QunravelError:
         return None

@@ -34,7 +34,7 @@ from .errors import (
     EmptyEnsemble,
     InvalidCoupling,
 )
-from .matcore import Tolerances, hermitize
+from .matcore import DEFAULT_TOLS, Tolerances, hermitize
 from .states import (
     DensityMatrix,
     PureState,
@@ -234,7 +234,7 @@ def _merged_ensemble(rows: np.ndarray, weights: np.ndarray) -> DiscreteEnsemble:
     return DiscreteEnsemble._distinct(amps, summed / summed.sum())
 
 
-def realize(mu: DiscreteEnsemble, tols: Tolerances | None = None) -> DensityMatrix:
+def realize(mu: DiscreteEnsemble, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
     """Barycenter sum_k w_k |psi_k><psi_k| as a validated density matrix."""
     mat = (mu.amps.T * mu.weights) @ mu.amps.conj()
     return validate_density(hermitize(mat), tols)

@@ -73,27 +73,21 @@ __all__ = [
 ]
 
 
-def umegaki(
-    rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None
-) -> float:
+def umegaki(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Umegaki relative entropy Tr[rho (log rho - log sigma)] in nats, as the
     sums sum_i w_i log w_i - sum_j log(s_j) <s_j|rho|s_j> on the states' spectra."""
-    tols = tols or DEFAULT_TOLS
     check_pair(rho, sigma, tols)
     (wr, vr), (ws, vs) = rho.eig, sigma.eig
     return float(wr @ np.log(wr) - np.log(ws) @ populations(wr, vr.conj().T @ vs))
 
 
-def bs_entropy(
-    rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None
-) -> float:
+def bs_entropy(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Belavkin-Staszewski relative entropy in nats.
 
     Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))], summed as
     sum_i log(c_i) <u_i|rho|u_i> over the verified eigenpairs of the core;
     never below ``umegaki`` up to roundoff, with equality when the states commute.
     """
-    tols = tols or DEFAULT_TOLS
     check_pair(rho, sigma, tols)
     return float(_bs_trace(rho.eig, sigma.eig, tols))
 
@@ -112,7 +106,7 @@ def _bs_trace(
 
 
 def unr_entropy(
-    rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None
+    rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFAULT_TOLS
 ) -> float:
     """Unraveled relative entropy in nats.
 
@@ -130,7 +124,7 @@ def max_f_divergence(
     rho: DensityMatrix,
     sigma: DensityMatrix,
     gen: DivergenceGenerator,
-    tols: Tolerances | None = None,
+    tols: Tolerances = DEFAULT_TOLS,
 ) -> float:
     """Maximal quantum f-divergence Tr[sigma f(sigma^{-1/2} rho sigma^{-1/2})].
 
@@ -139,7 +133,6 @@ def max_f_divergence(
     ``bs_entropy``. Summed as sum_i f(c_i) <v_i|sigma|v_i> on the verified
     spectrum of the core, which every generator on the pair shares.
     """
-    tols = tols or DEFAULT_TOLS
     check_pair(rho, sigma, tols)
     if not gen.operator_convex:
         raise NotOperatorConvex(
@@ -193,7 +186,7 @@ class KrausMap:
 
 
 def apply_cptp(
-    phi: KrausMap, rho: DensityMatrix, tols: Tolerances | None = None
+    phi: KrausMap, rho: DensityMatrix, tols: Tolerances = DEFAULT_TOLS
 ) -> DensityMatrix:
     """Push a state through the channel: sum_j K_j rho K_j^dag."""
     if phi.dim_in != rho.dim:

@@ -59,7 +59,7 @@ from scipy.special import gammaln
 
 from .commonbasis import CommonBasis, clamp_weights, common_basis
 from .errors import BudgetExceeded, DimMismatch
-from .matcore import Tolerances
+from .matcore import DEFAULT_TOLS, Tolerances
 from .states import DensityMatrix, RngStream, positive_count
 
 __all__ = [
@@ -123,7 +123,7 @@ def make_experiment(
     sigma: DensityMatrix,
     epsilon: float,
     sample_sizes,
-    tols: Tolerances | None = None,
+    tols: Tolerances = DEFAULT_TOLS,
 ) -> LdpExperiment:
     """Validate inputs and precompute the common basis."""
     cb = common_basis(rho, sigma, tols)  # checks the pair

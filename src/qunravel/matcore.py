@@ -26,14 +26,14 @@ per stack, and returns the scalar path's eigenpairs bit for bit
 vectorized pass decides every check for every matrix; ``herm_eig``'s checks
 then name the first flagged matrix, prefixed with its index. ``hermitize``
 and ``SpectralDecomposition`` work on a matrix and on a stack alike. A stack
-of one costs more than ``herm_eig`` at the small d where it is called most
-(one BLAS thread, 2-vCPU x86 VM, best of 25: 18-23 µs against 8-13 µs at
-d = 2-8).
+of one costs about twice ``herm_eig`` at the small d where it is called most
+(one BLAS thread, 2-vCPU x86 VM, best of 25 x 2000 calls at d = 2-8: 72-78 µs
+against 35-42 µs; absolute times on that VM swing by up to 3x).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,11 +65,20 @@ class Tolerances:
         Per-dimension Frobenius budget for eigendecomposition round trips.
     eps_faithful : float
         Eigenvalue floor below which a state counts as rank-deficient.
+
+    Every field must be finite and nonnegative, else ``ValueError`` names it:
+    a NaN or infinite budget would switch its check off.
     """
 
     tol_herm: float = 1e-10
     tol_recon: float = 1e-10
     eps_faithful: float = 1e-12
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
 
 
 DEFAULT_TOLS = Tolerances()
@@ -202,7 +211,7 @@ def lapack_eigh(m: np.ndarray, compute_v: int = 1) -> tuple[np.ndarray, np.ndarr
     return vals, vecs
 
 
-def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecomposition:
+def herm_eig(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, verified before returning.
 
     Eigenvalues come back ascending with orthonormal eigenvector columns in
@@ -215,7 +224,6 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
     A matrix whose norm overflows double precision once hermitized cannot be
     verified and fails as ``NotHermitian``.
     """
-    tols = tols or DEFAULT_TOLS
     m, norm = _hermitized(mat, tols)
     vals, vecs = lapack_eigh(m)
     vecs = np.ascontiguousarray(vecs)
@@ -223,7 +231,7 @@ def herm_eig(mat: np.ndarray, tols: Tolerances | None = None) -> SpectralDecompo
     return SpectralDecomposition(vals, vecs)
 
 
-def herm_eig_stack(mats: np.ndarray, tols: Tolerances | None = None) -> SpectralDecomposition:
+def herm_eig_stack(mats: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
     """``herm_eig`` of every matrix of an ``(N, d, d)`` stack, in one ``eigh`` call.
 
     One vectorized pass decides the checks of ``herm_eig``, with the same
@@ -235,7 +243,6 @@ def herm_eig_stack(mats: np.ndarray, tols: Tolerances | None = None) -> Spectral
     eigenvalues and ``(N, d, d)`` eigenvectors; each pair is the one
     ``herm_eig`` returns for that matrix alone.
     """
-    tols = tols or DEFAULT_TOLS
     m = np.asarray(mats, dtype=complex)
     if m.ndim != 3 or not is_square(m.shape[1:]):
         raise NotHermitian(f"expected a stack of square matrices with d >= 1, got shape {m.shape}")
@@ -273,7 +280,7 @@ def spectral_fn(
     mat: np.ndarray,
     f: Callable[[np.ndarray], np.ndarray],
     domain_min: float,
-    tols: Tolerances | None = None,
+    tols: Tolerances = DEFAULT_TOLS,
 ) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix (within ``tol_herm``)
     through its spectrum; see ``SpectralDecomposition.apply``."""

@@ -8,10 +8,8 @@ and parallelizable without shared state.
 Validation decomposes the matrix once through ``herm_eig``, and the state
 carries that verified eigendecomposition (``DensityMatrix.eig``); the
 divergences and the common basis work in its eigen-coordinates, and a
-function of the state is ``state.eig.apply(f, domain_min)``. ``faithful_stack``
-runs the checks of ``validate_density`` and ``require_faithful`` over a stack
-of matrices with one stacked eigensolve and returns the verified spectra.
-Results kept per pair of states are described in ``entropy``.
+function of the state is ``state.eig.apply(f, domain_min)``. Results kept per
+pair of states are described in ``entropy``.
 
 Inside the package, families of pure states are amplitude arrays, one ray
 per row: ``fs_angles`` broadcasts the Fubini-Study angle over them and
@@ -24,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotFaithful, NotPSD, NotTraceOne, QunravelError
+from .errors import DimMismatch, NotFaithful, NotPSD, NotTraceOne
 from .matcore import (
     DEFAULT_TOLS,
     SpectralDecomposition,
     Tolerances,
     herm_eig,
-    herm_eig_stack,
     hermitize,
     lapack_eigh,
 )
@@ -110,7 +107,7 @@ class DensityMatrix:
         return float(self.eig.eigenvalues[0])
 
 
-def validate_density(mat: np.ndarray, tols: Tolerances | None = None) -> DensityMatrix:
+def validate_density(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
     """Check Hermiticity, unit trace, and positivity; return the state.
 
     Checks run in that order so the reported failure names the first violated
@@ -119,7 +116,6 @@ def validate_density(mat: np.ndarray, tols: Tolerances | None = None) -> Density
     eigendecomposition that ``herm_eig`` verified, and the faithfulness flag
     records whether the smallest eigenvalue clears ``eps_faithful``.
     """
-    tols = tols or DEFAULT_TOLS
     m = np.asarray(mat, dtype=complex)
     eig = herm_eig(m, tols)
     m = hermitize(m)  # the matrix herm_eig decomposed
@@ -134,9 +130,8 @@ def validate_density(mat: np.ndarray, tols: Tolerances | None = None) -> Density
     return DensityMatrix(matrix=m, eig=eig, faithful=lo > tols.eps_faithful)
 
 
-def require_faithful(state: DensityMatrix, name: str, tols: Tolerances | None = None) -> None:
+def require_faithful(state: DensityMatrix, name: str, tols: Tolerances = DEFAULT_TOLS) -> None:
     """Raise ``NotFaithful`` naming the offending input if rank-deficient."""
-    tols = tols or DEFAULT_TOLS
     if state.min_eigenvalue <= tols.eps_faithful:
         raise NotFaithful(
             f"{name} is not faithful: smallest eigenvalue "
@@ -144,28 +139,7 @@ def require_faithful(state: DensityMatrix, name: str, tols: Tolerances | None = 
         )
 
 
-def faithful_stack(
-    mats: np.ndarray, tols: Tolerances | None = None
-) -> SpectralDecomposition | None:
-    """``validate_density`` and ``require_faithful`` for every matrix of an
-    ``(N, d, d)`` stack, through one ``herm_eig_stack`` call.
-
-    Returns the verified spectra when every matrix passes, else None: the
-    scalar functions own the error messages, so a caller that needs the error
-    reruns them on the members in order. Hermitizing keeps the real trace.
-    """
-    tols = tols or DEFAULT_TOLS
-    try:
-        eig = herm_eig_stack(mats, tols)
-    except QunravelError:
-        return None
-    tr = np.trace(mats, axis1=1, axis2=2).real
-    lo = eig.eigenvalues[:, 0]
-    ok = (np.abs(tr - 1.0) <= TRACE_TOL) & (lo >= PSD_FLOOR) & (lo > tols.eps_faithful)
-    return eig if ok.all() else None
-
-
-def check_pair(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances | None = None) -> None:
+def check_pair(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> None:
     """The contract of every divergence and of the common basis: equal
     dimensions (else ``DimMismatch``) and two faithful states."""
     if rho.dim != sigma.dim:
@@ -273,9 +247,7 @@ def haar_pure(dim: int, rng: RngStream) -> PureState:
 MIX_TOWARD_UNIFORM = 0.02
 
 
-def sample_faithful(
-    dim: int, rng: RngStream, tols: Tolerances | None = None
-) -> DensityMatrix:
+def sample_faithful(dim: int, rng: RngStream, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
     """Random full-rank density matrix from a normalized Ginibre draw.
 
     The raw draw G G^dag / Tr[G G^dag] is mixed with the maximally mixed
@@ -283,7 +255,6 @@ def sample_faithful(
     0.02 / dim. Raw Ginibre tails otherwise reach eigenvalues small enough
     that inverse-based identities lose absolute precision downstream.
     """
-    tols = tols or DEFAULT_TOLS
     if dim < 1:
         raise DimMismatch(f"dimension must be positive, got {dim}")
     g = rng.complex_normal((dim, dim))

@@ -347,13 +347,45 @@ def test_parser_is_built_once_and_parses_each_call_afresh(capsys, tmp_path, monk
 
 
 def test_argparse_error_leaves_the_parser_usable(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["ldp", LDP_CFG, "--seed", "not-a-number"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out, err = run(capsys, "ldp", LDP_CFG, "--seed", "not-a-number")
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"] == (
+        "qunravel ldp: argument --seed: invalid int value: 'not-a-number'"
+    )
     code, out, _ = run(capsys, "ldp", LDP_CFG, "--seed", "3")
     assert code == 0
     assert json.loads(out)["metadata"]["seed"] == 3
+
+
+PAIR = ("entropy", RHO_C, SIGMA_M)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((*PAIR, "--bogus"), "qunravel: unrecognized arguments: --bogus"),
+        (("entropy", RHO_C), "qunravel entropy: the following arguments are required: sigma"),
+        ((*PAIR, "--tol-recon", "nan"), "tol_recon must be finite and >= 0, got nan"),
+        ((*PAIR, "--tol-herm", "inf"), "tol_herm must be finite and >= 0, got inf"),
+        ((*PAIR, "--eps-faithful", "-1"), "eps_faithful must be finite and >= 0, got -1.0"),
+    ],
+    ids=["unknown-flag", "missing-argument", "tol-recon-nan", "tol-herm-inf", "eps-faithful-minus"],
+)
+def test_malformed_invocations_exit_2_with_one_json_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith(message)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qunravel entropy")
 
 
 def _retyped(path, key, value):
@@ -420,6 +452,32 @@ def test_number_fields_take_only_json_numbers(capsys, tmp_path, payload, field):
     error = json.loads(err)
     assert error["error"] == "ValueError"
     assert f"{path}:{field} must be" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda o: o.update(epsilon=10**400), "{path}:epsilon is out of range, got 1000"),
+        (
+            lambda o: o["rho"]["matrix"][0].__setitem__(0, [10**400, 0]),
+            "{path}:rho is out of range",
+        ),
+        (lambda o: o["rho"].update(dim=3), "{path}:rho has shape (2, 2), expected (3, 3)"),
+    ],
+    ids=["number-overflow", "entry-overflow", "matrix-shape"],
+)
+def test_out_of_range_numbers_and_misshapen_matrices_are_input_errors(
+    capsys, tmp_path, edit, message
+):
+    path = tmp_path / "ldp.json"
+    path.write_text(json.dumps(_ldp_with(edit)))
+    code, out, err = run(capsys, "ldp", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith(message.format(path=path))
 
 
 def test_bad_matrix_entry_names_its_file_and_field(capsys, tmp_path):

@@ -41,6 +41,23 @@ def test_rejects_dim_mismatch_and_rank_deficiency():
         common_basis(singular, rho)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cb2, cb3, rho3: dual_consistency(cb2, rho3),
+        lambda cb2, cb3, rho3: basis_match(cb2, cb3),
+    ],
+    ids=["dual-consistency", "basis-match"],
+)
+def test_basis_diagnostics_reject_dim_mismatch(call):
+    rng = RngStream(42)
+    cb2 = common_basis(sample_faithful(2, rng), sample_faithful(2, rng))
+    rho3 = sample_faithful(3, rng)
+    cb3 = common_basis(rho3, sample_faithful(3, rng))
+    with pytest.raises(DimMismatch, match="dimensions differ: 2 vs 3"):
+        call(cb2, cb3, rho3)
+
+
 def test_identical_inputs_give_equal_coefficients():
     rng = RngStream(42)
     for dim in (2, 3, 4):

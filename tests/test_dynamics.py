@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -26,9 +27,11 @@ from qunravel import (
     validate_density,
 )
 import qunravel.dynamics as dynamics
+import qunravel.entropy as entropy
 import qunravel.matcore as matcore
 from qunravel import DEFAULT_TOLS
 from qunravel.errors import (
+    BackendFailure,
     BudgetExceeded,
     DimMismatch,
     NotFaithful,
@@ -42,6 +45,7 @@ SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # qubit lowering operato
 SZ = np.diag([1.0, -1.0]).astype(complex)
 DAMPING = LindbladModel(np.zeros((2, 2)), (SM,), (1.0,))
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SZ,), (1.0,))
+KET0 = PureState(np.array([1.0, 0.0], dtype=complex))
 KET1 = PureState(np.array([0.0, 1.0], dtype=complex))
 
 
@@ -215,6 +219,21 @@ def test_nan_norm_is_a_step_explosion():
         sse_trajectory(nan_drift, KET1, 0.1, 0.01, RngStream(88))
     with pytest.raises(StepExplosion, match="norm nan"):
         evolve_ensemble(nan_drift, mu0, 0.1, 0.01, 3, RngStream(88))
+
+
+def test_evolve_ensemble_step_explosion_names_the_global_trajectory():
+    # |0> never moves under diag(0, 1), so only the paths of |1>, trajectories
+    # 3-5, can explode: a step takes |1> to 2i dX |1>
+    model = LindbladModel(np.zeros((2, 2)), (np.diag([0.0, 1.0]),), (2.0,))
+    mu0 = DiscreteEnsemble((KET0, KET1), np.array([0.5, 0.5]))
+    with pytest.raises(StepExplosion) as raised:
+        evolve_ensemble(model, mu0, 0.5, 0.5, 3, RngStream(1))
+    message = str(raised.value)
+    g = int(re.search(r"trajectory (\d+)", message).group(1))
+    assert g == 3
+    # the named trajectory's own stream (seed, g) replays the exploding norm
+    dx = RngStream(1).split(g).gen.standard_normal() * math.sqrt(0.5)
+    assert f"norm {2.0 * abs(dx):.3e} left [0.5, 2] at step 0" in message
 
 
 def test_model_rejects_jumps_whose_drift_overflows():
@@ -445,6 +464,52 @@ def test_contraction_reports_faithfulness_loss_with_time_stamp():
         contraction_scan(strong, rho, sigma, np.array([0.5, 2.0]))
 
 
+RHO3 = validate_density(np.eye(3) / 3)
+KET_3D = PureState(np.array([1.0, 0.0, 0.0], dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: sse_trajectory(DAMPING, KET_3D, 1.0, 0.1, RngStream(99)),
+            DimMismatch,
+            "model dim 2 vs state dim 3",
+        ),
+        (
+            lambda: evolve_ensemble(
+                DAMPING, DiscreteEnsemble((KET_3D,), np.array([1.0])), 1.0, 0.1, 2, RngStream(99)
+            ),
+            DimMismatch,
+            "model dim 2 vs ensemble dim 3",
+        ),
+        (
+            lambda: dynamics._propagate(DAMPING, (validate_density(np.eye(2) / 2), RHO3), [1.0]),
+            DimMismatch,
+            "model dim 2 vs states 2, 3",
+        ),
+        (lambda: lindblad_evolve(DAMPING, RHO3, 1.0), DimMismatch, "model dim 2 vs states 3"),
+        (
+            lambda: dynamics._propagate(DAMPING, (validate_density(np.eye(2) / 2),), []),
+            ValueError,
+            "nonempty 1-d array",
+        ),
+        (
+            lambda: contraction_scan(DEPHASING, RHO3, RHO3, np.zeros((0,))),
+            ValueError,
+            "nonempty 1-d array",
+        ),
+    ],
+    ids=[
+        "sse-trajectory", "evolve-ensemble", "propagate", "evolve", "propagate-empty",
+        "scan-empty",
+    ],
+)
+def test_flows_reject_mismatched_dimensions_and_empty_grids(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_contraction_rejects_bad_time_grids():
     rng = RngStream(98)
     rho = sample_faithful(2, rng)
@@ -628,6 +693,35 @@ def test_failing_scan_raises_the_earliest_point_error_of_the_per_point_chain(
         contraction_scan(DEPHASING, rho, sigma, times)
     assert str(raised.value) == str(expected.value)
     assert "t=0.4" in str(raised.value)
+
+
+def strict_cores(decompose):
+    """``decompose`` with no round-trip budget: a BS core fails its check."""
+    return lambda mat, tols: decompose(mat, dataclasses.replace(tols, tol_recon=0.0))
+
+
+@pytest.mark.parametrize("scalar_fails", [False, True], ids=["stacked-core", "every-core"])
+def test_a_failing_stacked_core_falls_back_to_the_per_point_chain(monkeypatch, scalar_fails):
+    rng = RngStream(104)
+    rho, sigma = sample_faithful(2, rng), sample_faithful(2, rng)
+    times = np.linspace(0.0, 1.0, 6)
+    expected = contraction_scan(DEPHASING, rho, sigma, times)
+    # the states' own eigensolves are bound in states and dynamics, not here
+    monkeypatch.setattr(entropy, "herm_eig_stack", strict_cores(matcore.herm_eig_stack))
+    if not scalar_fails:
+        # the chain's scalar cores pass, so the scan returns its values
+        chain = count_calls(monkeypatch, dynamics._point_bs_value)
+        assert contraction_scan(DEPHASING, rho, sigma, times) == expected
+        assert len(chain) == len(times)
+        return
+    monkeypatch.setattr(entropy, "herm_eig", strict_cores(matcore.herm_eig))
+    mats = dynamics._propagate(DEPHASING, (rho, sigma), times)
+    with pytest.raises(BackendFailure) as chain:
+        dynamics._point_bs_value(mats[:, 0], float(times[0]), DEFAULT_TOLS)
+    assert "round trip off by" in str(chain.value)
+    with pytest.raises(BackendFailure) as raised:
+        contraction_scan(DEPHASING, rho, sigma, times)
+    assert str(raised.value) == str(chain.value)
 
 
 def test_model_rejects_a_rate_whose_square_overflows():

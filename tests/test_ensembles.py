@@ -314,6 +314,14 @@ def test_f_divergence_neglog_zero_handling():
     assert f_divergence(mu, nu, GENERATORS["xlogx"]) == pytest.approx(math.log(2))
 
 
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_a_cell_that_nu_leaves_empty_and_mu_charges_is_infinite(name):
+    # the cell mu leaves empty and nu charges is test_f_divergence_neglog_zero_handling's
+    mu = DiscreteEnsemble((KET0, KET1), np.array([0.5, 0.5]))
+    nu = DiscreteEnsemble((KET0, KET1), np.array([1.0, 0.0]))
+    assert f_divergence(mu, nu, GENERATORS[name]) == math.inf
+
+
 def test_coarse_grain_identity_below_min_distance():
     mu = DiscreteEnsemble((KET0, KET1, PLUS), np.array([0.2, 0.3, 0.5]))
     kernel, out = coarse_grain(mu, 1e-6)
@@ -335,6 +343,39 @@ def test_coarse_grain_rejects_a_nan_radius():
     mu = DiscreteEnsemble((KET0, KET1), np.array([0.4, 0.6]))
     with pytest.raises(ValueError, match="radius must be nonnegative, got nan"):
         coarse_grain(mu, float("nan"))
+
+
+TWO_ATOMS = DiscreteEnsemble((KET0, KET1), np.array([0.5, 0.5]))
+QUTRIT_ATOMS = DiscreteEnsemble(np.eye(3, dtype=complex)[:2], np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: ensembles.CoarseKernel(KET0.amplitudes[None], (0,), 0.0).apply(TWO_ATOMS),
+            "kernel covers 1 atoms, ensemble has 2",
+        ),
+        (
+            lambda: ensembles.CoarseKernel(QUTRIT_ATOMS.amps, (0, 1), 0.0).apply(TWO_ATOMS),
+            "kernel centers have dim 3, ensemble has 2",
+        ),
+        (
+            lambda: ensembles.CoarseKernel(TWO_ATOMS.amps, (0, 0), 0.1).apply(TWO_ATOMS),
+            "atom 1 lies 1.571e[+]00 from its center, beyond radius 0.1",
+        ),
+        (lambda: greedy_coupling(TWO_ATOMS, QUTRIT_ATOMS), "dimensions differ: 2 vs 3"),
+        # the alignment before every divergence
+        (lambda: kl_divergence(QUTRIT_ATOMS, TWO_ATOMS), "dimensions differ: 3 vs 2"),
+    ],
+    ids=[
+        "kernel-atom-count", "kernel-center-dim", "kernel-radius", "greedy-coupling",
+        "aligned-weights",
+    ],
+)
+def test_measure_operations_reject_mismatched_supports(call, message):
+    with pytest.raises(DimMismatch, match=message):
+        call()
 
 
 def test_coarse_grain_kernel_replays_on_shared_atoms():
@@ -408,6 +449,8 @@ def test_coupling_bound_rejects_bad_marginals():
     mu = DiscreteEnsemble((KET0, KET1), np.array([0.5, 0.5]))
     with pytest.raises(InvalidCoupling):
         coupling_bound_check(mu, mu, [(0, 0, 1.0)])
+    with pytest.raises(InvalidCoupling, match="right marginal does not reproduce nu"):
+        coupling_bound_check(mu, mu, [(0, 0, 0.5), (1, 0, 0.5)])
     with pytest.raises(InvalidCoupling):
         coupling_bound_check(mu, mu, [(0, 0, 0.5), (1, 1, 0.5), (0, 1, -0.1)])
     with pytest.raises(InvalidCoupling):

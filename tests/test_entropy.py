@@ -494,6 +494,23 @@ def test_random_cptp_rejects_dimension_zero():
         random_cptp(0, 1, 1, RngStream(41))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: KrausMap((np.eye(2), np.eye(3))), r"shapes differ: \(3, 3\) vs \(2, 2\)"),
+        (
+            lambda: apply_cptp(KrausMap((np.eye(3),)), SIGMA_C),
+            "channel expects dim 3, state has 2",
+        ),
+        (lambda: random_cptp(2, 2, 0, RngStream(42)), "at least one Kraus operator, got 0"),
+    ],
+    ids=["kraus-shapes", "apply-cptp", "random-cptp-no-operator"],
+)
+def test_channels_reject_mismatched_dimensions(call, message):
+    with pytest.raises(DimMismatch, match=message):
+        call()
+
+
 def edge_state(dim, lam, rng):
     """A state with smallest eigenvalue lam, the rest of its spectrum at least
     lam and Dirichlet-spread, in a Haar-random eigenbasis (QR of a complex

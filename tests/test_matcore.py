@@ -37,6 +37,18 @@ def test_default_tolerances():
     assert DEFAULT_TOLS.eps_faithful == 1e-12
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-12])
+@pytest.mark.parametrize("field", ["tol_herm", "tol_recon", "eps_faithful"])
+def test_tolerances_reject_a_field_that_is_not_finite_and_nonnegative(field, value):
+    with pytest.raises(ValueError) as raised:
+        Tolerances(**{field: value})
+    assert str(raised.value) == f"{field} must be finite and >= 0, got {value!r}"
+
+
+def test_tolerances_accept_zero_budgets():
+    assert Tolerances(0.0, 0.0, 0.0) == Tolerances(tol_herm=0, tol_recon=0, eps_faithful=0)
+
+
 def test_hermitize_fixes_roundoff():
     m = np.array([[1.0, 0.5 + 1e-13j], [0.5 - 3e-13j, 2.0]])
     h = hermitize(m)
@@ -397,7 +409,7 @@ def spectral_sum(decomposition, a, f):
 
 @pytest.mark.parametrize("name", sorted(SCALAR_FUNCTIONS))
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 32])
-def test_trace_with_is_the_trace_of_the_matrix_function(dim, name):
+def test_spectral_sum_is_the_trace_of_the_matrix_function(dim, name):
     f = SCALAR_FUNCTIONS[name]
     eps = DEFAULT_TOLS.eps_faithful
     for m, a in spectral_sum_cases(dim, np.random.default_rng(100 + dim)):
@@ -408,7 +420,7 @@ def test_trace_with_is_the_trace_of_the_matrix_function(dim, name):
 
 
 @pytest.mark.parametrize("dim", [2, 8, 32])
-def test_stacked_trace_with_equals_its_members_bit_for_bit(dim):
+def test_stacked_spectral_sum_equals_its_members_bit_for_bit(dim):
     # the stacked BS values of a contraction scan are these sums over a stack
     rng = np.random.default_rng(200 + dim)
     mats = random_spd_stack(6, dim, rng)

@@ -361,28 +361,15 @@ def test_unit_check_prints_the_norm_as_a_plain_float():
         PureState(np.array([2.0, 0.0]))
 
 
-def test_faithful_stack_accepts_what_validate_density_accepts():
-    rng = RngStream(120)
-    good = np.stack([sample_faithful(3, rng).matrix for _ in range(4)])
-    vals, vecs = states.faithful_stack(good)
-    for w, v, ref in zip(vals, vecs, good):
-        state = validate_density(ref)
-        assert np.array_equal(w, state.eig.eigenvalues)
-        assert np.array_equal(v, state.eig.eigenvectors)
-
-
 @pytest.mark.parametrize(
-    "bad",
+    "call",
     [
-        np.diag([0.6, 0.6, 0.0]),  # trace
-        np.diag([1.2, -0.1, -0.1]),  # PSD floor
-        np.diag([1.0, 0.0, 0.0]),  # faithful
-        np.array([[0.5, 1e-6, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]]),  # Hermitian
-        np.diag([np.nan, 0.5, 0.5]),  # finite
+        lambda: fubini_study(KET0, PureState(np.array([1.0, 0.0, 0.0]))),
+        lambda: haar_pure(0, RngStream(122)),
+        lambda: sample_faithful(0, RngStream(122)),
     ],
-    ids=["trace", "psd", "faithful", "hermitian", "finite"],
+    ids=["fubini-study", "haar-pure", "sample-faithful"],
 )
-def test_faithful_stack_rejects_a_stack_with_one_failing_member(bad):
-    rng = RngStream(121)
-    mats = np.stack([sample_faithful(3, rng).matrix, bad, sample_faithful(3, rng).matrix])
-    assert states.faithful_stack(mats) is None
+def test_dimension_mismatches_are_rejected(call):
+    with pytest.raises(DimMismatch):
+        call()
