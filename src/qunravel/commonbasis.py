@@ -27,6 +27,10 @@ are the psi_i, next to the dual matrix and the two weight vectors; ``basis``
 rebuilds the ``PureState`` objects for API callers. One pair of state
 objects has one basis, built once (see ``entropy``).
 
+A basis is verified once, when it is constructed, and keeps its clamped
+weights; ``cb_measures`` wraps its rows and those weights unchecked, since
+the checks of ``CommonBasis`` imply every ``DiscreteEnsemble`` invariant.
+
 When the spectrum of A is simple the basis is unique up to permutation and
 phase, which ``basis_match`` recovers; with degeneracies the construction is
 still deterministic but depends on the eigensolver's choice inside each
@@ -35,14 +39,16 @@ eigenspace.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .ensembles import DiscreteEnsemble, _greedy_plan
 from .errors import BackendFailure, DimMismatch
-from .matcore import DEFAULT_TOLS, Tolerances, herm_eig, hermitize, lapack_eigh, populations
+from .matcore import (
+    DEFAULT_TOLS, Tolerances, herm_eig, hermitize, identity, lapack_eigh, populations,
+)
 from .states import DensityMatrix, PureState, canonical_rows, check_pair, fs_angles
 
 __all__ = [
@@ -66,6 +72,31 @@ class CommonBasis:
     <psi_i|dual_j> = delta_ij), and ``eigenvalues`` the ascending spectrum
     kappa_i of rho^{-1/2} sigma rho^{-1/2}, aligned with the basis order so
     that sigma_i / rho_i = kappa_i.
+
+    A basis certifies itself when it is built, however it is built, and
+    raises ``BackendFailure`` when a check fails (``DimMismatch`` when the
+    arrays do not fit together):
+
+    * biorthogonality of ``psis`` and ``dual`` within 1e-9;
+    * both coefficient vectors nonnegative within 1e-9 and summing to 1
+      within 1e-9 (a NaN fails both);
+    * unit columns of ``psis``: every diagonal entry of the Gram matrix
+      G = psis^dag psis within 1e-12 of 1, so each column, phase-rotated or
+      not, passes ``check_unit_rows`` (norm 1 within 1e-12) with room for
+      rounding;
+    * the Gram floor, smallest eigenvalue of G above 1e-14. The 2 x 2
+      principal submatrix of G on columns i, j has eigenvalues
+      1 -+ |<psi_i|psi_j>|, and by Cauchy interlacing the smaller is at
+      least the smallest eigenvalue of G. So 1 - cos(theta_ij) > 1e-14 for
+      the Fubini-Study angle theta_ij of every pair of basis rays, which
+      puts them at least about 1.4e-7 apart, far beyond ``TOL_MATCH`` =
+      1e-10.
+
+    These are every invariant of a ``DiscreteEnsemble`` on the basis rays,
+    so ``cb_measures`` builds its two measures without checking them again.
+    ``rho_weights`` and ``sigma_weights`` hold the ``clamp_weights`` of the
+    two coefficient vectors, computed once here and read-only; every
+    divergence on the basis reads them.
     """
 
     psis: np.ndarray
@@ -73,6 +104,33 @@ class CommonBasis:
     rho_coeffs: np.ndarray
     sigma_coeffs: np.ndarray
     eigenvalues: np.ndarray
+    rho_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma_weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        psis, d = self.psis, self.psis.shape[0]
+        shapes = [a.shape for a in (psis, self.dual)]
+        shapes += [v.shape for v in (self.rho_coeffs, self.sigma_coeffs, self.eigenvalues)]
+        if d == 0 or shapes != [(d, d)] * 2 + [(d,)] * 3:
+            raise DimMismatch(f"basis arrays do not fit one dimension: shapes {shapes}")
+        bio_err = float(np.abs(psis.conj().T @ self.dual - identity(d)).max())
+        if not bio_err <= 1e-9:  # a NaN defect fails here too
+            raise BackendFailure(f"dual basis not biorthogonal (defect {bio_err:.3e})")
+        for label, w in (("rho", self.rho_coeffs), ("sigma", self.sigma_coeffs)):
+            lo, total = float(w.min()), float(w.sum())
+            if not (lo >= -1e-9 and abs(total - 1.0) <= 1e-9):  # NaN weights fail too
+                raise BackendFailure(f"{label} weights invalid (min {lo:.3e}, sum {total!r})")
+        gram = psis.conj().T @ psis
+        unit_err = float(np.abs(gram.diagonal().real - 1.0).max())
+        if not unit_err <= 1e-12:
+            raise BackendFailure(f"basis columns are not unit vectors (|norm^2 - 1| {unit_err:.3e})")
+        gram_min = float(lapack_eigh(gram, 0)[0][0])
+        if not gram_min > 1e-14:
+            raise BackendFailure(f"basis Gram matrix is rank-deficient ({gram_min:.3e})")
+        for name, w in (("rho_weights", self.rho_coeffs), ("sigma_weights", self.sigma_coeffs)):
+            clamped = clamp_weights(w)
+            clamped.flags.writeable = False
+            object.__setattr__(self, name, clamped)
 
     @property
     def dim(self) -> int:
@@ -90,11 +148,10 @@ def common_basis(
     """Construct the common basis of two faithful states.
 
     Raises ``DimMismatch`` on size disagreement and ``NotFaithful`` when
-    either input is rank-deficient. The returned object is self-checked:
-    biorthogonality, weight normalization, and basis non-degeneracy are
-    verified before it leaves this function. A repeat call on the same two
-    state objects with equal tolerances returns the same object, whose
-    arrays are read-only.
+    either input is rank-deficient. The returned object has passed the
+    checks of ``CommonBasis``. A repeat call on the same two state objects
+    with equal tolerances returns the same object, whose arrays are
+    read-only.
     """
     return _common_basis(rho, sigma, tols)
 
@@ -125,27 +182,9 @@ def _common_basis(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances) ->
         sigma_coeffs=sigma_coeffs,
         eigenvalues=kappa,
     )
-    _self_check(cb)
     for arr in (psis, dual, rho_coeffs, sigma_coeffs, kappa):
         arr.flags.writeable = False
     return cb
-
-
-def _self_check(cb: CommonBasis) -> None:
-    psis = cb.psis
-    bio = psis.conj().T @ cb.dual
-    bio_err = float(np.abs(bio - np.eye(cb.dim)).max())
-    if not bio_err <= 1e-9:  # a NaN defect fails here too
-        raise BackendFailure(f"dual basis not biorthogonal (defect {bio_err:.3e})")
-    for label, w in (("rho", cb.rho_coeffs), ("sigma", cb.sigma_coeffs)):
-        if w.min() < -1e-9 or abs(w.sum() - 1.0) > 1e-9:
-            raise BackendFailure(
-                f"{label} weights invalid (min {w.min():.3e}, sum {w.sum()!r})"
-            )
-    gram = psis.conj().T @ psis
-    gram_min = float(lapack_eigh(gram, 0)[0][0])
-    if gram_min <= 1e-14:
-        raise BackendFailure(f"basis Gram matrix is rank-deficient ({gram_min:.3e})")
 
 
 def dual_consistency(
@@ -173,12 +212,17 @@ def clamp_weights(w: np.ndarray) -> np.ndarray:
 def cb_measures(cb: CommonBasis) -> tuple[DiscreteEnsemble, DiscreteEnsemble]:
     """The two classical measures carried by the common basis.
 
-    Both ensembles share one amplitude array (the phase-canonicalized basis
-    states as rows) and carry the ``clamp_weights`` of their coefficients.
+    Both ensembles share one C-contiguous amplitude array (the
+    phase-canonicalized basis states as rows) and carry the basis's
+    ``rho_weights`` and ``sigma_weights``. The basis certified every
+    invariant of a ``DiscreteEnsemble`` on them when it was built (see
+    ``CommonBasis``), so neither measure is checked again.
     """
-    mu = DiscreteEnsemble(canonical_rows(cb.psis.T), clamp_weights(cb.rho_coeffs))
-    nu = DiscreteEnsemble._distinct(mu.amps, clamp_weights(cb.sigma_coeffs))
-    return mu, nu
+    amps = np.ascontiguousarray(canonical_rows(cb.psis.T), dtype=complex)
+    return (
+        DiscreteEnsemble._certified(amps, cb.rho_weights),
+        DiscreteEnsemble._certified(amps, cb.sigma_weights),
+    )
 
 
 def basis_match(a: CommonBasis, b: CommonBasis) -> Optional[list[int]]:

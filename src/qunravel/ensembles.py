@@ -14,9 +14,13 @@ finds the rows within ``TOL_MATCH`` of each other in blocks of rows, and it
 serves distinctness, merging and alignment alike: the constructor rejects a
 support with a close pair, ``_merged_ensemble`` merges every such pair, and
 the divergences match the atoms of two supports through it. Each support is
-screened for distinctness once, or not at all where its builder proves it
-(``DiscreteEnsemble._distinct``): ``_merged_ensemble``'s merge leaves no
-close pair, and ``cb_measures`` reuses its first measure's screened rows.
+verified once, or not at all where its builder proves it. The constructor
+checks everything. ``DiscreteEnsemble._distinct`` checks all but the screen,
+for ``_merged_ensemble``, whose merge leaves no close pair.
+``DiscreteEnsemble._certified`` checks nothing, for the two measures of
+``cb_measures``: their ``CommonBasis`` verified the unit rows, the weights
+and, through its Gram floor and Cauchy interlacing, rays at least about
+1.4e-7 apart, when it was built.
 Coarse-graining and couplings live here too,
 since both are purely measure-level operations on angle tables.
 """
@@ -189,6 +193,17 @@ class DiscreteEnsemble:
         distinct beyond ``TOL_MATCH``; a checked array is stored as is."""
         ens = object.__new__(cls)
         ens._store(amps, weights)
+        return ens
+
+    @classmethod
+    def _certified(cls, amps: np.ndarray, weights: np.ndarray) -> "DiscreteEnsemble":
+        """An ensemble on arrays stored as given, with no check at all: for a
+        C-contiguous complex ``amps`` and float ``weights`` whose builder has
+        verified every constructor invariant (``cb_measures``, on the checks
+        of ``CommonBasis``)."""
+        ens = object.__new__(cls)
+        object.__setattr__(ens, "amps", amps)
+        object.__setattr__(ens, "weights", weights)
         return ens
 
     def _store(self, amps: np.ndarray, weights) -> None:

@@ -15,7 +15,10 @@ is never diagonalized. ``max_f_divergence`` generalizes the BS construction
 to arbitrary operator-convex generators with f(1) = 0. The generators
 (``DivergenceGenerator``, ``GENERATORS``) belong to the classical layer in
 ``ensembles`` and are re-exported here; xlogx gives KL, and ``unr_entropy``
-sums it over the clamped basis weights in the loop of ``f_divergence``.
+sums it, in the loop of ``f_divergence``, over the clamped weights that the
+common basis computed and verified once when it was built
+(``CommonBasis.rho_weights`` and ``sigma_weights``), the same arrays its
+``cb_measures`` carry.
 
 Every core is built in the eigen-coordinates of the states' verified spectra
 (``DensityMatrix.eig``) from their overlap M = V_sigma^dag V_rho, and no matrix
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commonbasis import clamp_weights, common_basis
+from .commonbasis import common_basis
 from .ensembles import GENERATORS, DivergenceGenerator, _f_sum
 from .errors import (
     DimMismatch,
@@ -112,12 +115,11 @@ def unr_entropy(
 
     The infimum of KL(mu || nu) over pure-state ensemble pairs realizing
     (rho, sigma) is attained by the common-basis measures. Both live on the
-    one common basis, so this is the KL divergence of their two weight
-    vectors, the same number ``kl_divergence`` gives on ``cb_measures``.
+    one common basis, so this is the KL divergence of the basis's two stored
+    weight vectors, the same number ``kl_divergence`` gives on ``cb_measures``.
     """
     cb = common_basis(rho, sigma, tols)  # checks the pair
-    p, q = clamp_weights(cb.rho_coeffs), clamp_weights(cb.sigma_coeffs)
-    return _f_sum(p, q, GENERATORS["xlogx"])
+    return _f_sum(cb.rho_weights, cb.sigma_weights, GENERATORS["xlogx"])
 
 
 def max_f_divergence(

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .commonbasis import CommonBasis, clamp_weights, common_basis
+from .commonbasis import CommonBasis, common_basis
 from .errors import BudgetExceeded, DimMismatch
 from .matcore import DEFAULT_TOLS, Tolerances
 from .states import DensityMatrix, RngStream, positive_count
@@ -83,9 +83,10 @@ class LdpExperiment:
     """A target pair, its common basis, and the sampling plan.
 
     The tables every rate of the experiment shares are derived once from
-    these: the sigma-side weights, the projector rows |psi_i><psi_i|, the
-    Gram matrix |<psi_i|psi_j>|^2 and the membership screen's rounding
-    allowances (see the module docstring).
+    these: the projector rows |psi_i><psi_i|, the Gram matrix
+    |<psi_i|psi_j>|^2 and the membership screen's rounding allowances (see
+    the module docstring). Atoms are drawn from the basis's own clamped
+    ``cb.sigma_weights``.
     """
 
     rho: DensityMatrix
@@ -93,7 +94,6 @@ class LdpExperiment:
     cb: CommonBasis
     epsilon: float
     sample_sizes: tuple[int, ...]
-    sigma_weights: np.ndarray = field(init=False, repr=False, compare=False)
     proj: np.ndarray = field(init=False, repr=False, compare=False)
     gram: np.ndarray = field(init=False, repr=False, compare=False)
     slack: float = field(init=False, repr=False, compare=False)
@@ -108,7 +108,6 @@ class LdpExperiment:
         t_max = abs(1.0 - float(p @ norms2)) + float(np.abs(1.0 - norms2).max())
         u = np.finfo(float).eps / 2  # unit roundoff
         tables = {
-            "sigma_weights": clamp_weights(self.cb.sigma_coeffs),
             "proj": proj,
             "gram": np.abs(psis.conj().T @ psis) ** 2,
             "slack": 0.5 * math.sqrt(d) * resid + t_max + 16 * d * d * (d + 1) * u,
@@ -208,7 +207,7 @@ def _reference_weights(exp: LdpExperiment, override) -> np.ndarray:
         if not ((w > 0).all() and abs(w.sum() - 1.0) <= 1e-10):  # NaN fails too
             raise ValueError("reference weights must be positive and sum to 1")
         return w
-    return exp.sigma_weights
+    return exp.cb.sigma_weights
 
 
 def _ball_mask(exp: LdpExperiment, counts: np.ndarray, n: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qunravel import (
     PureState,
     RngStream,
     basis_match,
+    canonical_phase,
     cb_measures,
     common_basis,
     dual_consistency,
@@ -16,7 +19,8 @@ from qunravel import (
     trace_distance,
     validate_density,
 )
-from qunravel.errors import DimMismatch, NotFaithful
+from qunravel.commonbasis import CommonBasis, clamp_weights
+from qunravel.errors import BackendFailure, DimMismatch, NotFaithful
 from qunravel.matcore import DEFAULT_TOLS, Tolerances
 
 KL_34_12 = 0.13081203594113697
@@ -257,3 +261,72 @@ def test_basis_is_rebuilt_for_another_pair_or_tolerance():
             assert np.allclose(np.sort(other.eigenvalues), np.sort(1.0 / cb.eigenvalues))
         else:
             assert np.array_equal(other.psis, cb.psis)
+
+
+def hand_built(**fields):
+    """The commuting pair's basis (computational rays, weights (3/4, 1/4) and
+    (1/2, 1/2)) with the given arrays replaced."""
+    arrays = dict(
+        psis=np.eye(2, dtype=complex),
+        dual=np.eye(2, dtype=complex),
+        rho_coeffs=np.array([0.75, 0.25]),
+        sigma_coeffs=np.array([0.5, 0.5]),
+        eigenvalues=np.array([2.0 / 3.0, 2.0]),
+    )
+    arrays.update(fields)
+    return CommonBasis(**arrays)
+
+
+def nearly_parallel_rays(angle):
+    """Unit columns |0> and cos|0> + sin|1> with their exact biorthogonal dual."""
+    psis = np.array([[1.0, math.cos(angle)], [0.0, math.sin(angle)]], dtype=complex)
+    return dict(psis=psis, dual=np.linalg.inv(psis.conj().T))
+
+
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        (dict(dual=2.0 * np.eye(2, dtype=complex)), BackendFailure, "not biorthogonal"),
+        (dict(dual=np.full((2, 2), np.nan, dtype=complex)), BackendFailure, "not biorthogonal"),
+        (dict(rho_coeffs=np.array([np.nan, np.nan])), BackendFailure, "rho weights invalid"),
+        (dict(sigma_coeffs=np.array([np.nan, 1.0])), BackendFailure, "sigma weights invalid"),
+        (dict(rho_coeffs=np.array([1.5, -0.5])), BackendFailure, "rho weights invalid"),
+        (dict(sigma_coeffs=np.array([0.7, 0.7])), BackendFailure, "sigma weights invalid"),
+        (
+            dict(psis=np.diag([2.0, 1.0]).astype(complex), dual=np.diag([0.5, 1.0]).astype(complex)),
+            BackendFailure,
+            "not unit vectors",
+        ),
+        (nearly_parallel_rays(1e-8), BackendFailure, "rank-deficient"),
+        (dict(psis=np.eye(3, dtype=complex)), DimMismatch, "do not fit one dimension"),
+        (dict(rho_coeffs=np.array([0.5, 0.25, 0.25])), DimMismatch, "do not fit one dimension"),
+        (dict(eigenvalues=np.ones(3)), DimMismatch, "do not fit one dimension"),
+    ],
+    ids=[
+        "dual-scaled", "dual-nan", "rho-nan", "sigma-one-nan", "rho-negative", "sigma-sum",
+        "column-norm-2", "gram-floor", "psis-3x3", "three-rho-weights", "three-eigenvalues",
+    ],
+)
+def test_hand_built_basis_is_rejected_at_each_check(fields, error, message):
+    with pytest.raises(error, match=message):
+        hand_built(**fields)
+
+
+def test_hand_built_basis_passing_every_check():
+    cb = hand_built(**nearly_parallel_rays(1e-3))
+    mu, nu = cb_measures(cb)
+    assert np.array_equal(mu.weights, [0.75, 0.25]) and np.array_equal(nu.weights, [0.5, 0.5])
+    assert kl_divergence(mu, nu) == pytest.approx(KL_34_12, abs=1e-15)
+
+
+def test_clamped_weights_are_computed_once_on_the_basis():
+    rng = RngStream(54)
+    cb = common_basis(sample_faithful(3, rng), sample_faithful(3, rng))
+    for stored, coeffs in ((cb.rho_weights, cb.rho_coeffs), (cb.sigma_weights, cb.sigma_coeffs)):
+        assert np.array_equal(stored, clamp_weights(coeffs))
+        with pytest.raises(ValueError):
+            stored[0] = 0.5
+    mu, nu = cb_measures(cb)
+    assert mu.weights is cb.rho_weights and nu.weights is cb.sigma_weights
+    assert mu.amps.flags.c_contiguous
+    assert np.array_equal(mu.amps, np.stack([canonical_phase(p).amplitudes for p in cb.basis]))

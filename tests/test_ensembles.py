@@ -146,7 +146,8 @@ def test_each_support_is_screened_once(monkeypatch):
     monkeypatch.setattr(ensembles, "_near_pairs", counted)
     rng = RngStream(35)
     mu, nu = cb_measures(common_basis(sample_faithful(3, rng), sample_faithful(3, rng)))
-    assert calls == [3]
+    # the basis's Gram floor proves its rays distinct, so its measures need no screen
+    assert calls == []
     assert nu.amps is mu.amps
     model = LindbladModel(np.zeros((2, 2)), (np.array([[0.0, 1.0], [0.0, 0.0]]),), (1.0,))
     mu0 = DiscreteEnsemble((KET1, PLUS), np.array([0.4, 0.6]))

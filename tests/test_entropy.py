@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qunravel.matcore as matcore
+from qunravel.ensembles import _near_pairs
 from qunravel.matcore import DEFAULT_TOLS, Tolerances
 from qunravel import (
     GENERATORS,
@@ -538,6 +539,28 @@ def test_criteria_01_and_11_hold_at_the_ill_conditioned_edge(dim, lam):
         for gen in GENERATORS.values():
             f = f_divergence(mu, nu, gen)
             assert abs(max_f_divergence(rho, sigma, gen) - f) <= 1e-8 * max(1.0, abs(f))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 8),
+    lam=st.sampled_from([None, 1e-4, 1e-6, 1e-8]),
+)
+def test_property_common_basis_measures_pass_every_ensemble_check(seed, dim, lam):
+    # cb_measures runs no ensemble check: the basis's own checks must imply them
+    rng = RngStream(seed)
+    if lam is None:
+        rho, sigma = sample_faithful(dim, rng), sample_faithful(dim, rng)
+    else:
+        rho, sigma = edge_state(dim, lam, rng), edge_state(dim, lam, rng)
+    mu, nu = cb_measures(common_basis(rho, sigma))
+    for m in (mu, nu):
+        checked = DiscreteEnsemble(m.amps, m.weights)
+        assert np.array_equal(checked.amps, m.amps)
+        assert np.array_equal(checked.weights, m.weights)
+    assert list(_near_pairs(mu.amps)) == []
+    assert unr_entropy(rho, sigma) == kl_divergence(mu, nu)
 
 
 # f' of each generator, for the first-order error bound below
