@@ -164,10 +164,6 @@ def _emit_summary(summary: dict, path: str | None = None) -> None:
     _write_text(path, text + "\n")
 
 
-def _gram_condition(cb) -> float:
-    return float(np.linalg.cond(cb.psis.conj().T @ cb.psis))
-
-
 def cmd_entropy(args) -> int:
     tols = args.tols
     rho = _load_density(args.rho, tols)
@@ -190,7 +186,7 @@ def cmd_entropy(args) -> int:
         "metadata": _metadata(args, (args.rho, args.sigma), args.base, which=args.which),
         "values": values,
         "abs_bs_unr_gap": abs(d_bs - d_unr) / scale,
-        "gram_condition_number": _gram_condition(cb),
+        "gram_condition_number": cb.gram_condition_number,
     }
     _emit_summary(report, args.out)
     return 0
@@ -248,7 +244,7 @@ def cmd_common_basis(args) -> int:
         "reconstruction_error_rho": trace_distance(recon_rho, rho),
         "reconstruction_error_sigma": trace_distance(recon_sigma, sigma),
         "dual_consistency_error": dual_consistency(cb, rho, tols),
-        "gram_condition_number": _gram_condition(cb),
+        "gram_condition_number": cb.gram_condition_number,
     }
     _emit_summary(report, args.out)
     return 0

@@ -63,7 +63,7 @@ WEIGHT_CLAMP = 1e-14
 MATCH_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommonBasis:
     """Shared basis of a faithful pair, with weights and diagnostics.
 
@@ -96,7 +96,8 @@ class CommonBasis:
     so ``cb_measures`` builds its two measures without checking them again.
     ``rho_weights`` and ``sigma_weights`` hold the ``clamp_weights`` of the
     two coefficient vectors, computed once here and read-only; every
-    divergence on the basis reads them.
+    divergence on the basis reads them. So do G, as ``gram``, and its ascending
+    spectrum from the Gram floor check, as ``gram_eigenvalues``.
     """
 
     psis: np.ndarray
@@ -104,8 +105,10 @@ class CommonBasis:
     rho_coeffs: np.ndarray
     sigma_coeffs: np.ndarray
     eigenvalues: np.ndarray
-    rho_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    sigma_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    rho_weights: np.ndarray = field(init=False, repr=False)
+    sigma_weights: np.ndarray = field(init=False, repr=False)
+    gram: np.ndarray = field(init=False, repr=False)
+    gram_eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         psis, d = self.psis, self.psis.shape[0]
@@ -124,17 +127,23 @@ class CommonBasis:
         unit_err = float(np.abs(gram.diagonal().real - 1.0).max())
         if not unit_err <= 1e-12:
             raise BackendFailure(f"basis columns are not unit vectors (|norm^2 - 1| {unit_err:.3e})")
-        gram_min = float(lapack_eigh(gram, 0)[0][0])
-        if not gram_min > 1e-14:
-            raise BackendFailure(f"basis Gram matrix is rank-deficient ({gram_min:.3e})")
-        for name, w in (("rho_weights", self.rho_coeffs), ("sigma_weights", self.sigma_coeffs)):
-            clamped = clamp_weights(w)
-            clamped.flags.writeable = False
-            object.__setattr__(self, name, clamped)
+        spectrum = lapack_eigh(gram, 0)[0]
+        if not spectrum[0] > 1e-14:
+            raise BackendFailure(f"basis Gram matrix is rank-deficient ({spectrum[0]:.3e})")
+        names = ("rho_weights", "sigma_weights", "gram", "gram_eigenvalues")
+        weights = clamp_weights(self.rho_coeffs), clamp_weights(self.sigma_coeffs)
+        for name, arr in zip(names, (*weights, gram, spectrum)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
         return self.psis.shape[0]
+
+    @property
+    def gram_condition_number(self) -> float:
+        """Largest over smallest eigenvalue of the Gram matrix G."""
+        return float(self.gram_eigenvalues[-1] / self.gram_eigenvalues[0])
 
     @property
     def basis(self) -> tuple[PureState, ...]:

@@ -36,12 +36,12 @@ one-state, one-point run of it. A contraction scan propagates its pair to
 every point before checking any. It then checks all 2P states of its P
 points, each divided by its trace, with one stacked eigensolve
 (``herm_eig_stack``) and the faithfulness floor, and takes the BS values
-from a second one over the P BS cores, built in eigen-coordinates (see
-``entropy``), each its own member of the stack. When any stacked check
-fails, the scan reruns the per-point chain of ``lindblad_evolve``'s checks,
-``require_faithful`` and ``bs_entropy``, point by point in time order; that
-chain alone raises, so the error names the earliest failing time as a
-point-by-point scan would.
+from a second one over the P pair cores sigma^{-1/2} rho sigma^{-1/2}, built
+in eigen-coordinates (see ``entropy``), each its own member of the stack.
+When any stacked check fails, the scan reruns the per-point chain of
+``lindblad_evolve``'s checks, ``require_faithful`` and ``bs_entropy``, point
+by point in time order; that chain alone raises, so the error names the
+earliest failing time as a point-by-point scan would.
 
 The stochastic counterpart is a diffusive (Brownian-noise) pure-state
 equation, integrated by Euler-Maruyama:
@@ -72,7 +72,7 @@ from typing import Iterator
 import numpy as np
 from scipy.linalg import expm
 
-from .entropy import _bs_trace, bs_entropy
+from .entropy import _bs_sum, _pair_core, bs_entropy
 from .errors import (
     BudgetExceeded,
     DimMismatch,
@@ -121,7 +121,7 @@ MAX_NOISE_DRAWS = 50_000_000
 _R = math.sqrt(0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladModel:
     """Generator data: Hamiltonian, jump operators, coupling rates, and the
     drift D = -i H - 1/2 sum_j gamma_j^2 S_j^dag S_j built from them.
@@ -133,7 +133,7 @@ class LindbladModel:
     hamiltonian: np.ndarray
     jumps: tuple[np.ndarray, ...] = ()
     rates: tuple[float, ...] = ()
-    drift: np.ndarray = field(init=False, repr=False, compare=False)
+    drift: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.array(self.hamiltonian, dtype=complex, order="C")  # the caller's stays its own
@@ -173,7 +173,7 @@ class LindbladModel:
         return self.hamiltonian.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One stochastic pure-state path with its reproducibility record.
 
@@ -534,7 +534,7 @@ def _stacked_bs_values(mats: np.ndarray, tols: Tolerances) -> list[float] | None
 
     The first eigensolve verifies all 2P states (trace drift, then those of
     ``validate_density`` and ``require_faithful``), the second the P cores
-    B^dag B of ``_bs_trace``, each core still decomposed on its own. A state
+    B B^dag of ``_pair_core``, each core still decomposed on its own. A state
     divided by its trace has unit trace, and a spectrum above
     ``eps_faithful >= 0`` clears ``PSD_FLOOR``, so the floor is the one
     bound of a state left to check after its eigensolve."""
@@ -550,7 +550,7 @@ def _stacked_bs_values(mats: np.ndarray, tols: Tolerances) -> list[float] | None
             return None
         rho_eig = SpectralDecomposition(vals[:p], vecs[:p])
         sigma_eig = SpectralDecomposition(vals[p:], vecs[p:])
-        return _bs_trace(rho_eig, sigma_eig, tols).tolist()
+        return _bs_sum(*_pair_core(rho_eig, sigma_eig, tols), tols).tolist()
     except QunravelError:
         return None
 

@@ -159,7 +159,7 @@ def _merge_coincident(amps: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray
     return amps[keep], summed
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DiscreteEnsemble:
     """Finitely supported measure on pure states.
 
@@ -319,7 +319,7 @@ def _f_sum(p: np.ndarray, q: np.ndarray, gen: DivergenceGenerator) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoarseKernel:
     """Deterministic coarse-graining: atom index -> covering center.
 

@@ -9,39 +9,37 @@ Three divergences between faithful states, all in nats:
   measures, so it is evaluated exactly through that construction rather than
   by search, and it coincides with ``bs_entropy`` up to floating-point error.
 
-The BS form is evaluated through the Hermitian product
-sqrt(rho) sigma^{-1} sqrt(rho); the similar but non-Hermitian rho sigma^{-1}
-is never diagonalized. ``max_f_divergence`` generalizes the BS construction
-to arbitrary operator-convex generators with f(1) = 0. The generators
-(``DivergenceGenerator``, ``GENERATORS``) belong to the classical layer in
-``ensembles`` and are re-exported here; xlogx gives KL, and ``unr_entropy``
-sums it, in the loop of ``f_divergence``, over the clamped weights that the
-common basis computed and verified once when it was built
-(``CommonBasis.rho_weights`` and ``sigma_weights``), the same arrays its
-``cb_measures`` carry.
+BS is the maximal f-divergence of f(x) = x log x (Hiai & Mosonyi, Rev. Math.
+Phys. 29, 2017), Tr[sigma f(sigma^{-1/2} rho sigma^{-1/2})];
+``max_f_divergence`` takes any operator-convex generator with f(1) = 0. The
+generators (``DivergenceGenerator``, ``GENERATORS``) belong to the classical
+layer in ``ensembles`` and are re-exported here. ``unr_entropy`` sums xlogx,
+in the loop of ``f_divergence``, over the clamped weights that the common
+basis verified once when it was built (``CommonBasis.rho_weights``).
 
-Every core is built in the eigen-coordinates of the states' verified spectra
-(``DensityMatrix.eig``) from their overlap M = V_sigma^dag V_rho, and no matrix
-function is formed (``SpectralDecomposition.overlap``). With
-B = W_sigma^{-1/2} M W_rho^{1/2}, the BS core sqrt(rho) sigma^{-1} sqrt(rho) is
-B^dag B in rho's eigenbasis and the max-f core sigma^{-1/2} rho sigma^{-1/2} is
-B B^dag in sigma's. Each is hermitized and decomposed by its own ``herm_eig``;
-Tr[A f(core)], A diagonal there, is sum_i f(c_i) (w_A @ |U|^2)_i
-(``populations``). Umegaki needs no core. ``_bs_trace`` serves one pair and
-the stack of ``contraction_scan`` alike.
+A pair has one core, built in the eigen-coordinates of the states' verified
+spectra (``DensityMatrix.eig``) from their overlap M = V_sigma^dag V_rho; no
+matrix function is formed (``SpectralDecomposition.overlap``). With
+B = W_sigma^{-1/2} M W_rho^{1/2}, the core sigma^{-1/2} rho sigma^{-1/2} is
+B B^dag in sigma's eigenbasis, hermitized and decomposed by ``herm_eig``, and
+Tr[sigma f(core)] is sum_i f(c_i) (w_sigma @ |U|^2)_i (``populations``).
+Umegaki needs no core. The other Gram product, sqrt(rho) sigma^{-1} sqrt(rho)
+in rho's eigenbasis, is not formed: it carries sigma^{-1} there, and near
+eigenvalues of 1e-10 its eigensolve can return a negative one. ``_pair_core``
+serves one pair and the stack of ``contraction_scan``.
 
 Per-pair sharing. The common basis (``unr_entropy``, then ``common_basis``
-in ``qunravel entropy``) and the max-f core with its weights, which every
-generator reads, are each built once per pair of state objects by a
+in ``qunravel entropy``) and the core with its weights, which BS and every
+generator read, are each built once per pair of state objects by a
 ``functools.lru_cache(maxsize=1)`` function of ``(rho, sigma, tols)``. A
 ``DensityMatrix`` hashes by identity, so a hit needs the very same two state
 objects and equal ``Tolerances``; the one entry holds the latest pair only,
 failures are not kept, and the arrays of states and bases are read-only. The
-BS core is decomposed afresh on every call and the basis decomposes its own
-C^dag C (``commonbasis``), so criteria 01 (BS against ``unr_entropy``) and 11
-(max-f against the basis f-divergence) still compare independent
-eigensolves. BS and max-f are two Gram products of one B, so
-``test_max_f_xlogx_reproduces_bs`` is a structural check of the two.
+basis decomposes its own C^dag C, rho^{-1/2} sigma rho^{-1/2} in rho's
+eigenbasis (``commonbasis``), so criteria 01 (BS against ``unr_entropy``) and
+11 (max-f against the basis f-divergence) compare eig(B B^dag) with
+eig(C^dag C), independent eigensolves. BS and max-f with xlogx are one
+computation, so ``test_max_f_xlogx_reproduces_bs`` is a structural check.
 """
 from __future__ import annotations
 
@@ -51,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commonbasis import common_basis
-from .ensembles import GENERATORS, DivergenceGenerator, _f_sum
+from .ensembles import GENERATORS, DivergenceGenerator, _f_sum, _xlogx
 from .errors import (
     DimMismatch,
     NotOperatorConvex,
@@ -85,27 +83,26 @@ def umegaki(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFAULT
 
 
 def bs_entropy(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Belavkin-Staszewski relative entropy in nats.
-
-    Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))], summed as
-    sum_i log(c_i) <u_i|rho|u_i> over the verified eigenpairs of the core;
-    never below ``umegaki`` up to roundoff, with equality when the states commute.
-    """
+    """Belavkin-Staszewski relative entropy Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))]
+    in nats, summed as sum_i c_i log(c_i) <v_i|sigma|v_i> on the verified pair
+    core; never below ``umegaki`` up to roundoff, equal to it for commuting states."""
     check_pair(rho, sigma, tols)
-    return float(_bs_trace(rho.eig, sigma.eig, tols))
+    return float(_bs_sum(*_max_f_core(rho, sigma, tols), tols))
 
 
-def _bs_trace(
-    rho_eig: SpectralDecomposition, sigma_eig: SpectralDecomposition, tols: Tolerances
-) -> np.ndarray:
-    """Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))] of one faithful pair, or of each
-    pair of a stack (cores by ``herm_eig_stack``): in rho's eigenbasis, where rho
-    is diagonal, the core is B^dag B, B = W_sigma^{-1/2} M W_rho^{1/2}."""
+def _bs_sum(core: SpectralDecomposition, weights: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """Tr[sigma f(core)], f(x) = x log x, summed alike on a pair's or a stack's cores."""
+    return (core.mapped(_xlogx, tols.eps_faithful) * weights).sum(-1)
+
+
+def _pair_core(rho_eig: SpectralDecomposition, sigma_eig: SpectralDecomposition, tols: Tolerances):
+    """Verified spectrum of sigma^{-1/2} rho sigma^{-1/2} in sigma's eigenbasis,
+    B B^dag with B = W_sigma^{-1/2} M W_rho^{1/2}, and the weights of
+    Tr[sigma f(core)] on it, of one faithful pair or of each pair of a stack."""
     b = sigma_eig.overlap(rho_eig, 0.5)
     decompose = herm_eig_stack if b.ndim == 3 else herm_eig
-    core = decompose(hermitize(b.conj().swapaxes(-1, -2) @ b), tols)
-    weights = populations(rho_eig.eigenvalues, core.eigenvectors)
-    return (core.mapped(np.log, tols.eps_faithful) * weights).sum(-1)
+    core = decompose(hermitize(b @ b.conj().swapaxes(-1, -2)), tols)
+    return core, populations(sigma_eig.eigenvalues, core.eigenvectors)
 
 
 def unr_entropy(
@@ -146,15 +143,11 @@ def max_f_divergence(
 
 @functools.lru_cache(maxsize=1)
 def _max_f_core(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances):
-    """Verified spectrum of sigma^{-1/2} rho sigma^{-1/2} in sigma's eigenbasis,
-    B B^dag with B as in ``_bs_trace``, and the weights of Tr[sigma f(core)]
-    on it; every generator on the pair is a function of the two."""
-    b = sigma.eig.overlap(rho.eig, 0.5)
-    core = herm_eig(hermitize(b @ b.conj().T), tols)
-    return core, populations(sigma.eig.eigenvalues, core.eigenvectors)
+    """``_pair_core`` of a pair of states, kept for the latest pair."""
+    return _pair_core(rho.eig, sigma.eig, tols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausMap:
     """CPTP map given by Kraus operators with sum_j K_j^dag K_j = I."""
 

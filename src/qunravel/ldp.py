@@ -100,16 +100,16 @@ class LdpExperiment:
     q_round: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        psis, p = self.cb.psis, self.cb.rho_coeffs
+        psis, p, gram = self.cb.psis, self.cb.rho_coeffs, self.cb.gram
         d = psis.shape[0]
         proj = np.einsum("ik,jk->kij", psis, psis.conj()).reshape(d, d * d)
         resid = float(np.linalg.norm(p @ proj - self.rho.matrix.reshape(-1)))
-        norms2 = np.einsum("ik,ik->k", psis.conj(), psis).real
+        norms2 = gram.diagonal().real
         t_max = abs(1.0 - float(p @ norms2)) + float(np.abs(1.0 - norms2).max())
         u = np.finfo(float).eps / 2  # unit roundoff
         tables = {
             "proj": proj,
-            "gram": np.abs(psis.conj().T @ psis) ** 2,
+            "gram": np.abs(gram) ** 2,
             "slack": 0.5 * math.sqrt(d) * resid + t_max + 16 * d * d * (d + 1) * u,
             "q_round": 32 * (d + 3) * u,
         }

@@ -61,7 +61,7 @@ def check_unit_rows(amps: np.ndarray) -> None:
         raise ValueError(f"row {i} has norm {float(norms[i])!r}, not 1 within 1e-12")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector in C^n. Global phase is physically irrelevant but kept
     as stored; comparisons go through ``fubini_study`` or ``canonical_phase``."""

@@ -14,6 +14,9 @@ RHO_X = str(DOCS / "rho_xpolarized.json")
 SIGMA_Y = str(DOCS / "sigma_ypolarized.json")
 DEPHASING = str(DOCS / "model_dephasing.json")
 LDP_CFG = str(DOCS / "ldp_qubit.json")
+# a valid faithful d = 4 pair whose smallest eigenvalues lie at 1e-10
+RHO_E = str(DOCS / "rho_edge.json")
+SIGMA_E = str(DOCS / "sigma_edge.json")
 
 KL_34_12 = 0.13081203594113697
 
@@ -127,6 +130,16 @@ def test_common_basis_report(capsys):
     assert report["reconstruction_error_sigma"] < 1e-9
     assert report["dual_consistency_error"] < 2e-8
     assert abs(report["gram_condition_number"] - 1.0) < 1e-9
+
+
+def test_entropy_and_common_basis_finish_at_the_far_ill_conditioned_edge(capsys):
+    code, out, err = run(capsys, "entropy", RHO_E, SIGMA_E)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["abs_bs_unr_gap"] <= 1e-8
+    code, out, err = run(capsys, "common-basis", RHO_E, SIGMA_E)
+    assert code == 0, err
+    assert json.loads(out)["gram_condition_number"] >= 1.0
 
 
 def test_contraction_dephasing_monotone(capsys, tmp_path):

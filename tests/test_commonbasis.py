@@ -171,6 +171,16 @@ def test_gram_matrix_full_rank():
         assert abs(np.linalg.det(gram)) > 1e-12
 
 
+def test_basis_keeps_its_gram_matrix_and_spectrum():
+    rng = RngStream(50)
+    for dim in (2, 3, 4, 8):
+        cb = common_basis(sample_faithful(dim, rng), sample_faithful(dim, rng))
+        assert np.array_equal(cb.gram, cb.psis.conj().T @ cb.psis)
+        assert np.array_equal(cb.gram_eigenvalues, np.linalg.eigvalsh(cb.gram))
+        assert not cb.gram.flags.writeable and not cb.gram_eigenvalues.flags.writeable
+        assert cb.gram_condition_number == pytest.approx(np.linalg.cond(cb.gram), rel=1e-9)
+
+
 def test_cb_measures_share_atoms_and_reconstruct():
     rng = RngStream(49)
     rho = sample_faithful(3, rng)

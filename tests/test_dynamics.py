@@ -641,7 +641,7 @@ def test_passing_scan_runs_two_stacked_eigensolves_and_no_scalar_one(monkeypatch
     stacked = count_calls(monkeypatch, matcore.herm_eig_stack)
     contraction_scan(model, rho, sigma, np.linspace(0.0, 2.0, points))
     assert scalar == [] and lapack == []
-    # all 2P states, then the P BS cores, each core its own member of the stack
+    # all 2P states, then the P pair cores, each core its own member of the stack
     assert [args[0].shape for args in stacked] == [(2 * points, 4, 4), (points, 4, 4)]
 
 

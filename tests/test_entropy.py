@@ -16,11 +16,13 @@ from qunravel import (
     DiscreteEnsemble,
     DivergenceGenerator,
     KrausMap,
+    LindbladModel,
     RngStream,
     apply_cptp,
     bs_entropy,
     cb_measures,
     common_basis,
+    contraction_scan,
     f_divergence,
     haar_pure,
     hermitize,
@@ -257,17 +259,18 @@ def seeded_pairs(dims=(2, 3, 4, 8, 32), per_dim=4, seed=67):
 
 
 def eigen_coordinate_formulas(r, s):
-    """Umegaki, BS, and the max-f core with its weights, written out in the
+    """Umegaki, BS, and the pair core with its weights, written out in the
     eigen-coordinates of fresh decompositions of r and s: M = V_s^dag V_r,
-    B = W_s^-1/2 M W_r^1/2, the BS core B^dag B and the max-f core B B^dag."""
+    B = W_s^-1/2 M W_r^1/2 and the core B B^dag, on which BS is the sum of
+    x log x against sigma's weights."""
     (wr, vr), (ws, vs) = matcore.herm_eig(r), matcore.herm_eig(s)
     weigh = lambda p, u: (p[None, :] @ np.abs(u) ** 2)[0]
     d_u = wr @ np.log(wr) - np.log(ws) @ weigh(wr, vr.conj().T @ vs)
     b = (vs.conj().T @ vr) * (wr[None, :] / ws[:, None]) ** 0.5
-    bs_vals, bs_vecs = matcore.herm_eig(hermitize(b.conj().T @ b))
-    d_bs = (np.log(bs_vals) * weigh(wr, bs_vecs)).sum()
-    maxf_vals, maxf_vecs = matcore.herm_eig(hermitize(b @ b.conj().T))
-    return float(d_u), float(d_bs), maxf_vals, weigh(ws, maxf_vecs)
+    core, vecs = matcore.herm_eig(hermitize(b @ b.conj().T))
+    weights = weigh(ws, vecs)
+    d_bs = (core * np.log(core) * weights).sum()
+    return float(d_u), float(d_bs), core, weights
 
 
 def test_divergences_equal_their_formulas_from_fresh_decompositions():
@@ -327,11 +330,8 @@ def test_each_divergence_decomposes_only_its_core(monkeypatch):
     pairs = [(sample_faithful(d, rng), sample_faithful(d, rng)) for d in (2, 3, 8)]
     seen = count_herm_eig(monkeypatch)
     calls = [(umegaki, 0), (bs_entropy, 1), (unr_entropy, 1)]
-    # the generators share one spectrum of their core per pair
-    calls += [
-        (lambda r, s, g=g: max_f_divergence(r, s, g), int(i == 0))
-        for i, g in enumerate(GENERATORS.values())
-    ]
+    # BS and the generators share one spectrum of their core per pair
+    calls += [(lambda r, s, g=g: max_f_divergence(r, s, g), 0) for g in GENERATORS.values()]
     for rho, sigma in pairs:
         for fn, expected in calls:
             seen.clear()
@@ -359,18 +359,16 @@ def test_pair_op_decomposes_each_core_once(monkeypatch):
         r, s = sample_faithful(dim, rng).matrix, sample_faithful(dim, rng).matrix
         seen.clear()
         benchmark_pair_op(r, s)
-        # two validations, then the BS core, A = rho^-1/2 sigma rho^-1/2 and
-        # B = sigma^-1/2 rho sigma^-1/2, each decomposed on its own
-        assert len(seen) == 5
+        # two validations, then the core sigma^-1/2 rho sigma^-1/2 that BS and
+        # max-f share and the basis's A = rho^-1/2 sigma rho^-1/2, each decomposed
+        # on its own
+        assert len(seen) == 4
         assert np.array_equal(seen[0], r) and np.array_equal(seen[1], s)
-        cores = seen[2:]
-        for i in range(3):
-            for j in range(i):
-                assert not np.allclose(cores[i], cores[j])
+        assert not np.allclose(seen[2], seen[3])
 
 
-def test_pair_op_makes_six_lapack_eigensolves_and_no_numpy_one(monkeypatch):
-    # the five herm_eig calls and the basis Gram check each call zheevd once
+def test_pair_op_makes_five_lapack_eigensolves_and_no_numpy_one(monkeypatch):
+    # the four herm_eig calls and the basis Gram check each call zheevd once
     def numpy_eigensolve(*args, **kwargs):
         raise AssertionError("a sweep pair reached numpy's eigensolver")
 
@@ -384,7 +382,7 @@ def test_pair_op_makes_six_lapack_eigensolves_and_no_numpy_one(monkeypatch):
         r, s = sample_faithful(dim, rng).matrix, sample_faithful(dim, rng).matrix
         calls.clear()
         benchmark_pair_op(r, s)
-        assert sorted(kw["compute_v"] for kw in calls) == [0] + [1] * 5
+        assert sorted(kw["compute_v"] for kw in calls) == [0] + [1] * 4
 
 
 def test_memo_holds_only_the_latest_pair():
@@ -539,6 +537,39 @@ def test_criteria_01_and_11_hold_at_the_ill_conditioned_edge(dim, lam):
         for gen in GENERATORS.values():
             f = f_divergence(mu, nu, gen)
             assert abs(max_f_divergence(rho, sigma, gen) - f) <= 1e-8 * max(1.0, abs(f))
+
+
+def input_precision_tol(mu, nu, gen, slope, lam):
+    """First-order error of Tr[sigma f(core)] that the inputs' precision
+    allows. Entries rounded to unit roundoff u move each state's spectrum by
+    at most d u (Weyl), which fixes an eigenvalue near lam only to d u / lam
+    relative; so each core eigenvalue c_i = mu_i / nu_i is fixed to
+    eps = 2 d u / lam relative (rho's part and sigma's), and each weight nu_i
+    to eps, which moves sum_i nu_i f(c_i) by at most
+    eps sum_i nu_i (|f(c_i)| + c_i |f'(c_i)|)."""
+    c = mu.weights / nu.weights
+    eps = 2 * mu.dim * (np.finfo(float).eps / 2) / lam
+    return eps * sum(n * (abs(gen.f(x)) + x * abs(slope(x))) for n, x in zip(nu.weights, c))
+
+
+@pytest.mark.parametrize("lam", [1e-10, 1e-11])
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_the_far_ill_conditioned_edge_raises_nowhere(dim, lam):
+    # smallest eigenvalues between 10 eps_faithful and 1e-10: both states are
+    # valid and faithful, so BS, max-f and the scan must all finish, and
+    # criteria 01 and 11 must hold within what the inputs' precision allows
+    rng = RngStream(2026)
+    zero = LindbladModel(np.zeros((dim, dim)))
+    for _ in range(40):
+        rho, sigma = edge_state(dim, lam, rng), edge_state(dim, lam, rng)
+        mu, nu = cb_measures(common_basis(rho, sigma))
+        bs = bs_entropy(rho, sigma)
+        assert abs(bs - unr_entropy(rho, sigma)) <= 1e-8 * max(1.0, bs)
+        for name, gen in GENERATORS.items():
+            f = f_divergence(mu, nu, gen)
+            tol = input_precision_tol(mu, nu, gen, GENERATOR_SLOPES[name], lam)
+            assert abs(max_f_divergence(rho, sigma, gen) - f) <= tol
+        contraction_scan(zero, rho, sigma, np.linspace(0.0, 0.5, 6))
 
 
 @settings(max_examples=60, deadline=None, database=None)

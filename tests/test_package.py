@@ -1,5 +1,8 @@
 import sys
 
+import numpy as np
+import pytest
+
 import qunravel
 from qunravel import commonbasis, dynamics, ensembles, entropy, errors, ldp, matcore, states
 
@@ -28,3 +31,32 @@ def test_star_import_brings_exactly_the_package_list():
     namespace = {}
     exec("from qunravel import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(qunravel.__all__)
+
+
+def fresh_basis():
+    """A fresh common basis of one fixed pair, from fresh state objects."""
+    rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
+    return commonbasis.common_basis(
+        states.validate_density(rho), states.validate_density(np.eye(2) / 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: states.PureState(np.array([0.6, 0.8])),
+        fresh_basis,
+        lambda: ensembles.DiscreteEnsemble(np.eye(2), np.array([0.5, 0.5])),
+        lambda: ensembles.CoarseKernel(np.eye(2), (0, 1), 0.1),
+        lambda: dynamics.LindbladModel(np.diag([1.0, -1.0])),
+        lambda: dynamics.Trajectory(np.zeros(2), np.eye(2), np.zeros(2), 0, 0),
+        lambda: entropy.KrausMap((np.eye(2),)),
+    ],
+    ids=["PureState", "CommonBasis", "DiscreteEnsemble", "CoarseKernel", "LindbladModel",
+         "Trajectory", "KrausMap"],
+)
+def test_array_holding_dataclasses_compare_and_hash_by_identity(build):
+    # a generated __eq__ would compare ndarray fields, and so raise
+    a, b = build(), build()
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
