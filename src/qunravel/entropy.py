@@ -31,15 +31,18 @@ serves one pair and the stack of ``contraction_scan``.
 Per-pair sharing. The common basis (``unr_entropy``, then ``common_basis``
 in ``qunravel entropy``) and the core with its weights, which BS and every
 generator read, are each built once per pair of state objects by a
-``functools.lru_cache(maxsize=1)`` function of ``(rho, sigma, tols)``. A
-``DensityMatrix`` hashes by identity, so a hit needs the very same two state
-objects and equal ``Tolerances``; the one entry holds the latest pair only,
-failures are not kept, and the arrays of states and bases are read-only. The
+``functools.lru_cache(maxsize=1)`` function of ``(rho, sigma, tols)`` that
+runs ``check_pair`` before it builds. A ``DensityMatrix`` hashes by
+identity, so a hit needs the very same two state objects, whose check
+passed, and equal ``Tolerances``; the one entry holds the latest pair only,
+failures are not kept, and the arrays of states and bases are read-only. So
+neither BS nor max-f checks the pair itself, and one sum, ``_f_trace``,
+gives Tr[sigma f(core)] for both and for each core of the scan's stack. The
 basis decomposes its own C^dag C, rho^{-1/2} sigma rho^{-1/2} in rho's
 eigenbasis (``commonbasis``), so criteria 01 (BS against ``unr_entropy``) and
 11 (max-f against the basis f-divergence) compare eig(B B^dag) with
-eig(C^dag C), independent eigensolves. BS and max-f with xlogx are one
-computation, so ``test_max_f_xlogx_reproduces_bs`` is a structural check.
+eig(C^dag C), independent eigensolves. BS is max-f with xlogx, one sum on
+one core, so ``test_max_f_xlogx_reproduces_bs`` is a structural check.
 """
 from __future__ import annotations
 
@@ -86,13 +89,13 @@ def bs_entropy(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFA
     """Belavkin-Staszewski relative entropy Tr[rho log(sqrt(rho) sigma^{-1} sqrt(rho))]
     in nats, summed as sum_i c_i log(c_i) <v_i|sigma|v_i> on the verified pair
     core; never below ``umegaki`` up to roundoff, equal to it for commuting states."""
-    check_pair(rho, sigma, tols)
-    return float(_bs_sum(*_max_f_core(rho, sigma, tols), tols))
+    return float(_f_trace(*_max_f_core(rho, sigma, tols), _xlogx, tols))
 
 
-def _bs_sum(core: SpectralDecomposition, weights: np.ndarray, tols: Tolerances) -> np.ndarray:
-    """Tr[sigma f(core)], f(x) = x log x, summed alike on a pair's or a stack's cores."""
-    return (core.mapped(_xlogx, tols.eps_faithful) * weights).sum(-1)
+def _f_trace(core: SpectralDecomposition, weights: np.ndarray, f, tols: Tolerances) -> np.ndarray:
+    """Tr[sigma f(core)] = sum_i f(c_i) <v_i|sigma|v_i>, summed alike on a
+    pair's core and on each core of a stack."""
+    return (core.mapped(f, tols.eps_faithful) * weights).sum(-1)
 
 
 def _pair_core(rho_eig: SpectralDecomposition, sigma_eig: SpectralDecomposition, tols: Tolerances):
@@ -132,18 +135,18 @@ def max_f_divergence(
     ``bs_entropy``. Summed as sum_i f(c_i) <v_i|sigma|v_i> on the verified
     spectrum of the core, which every generator on the pair shares.
     """
-    check_pair(rho, sigma, tols)
+    core, weights = _max_f_core(rho, sigma, tols)  # checks the pair
     if not gen.operator_convex:
         raise NotOperatorConvex(
             f"generator {gen.name!r} is not marked operator convex"
         )
-    core, weights = _max_f_core(rho, sigma, tols)
-    return float(core.mapped(gen.f, tols.eps_faithful) @ weights)
+    return float(_f_trace(core, weights, gen.f, tols))
 
 
 @functools.lru_cache(maxsize=1)
 def _max_f_core(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances):
-    """``_pair_core`` of a pair of states, kept for the latest pair."""
+    """``_pair_core`` of a checked pair of states, kept for the latest pair."""
+    check_pair(rho, sigma, tols)
     return _pair_core(rho.eig, sigma.eig, tols)
 
 

@@ -74,7 +74,6 @@ __all__ = [
 
 MAX_CELLS = 4
 MAX_SAMPLES = 400
-MAX_ENUMERATION = 20_000_000
 CHUNK = 1 << 16
 
 
@@ -153,10 +152,6 @@ def log_multinomial(counts, weights) -> float | np.ndarray:
     c = c.astype(float)
     n = c @ np.ones(w.size)  # exact row sums, faster than a sum over the short last axis
     return gammaln(n + 1) - gammaln(c + 1).sum(axis=-1) + c @ np.log(w)
-
-
-def _enumeration_size(n: int, k: int) -> int:
-    return math.comb(n + k - 1, k - 1)
 
 
 def _compositions(n: int, k: int):
@@ -248,10 +243,9 @@ def ball_probability_exact(
     """
     n = positive_count(n, "sample size")
     k = exp.cb.dim
-    size = _enumeration_size(n, k)
-    if k > MAX_CELLS or n > MAX_SAMPLES or size > MAX_ENUMERATION:
+    if k > MAX_CELLS or n > MAX_SAMPLES:
         raise BudgetExceeded(
-            f"enumeration of {size} count vectors (n={n}, cells={k}) "
+            f"enumeration of {math.comb(n + k - 1, k - 1)} count vectors (n={n}, cells={k}) "
             f"exceeds the supported budget"
         )
     w = _reference_weights(exp, reference_weights)

@@ -142,6 +142,16 @@ def test_entropy_and_common_basis_finish_at_the_far_ill_conditioned_edge(capsys)
     assert json.loads(out)["gram_condition_number"] >= 1.0
 
 
+def test_dual_consistency_error_is_relative_at_the_far_edge(capsys):
+    # ||rho^-1||_F is about 1e10 here, so only a relative error reads at roundoff
+    code, out, err = run(capsys, "common-basis", RHO_E, SIGMA_E)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["dual_consistency_error"] <= 1e-12
+    assert report["reconstruction_error_rho"] <= 1e-10
+    assert report["reconstruction_error_sigma"] <= 1e-10
+
+
 def test_contraction_dephasing_monotone(capsys, tmp_path):
     csv_path = tmp_path / "series.csv"
     code, out, _ = run(

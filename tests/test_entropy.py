@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qunravel.commonbasis as commonbasis
+import qunravel.entropy as entropy
 import qunravel.matcore as matcore
 from qunravel.ensembles import _near_pairs
 from qunravel.matcore import DEFAULT_TOLS, Tolerances
@@ -194,6 +196,16 @@ def test_max_f_refuses_unflagged_generator():
         max_f_divergence(RHO_C, SIGMA_C, shifted)
 
 
+def test_max_f_reports_a_pair_error_before_the_generator_flag():
+    # the pair is checked where its core is built, ahead of the flag, and a
+    # failed check is not kept: the same call on the same states raises again
+    pure = validate_density(np.diag([1.0, 0.0]))
+    shifted = DivergenceGenerator("abs1", lambda x: np.abs(x - 1.0), f_zero=1.0)
+    for _ in range(2):
+        with pytest.raises(NotFaithful):
+            max_f_divergence(pure, SIGMA_C, shifted)
+
+
 def test_kraus_identity_channel():
     phi = KrausMap((np.eye(2),))
     rng = RngStream(68)
@@ -367,6 +379,20 @@ def test_pair_op_decomposes_each_core_once(monkeypatch):
         assert not np.allclose(seen[2], seen[3])
 
 
+def test_pair_op_checks_the_pair_once_per_build(monkeypatch):
+    # umegaki checks its pair; BS and max-f rely on the check of the cached core
+    # build, unr_entropy and cb_measures on that of the cached basis build
+    calls = []
+    orig = entropy.check_pair
+    for mod in (entropy, commonbasis):
+        monkeypatch.setattr(mod, "check_pair", lambda *a: calls.append(a) or orig(*a))
+    rng = RngStream(70)
+    for dim in (2, 3, 8):
+        calls.clear()
+        benchmark_pair_op(sample_faithful(dim, rng).matrix, sample_faithful(dim, rng).matrix)
+        assert len(calls) == 3
+
+
 def test_pair_op_makes_five_lapack_eigensolves_and_no_numpy_one(monkeypatch):
     # the four herm_eig calls and the basis Gram check each call zheevd once
     def numpy_eigensolve(*args, **kwargs):
@@ -462,7 +488,7 @@ def test_shared_results_equal_fresh_ones_bit_for_bit():
         _, _, core, weights = eigen_coordinate_formulas(rho.matrix, sigma.matrix)
         for gen in GENERATORS.values():
             maxf = max_f_divergence(*fresh(), gen)
-            assert maxf == float(gen.f(core) @ weights)
+            assert maxf == float((gen.f(core) * weights).sum())
             expected += [maxf, f_divergence(mu, nu, gen)]
         assert shared == expected
 
@@ -481,6 +507,19 @@ def test_property_shared_spectrum_and_divergence_order(seed, dim):
     bs = bs_entropy(rho, sigma)
     assert bs >= umegaki(rho, sigma) - 1e-9
     assert abs(bs - unr_entropy(rho, sigma)) <= 1e-8 * max(1.0, bs)
+
+
+def test_channel_to_a_larger_output_space():
+    # a qubit channel into d = 3: faithful outputs, and BS contracts through it
+    rng = RngStream(11)
+    phi = random_cptp(2, 3, 2, rng)
+    assert (phi.dim_in, phi.dim_out) == (2, 3)
+    rho, sigma = sample_faithful(2, rng), sample_faithful(2, rng)
+    out_rho, out_sigma = apply_cptp(phi, rho), apply_cptp(phi, sigma)
+    for out in (out_rho, out_sigma):
+        assert out.dim == 3
+        assert out.eig.eigenvalues[0] > 0.05
+    assert bs_entropy(out_rho, out_sigma) <= bs_entropy(rho, sigma)
 
 
 def test_kraus_map_rejects_an_empty_operator():

@@ -142,11 +142,11 @@ def test_exact_chunked_enumeration():
 
 def test_exact_budget_guards():
     exp = qubit_experiment(0.1)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"enumeration of 402 count vectors \(n=401, cells=2\)"):
         ball_probability_exact(exp, 401)
     rng = RngStream(111)
     wide = make_experiment(sample_faithful(5, rng), sample_faithful(5, rng), 0.1, (10,))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"enumeration of 1001 count vectors \(n=10, cells=5\)"):
         ball_probability_exact(wide, 10)
 
 
