@@ -28,7 +28,7 @@ from .entropy import bs_entropy, umegaki, unr_entropy
 from .errors import (
     BudgetExceeded, ContractionViolation, NotHermitian, QunravelError, ValidationError
 )
-from .ldp import ball_probability_exact, make_experiment, tolerance_budget
+from .ldp import ball_log_probabilities, make_experiment, tolerance_budget
 from .matcore import Tolerances, hermitize, hermiticity_defect
 from .states import RngStream, sample_faithful, trace_distance, validate_density
 
@@ -295,8 +295,9 @@ def cmd_ldp(args) -> int:
     k = exp.cb.dim
     lines = ["n,prob,rate,tolerance_budget"]
     rates = []
-    for n in exp.sample_sizes:
-        prob, rate = ball_probability_exact(exp, n)
+    log_probs = ball_log_probabilities(exp, exp.sample_sizes)
+    for n, log_prob in zip(exp.sample_sizes, log_probs):
+        prob, rate = math.exp(log_prob), -log_prob / n
         budget = tolerance_budget(n, k, exp.epsilon)
         rates.append({"n": n, "prob": prob, "rate": rate, "tolerance_budget": budget})
         lines.append(f"{n},{_fmt(prob)},{_fmt(rate)},{_fmt(budget)}")

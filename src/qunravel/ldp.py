@@ -8,6 +8,23 @@ basis-supported sampling the event is a finite union of multinomial count
 vectors, so small systems admit exact enumeration; a Monte Carlo estimator
 covers spot checks.
 
+One pass per plan. ``ball_log_probabilities`` enumerates every sample size
+of a plan together: the distinct sizes, ascending, are packed whole into
+blocks of at most ``CHUNK`` count vectors, and a size with more vectors than
+one block holds is split over several on its leading cells. Each block goes
+through the membership screen once, each row against its own size, and
+each size is summed over its own contiguous rows. A size that fits one
+block is therefore summed exactly as it would be alone; the pieces of a
+split size are combined by ``logaddexp``, which may round the total an ulp
+apart from a split at another block size. ``ball_probability_exact`` is a
+plan of one size. ``CHUNK`` = 2^12 was measured against 2^11..2^16 (2 vCPUs
+with 2 MiB of L2 each, one BLAS thread, numpy 2.4.6): a d = 4 rate curve at
+n = 15, 30, 45, 60 took 3.8-3.9 ms against 8.3-8.9 ms at 2^16, and one
+k = 4, n = 400 rate at epsilon 0.05 0.55-0.66 s against 1.0-1.1 s. Smaller
+blocks win, most likely because their float temporaries (128 KiB each at
+d = 4) stay in cache; below 2^12 the per-block Python work takes over
+(4.6-4.8 ms at 2^11).
+
 Membership screen. A count vector c lies in the ball when
 ``td = 0.5 * sum|eigvalsh(emp - rho)| < epsilon``, with emp the empirical
 state. Most vectors are decided without that eigensolve. Let p be the
@@ -66,6 +83,7 @@ __all__ = [
     "LdpExperiment",
     "make_experiment",
     "log_multinomial",
+    "ball_log_probabilities",
     "ball_probability_exact",
     "ball_probability_mc",
     "rate_curve",
@@ -74,7 +92,7 @@ __all__ = [
 
 MAX_CELLS = 4
 MAX_SAMPLES = 400
-CHUNK = 1 << 16
+CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -151,7 +169,13 @@ def log_multinomial(counts, weights) -> float | np.ndarray:
         raise ValueError("weights must be strictly positive")
     c = c.astype(float)
     n = c @ np.ones(w.size)  # exact row sums, faster than a sum over the short last axis
-    return gammaln(n + 1) - gammaln(c + 1).sum(axis=-1) + c @ np.log(w)
+    return _log_pmf(c, n, np.log(w))
+
+
+def _log_pmf(c: np.ndarray, n, log_w: np.ndarray) -> np.ndarray:
+    """``log_multinomial`` without its checks: float counts ``c`` summing
+    to ``n`` (one size for all rows, or one per row), log-weights ``log_w``."""
+    return gammaln(n + 1) - gammaln(c + 1).sum(axis=-1) + c @ log_w
 
 
 def _compositions(n: int, k: int):
@@ -205,28 +229,94 @@ def _reference_weights(exp: LdpExperiment, override) -> np.ndarray:
     return exp.cb.sigma_weights
 
 
-def _ball_mask(exp: LdpExperiment, counts: np.ndarray, n: int) -> np.ndarray:
+def _ball_mask(exp: LdpExperiment, counts: np.ndarray, n) -> np.ndarray:
     """Which count vectors put the empirical barycenter inside the ball.
 
-    The Frobenius screen of the module docstring decides every vector it
-    can; the eigensolve settles the shell it leaves. The shell's empirical
+    ``n`` is the sample size of every row, or a column of one per row. The
+    Frobenius screen of the module docstring decides every vector it can;
+    the eigensolve settles the shell it leaves. The shell's empirical
     states are summed cell by cell, so each row rounds the same whatever
     else shares its block (a BLAS product rounds a one-row block apart from
     a longer one, which could move a tie on the sphere by an ulp).
     """
     d = exp.rho.dim
-    delta = counts / n - exp.cb.rho_coeffs
-    q = ((delta @ exp.gram) * delta).sum(axis=1)
+    freq = counts / n
+    delta = freq - exp.cb.rho_coeffs
+    q = ((delta @ exp.gram) * delta) @ np.ones(d)  # faster than a sum over the short last axis
     below = max(exp.epsilon - exp.slack, 0.0)
     above = exp.epsilon + exp.slack
     inside = d * (q + exp.q_round) < 4.0 * below * below
     shell = ~inside & (q - exp.q_round < 2.0 * above * above)
     if shell.any():
-        emp = ((counts[shell] / n)[:, :, None] * exp.proj).sum(axis=1)
+        emp = (freq[shell][:, :, None] * exp.proj).sum(axis=1)
         diff = emp.reshape(-1, d, d) - exp.rho.matrix
         tds = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
         inside[shell] = tds < exp.epsilon
     return inside
+
+
+def _plan_blocks(plan: list[int], k: int):
+    """Every count vector of each size of ``plan`` (ascending, distinct)
+    into k cells, in blocks of at most ``CHUNK`` rows. Each block comes with
+    its pieces: (n, rows), the slice of its rows that are count vectors of
+    n, in plan order."""
+    left = [math.comb(n + k - 1, k - 1) for n in plan]
+    i = 0
+    for counts in _blocks([], np.array(plan, np.int64), k):
+        pieces, start = [], 0
+        while start < len(counts):
+            stop = min(start + left[i], len(counts))
+            pieces.append((plan[i], slice(start, stop)))
+            left[i] -= stop - start
+            if not left[i]:
+                i += 1
+            start = stop
+        yield counts, pieces
+
+
+def ball_log_probabilities(
+    exp: LdpExperiment, sample_sizes, reference_weights=None
+) -> list[float]:
+    """Exact log-probability logP that the n-sample empirical state hits the
+    ball, for every n of ``sample_sizes``, in their order.
+
+    The whole plan is checked before anything is enumerated: every size
+    must be a positive integer, and ``BudgetExceeded`` reports the
+    enumeration size of the first that leaves the supported range. The
+    distinct sizes are then enumerated in one pass, ascending, packed whole
+    into blocks of at most ``CHUNK`` count vectors; a size with more
+    vectors than one block holds is split over several. Each block is
+    screened once, with a sample size per row. Each size's rows are summed
+    by a max-shifted log-sum-exp, and the pieces of a split size are
+    combined by ``logaddexp``. An empty event gives -inf.
+    """
+    sizes = [positive_count(n, "sample size") for n in sample_sizes]
+    k = exp.cb.dim
+    for n in sizes:
+        if k > MAX_CELLS or n > MAX_SAMPLES:
+            raise BudgetExceeded(
+                f"enumeration of {math.comb(n + k - 1, k - 1)} count vectors (n={n}, cells={k}) "
+                f"exceeds the supported budget"
+            )
+    log_w = np.log(_reference_weights(exp, reference_weights))
+
+    plan = sorted(set(sizes))
+    log_prob = dict.fromkeys(plan, -math.inf)
+    for counts, pieces in _plan_blocks(plan, k):
+        row_n = pieces[0][0]
+        if len(pieces) > 1:
+            ns, lens = zip(*((n, r.stop - r.start) for n, r in pieces))
+            row_n = np.repeat(ns, lens)[:, None]
+        inside = _ball_mask(exp, counts, row_n)
+        for n, rows in pieces:
+            hits = counts[rows][inside[rows]]
+            if not len(hits):
+                continue
+            logp = _log_pmf(hits.astype(float), n, log_w)
+            top = float(logp.max())
+            block = top + math.log(float(np.exp(logp - top).sum()))
+            log_prob[n] = float(np.logaddexp(log_prob[n], block))
+    return [log_prob[n] for n in sizes]
 
 
 def ball_probability_exact(
@@ -234,32 +324,14 @@ def ball_probability_exact(
 ) -> tuple[float, float]:
     """Exact probability that the n-sample empirical state hits the ball.
 
-    Enumerates all count vectors of the multinomial draw, in blocks, and
-    accumulates the log-probability logP by a max-shifted log-sum-exp.
-    Returns (exp(logP), rate) with rate = -logP / n: the probability may
-    underflow to 0.0 while the rate stays finite, and only an empty event
-    yields an infinite rate. ``BudgetExceeded`` reports the enumeration size
-    whenever the cell count or sample size leaves the supported range.
+    A plan of one size for ``ball_log_probabilities``. Returns (exp(logP),
+    rate) with rate = -logP / n: the probability may underflow to 0.0 while
+    the rate stays finite, and only an empty event yields an infinite rate.
+    ``BudgetExceeded`` reports the enumeration size whenever the cell count
+    or sample size leaves the supported range.
     """
     n = positive_count(n, "sample size")
-    k = exp.cb.dim
-    if k > MAX_CELLS or n > MAX_SAMPLES:
-        raise BudgetExceeded(
-            f"enumeration of {math.comb(n + k - 1, k - 1)} count vectors (n={n}, cells={k}) "
-            f"exceeds the supported budget"
-        )
-    w = _reference_weights(exp, reference_weights)
-
-    log_prob = -math.inf
-    for counts in _compositions(n, k):
-        inside = _ball_mask(exp, counts, n)
-        if not inside.any():
-            continue
-        logp = log_multinomial(counts[inside], w)
-        top = float(logp.max())
-        block = top + math.log(float(np.exp(logp - top).sum()))
-        log_prob = float(np.logaddexp(log_prob, block))
-
+    (log_prob,) = ball_log_probabilities(exp, [n], reference_weights)
     return math.exp(log_prob), -log_prob / n
 
 
@@ -282,12 +354,10 @@ def ball_probability_mc(
 
 
 def rate_curve(exp: LdpExperiment, reference_weights=None) -> list[tuple[int, float]]:
-    """Exact finite-n rates for every planned sample size."""
-    out = []
-    for n in exp.sample_sizes:
-        _, rate = ball_probability_exact(exp, n, reference_weights)
-        out.append((n, rate))
-    return out
+    """Exact finite-n rates for every planned sample size, from one
+    ``ball_log_probabilities`` pass over the whole plan."""
+    log_probs = ball_log_probabilities(exp, exp.sample_sizes, reference_weights)
+    return [(n, -log_prob / n) for n, log_prob in zip(exp.sample_sizes, log_probs)]
 
 
 def tolerance_budget(n: int, k: int, epsilon: float) -> float:

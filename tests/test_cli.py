@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import qunravel.ldp as ldp
 from qunravel.cli import main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -260,6 +261,25 @@ def test_ldp_budget_exceeded(capsys, tmp_path):
     code, _, err = run(capsys, "ldp", str(path))
     assert code == 4
     assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def test_ldp_checks_the_whole_plan_before_enumerating(capsys, tmp_path, monkeypatch):
+    # n = 401 is over budget: the call must fail before n = 50 is enumerated
+    blocks = []
+    mask = ldp._ball_mask
+    monkeypatch.setattr(
+        ldp, "_ball_mask", lambda exp, counts, n: blocks.append(len(counts)) or mask(exp, counts, n)
+    )
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(_ldp_with(lambda o: o.update(sample_sizes=[50, 401]))))
+    csv_path = tmp_path / "rates.csv"
+    code, out, err = run(capsys, "ldp", str(path), "--out", str(csv_path))
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "BudgetExceeded"
+    assert blocks == []
+    assert not csv_path.exists()
 
 
 def test_haar_experiment_csv(capsys, tmp_path):

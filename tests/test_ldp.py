@@ -322,7 +322,7 @@ def test_compositions_blocks_concatenate_to_one(monkeypatch):
 
 
 def test_compositions_split_beyond_one_chunk():
-    # C(402, 2) = 80601 count vectors do not fit one CHUNK of 65536 rows
+    # C(402, 2) = 80601 count vectors do not fit one CHUNK
     blocks = list(ldp._compositions(400, 3))
     assert len(blocks) > 1
     assert max(len(b) for b in blocks) <= ldp.CHUNK
@@ -383,7 +383,7 @@ def test_screen_leaves_few_vectors_to_the_eigensolve(monkeypatch):
 
 
 def test_exact_rates_equal_the_eigensolve_reference():
-    # every enumeration here fits one block, so the arithmetic is the same
+    # every ball here lies within one block of its enumeration, so the arithmetic is the same
     crit10 = qubit_experiment(0.01)
     for n in (50, 100, 200, 400):
         assert ball_probability_exact(crit10, n)[1] == reference_rate(crit10, n)
@@ -445,3 +445,67 @@ def test_integral_float_and_numpy_trial_counts_count_as_integers():
     by_int = ball_probability_mc(exp, 10, 3, RngStream(45))
     assert ball_probability_mc(exp, 10, 3.0, RngStream(45)) == by_int
     assert ball_probability_mc(exp, 10, np.int64(3), RngStream(45)) == by_int
+
+
+def recording_ball_mask(monkeypatch):
+    """Patch ``ldp._ball_mask`` to record the row count of every block."""
+    rows = []
+    mask = ldp._ball_mask
+
+    def record(exp, counts, n):
+        rows.append(len(counts))
+        return mask(exp, counts, n)
+
+    monkeypatch.setattr(ldp, "_ball_mask", record)
+    return rows
+
+
+def test_a_plan_equals_each_size_run_alone_bit_for_bit():
+    # unsorted and repeated sizes; at k = 4 the C(48, 3) = 17296 vectors
+    # of n = 45 span several blocks
+    plan = (45, 15, 45, 30)
+    assert math.comb(45 + 3, 3) > ldp.CHUNK
+    finite = 0
+    for dim in (2, 3, 4):
+        tilted = np.arange(1.0, dim + 1) / (dim * (dim + 1) / 2)
+        for exp in seeded_experiments(dim, 0.2, 2, seed=135):
+            for weights in (None, tilted):
+                logs = ldp.ball_log_probabilities(exp, plan, weights)
+                assert len(logs) == len(plan) and logs[0] == logs[2]
+                for n, log_prob in zip(plan, logs):
+                    alone = ball_probability_exact(exp, n, weights)
+                    assert (math.exp(log_prob), -log_prob / n) == alone
+                    finite += math.isfinite(log_prob)
+    assert finite >= 40
+
+
+def test_rate_curve_is_one_pass_over_its_plan(monkeypatch):
+    rows = recording_ball_mask(monkeypatch)
+    exp = qubit_experiment(0.05, sizes=(400, 15, 60, 15))
+    curve = rate_curve(exp)
+    assert [n for n, _ in curve] == [400, 15, 60, 15]
+    assert rows == [401 + 16 + 61]  # the distinct sizes share one block
+    monkeypatch.undo()
+    for n, rate in curve:
+        assert rate == ball_probability_exact(exp, n)[1]
+
+
+def test_plan_blocks_stay_within_chunk(monkeypatch):
+    plan = (15, 30, 45, 60)
+    (exp,) = seeded_experiments(4, 0.05, 1, seed=136)
+    rows = recording_ball_mask(monkeypatch)
+    ldp.ball_log_probabilities(exp, plan)
+    assert len(rows) > 1
+    assert max(rows) <= ldp.CHUNK
+    assert sum(rows) == sum(math.comb(n + 3, 3) for n in plan)  # every vector once
+
+
+def test_a_plan_is_checked_whole_before_any_enumeration(monkeypatch):
+    exp = qubit_experiment(0.1)
+    rows = recording_ball_mask(monkeypatch)
+    with pytest.raises(BudgetExceeded, match=r"\(n=401, cells=2\)"):
+        ldp.ball_log_probabilities(exp, [50, 401])
+    with pytest.raises(ValueError, match="positive integer, got 0"):
+        ldp.ball_log_probabilities(exp, [50, 0])
+    assert rows == []
+    assert ldp.ball_log_probabilities(exp, []) == []
