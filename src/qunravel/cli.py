@@ -4,7 +4,9 @@ Five subcommands: ``entropy``, ``haar-experiment``, ``common-basis``,
 ``contraction``, and ``ldp``. Matrices travel as JSON with complex entries
 encoded ``[re, im]``; tabular results are CSV with 15 significant digits.
 Every run prints a JSON summary to stdout carrying its configuration
-(including the seed), so reruns are reproducible byte for byte.
+(including the seed), so reruns are reproducible byte for byte. The summary
+is strict JSON: the one non-finite value a run can report, the inf rate of
+an empty ``ldp`` event, is written as the string ``"inf"``, as in the CSV.
 
 Exit codes: 0 success, 2 input validation (a bad flag or argument too),
 3 property violation, 4 enumeration budget exceeded. Every failure prints one
@@ -159,9 +161,12 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _emit_summary(summary: dict, path: str | None = None) -> None:
-    text = json.dumps(summary, indent=2)
-    print(text)
+    """Write the summary to ``path``, if given, then print it, so a file that
+    cannot be written fails the run before anything reaches stdout. The JSON
+    is strict: a non-finite number raises instead of printing ``Infinity``."""
+    text = json.dumps(summary, indent=2, allow_nan=False)
     _write_text(path, text + "\n")
+    print(text)
 
 
 def cmd_entropy(args) -> int:
@@ -299,7 +304,9 @@ def cmd_ldp(args) -> int:
     for n, log_prob in zip(exp.sample_sizes, log_probs):
         prob, rate = math.exp(log_prob), -log_prob / n
         budget = tolerance_budget(n, k, exp.epsilon)
-        rates.append({"n": n, "prob": prob, "rate": rate, "tolerance_budget": budget})
+        # an empty event's rate is inf: written as the CSV writes it, not as bare Infinity
+        json_rate = rate if math.isfinite(rate) else _fmt(rate)
+        rates.append({"n": n, "prob": prob, "rate": json_rate, "tolerance_budget": budget})
         lines.append(f"{n},{_fmt(prob)},{_fmt(rate)},{_fmt(budget)}")
     _write_text(args.out, "\n".join(lines) + "\n")
 

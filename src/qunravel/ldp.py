@@ -9,21 +9,22 @@ vectors, so small systems admit exact enumeration; a Monte Carlo estimator
 covers spot checks.
 
 One pass per plan. ``ball_log_probabilities`` enumerates every sample size
-of a plan together: the distinct sizes, ascending, are packed whole into
-blocks of at most ``CHUNK`` count vectors, and a size with more vectors than
-one block holds is split over several on its leading cells. Each block goes
-through the membership screen once, each row against its own size, and
-each size is summed over its own contiguous rows. A size that fits one
-block is therefore summed exactly as it would be alone; the pieces of a
-split size are combined by ``logaddexp``, which may round the total an ulp
-apart from a split at another block size. ``ball_probability_exact`` is a
-plan of one size. ``CHUNK`` = 2^12 was measured against 2^11..2^16 (2 vCPUs
-with 2 MiB of L2 each, one BLAS thread, numpy 2.4.6): a d = 4 rate curve at
-n = 15, 30, 45, 60 took 3.8-3.9 ms against 8.3-8.9 ms at 2^16, and one
-k = 4, n = 400 rate at epsilon 0.05 0.55-0.66 s against 1.0-1.1 s. Smaller
-blocks win, most likely because their float temporaries (128 KiB each at
-d = 4) stay in cache; below 2^12 the per-block Python work takes over
-(4.6-4.8 ms at 2^11).
+of a plan together, from the plan itself as the first prefix column: each
+block is k-major, a row holding every count vector's sample size over one
+row per cell. The distinct sizes, ascending, are packed whole into blocks of
+at most ``CHUNK`` vectors; a size with more is split over several on its
+leading cells. Each block goes through the membership screen once, each
+vector against its own size, and is cut where the size row changes, so each
+size is summed over its own contiguous vectors: exactly as it would be alone
+when it fits one block, while the pieces of a split size are combined by
+``logaddexp``, which may round the total an ulp apart from a split at
+another block size. ``ball_probability_exact`` is a plan of one size.
+``CHUNK`` = 2^12 was measured against 2^11..2^16 (2 vCPUs with 2 MiB of L2
+each, one BLAS thread, numpy 2.4.6): a d = 4 rate curve at n = 15, 30, 45,
+60 took 3.8-3.9 ms against 8.3-8.9 ms at 2^16, and one k = 4, n = 400 rate
+at epsilon 0.05 0.55-0.66 s against 1.0-1.1 s. Smaller blocks win, most
+likely because their float temporaries (128 KiB each at d = 4) stay in
+cache; below 2^12 the per-block Python work takes over (4.6-4.8 ms at 2^11).
 
 Membership screen. A count vector c lies in the ball when
 ``td = 0.5 * sum|eigvalsh(emp - rho)| < epsilon``, with emp the empirical
@@ -181,15 +182,19 @@ def _log_pmf(c: np.ndarray, n, log_w: np.ndarray) -> np.ndarray:
 def _compositions(n: int, k: int):
     """Yield all count vectors of n into k cells, lexicographically descending.
 
-    The vectors come as int64 blocks of at most ``CHUNK`` rows. When they do
+    The vectors come as int64 ``(rows, k)`` blocks of at most ``CHUNK`` rows,
+    each the transposed view of a k-major ``_blocks`` block. When they do
     not fit one block, the enumeration splits on its leading cells.
     """
-    yield from _blocks([], np.array([n], np.int64), k)
+    for block in _blocks([], np.array([n], np.int64), k):
+        yield block.T
 
 
 def _blocks(prefix: list, rems: np.ndarray, cells: int):
-    """Complete each prefix (a list of count columns) with every count
-    vector of its remainder into ``cells`` cells, in blocks."""
+    """Complete each prefix (a list of columns) with every count vector of
+    its remainder into ``cells`` cells. Yields k-major blocks of at most
+    ``CHUNK`` vectors: one row per prefix column and per cell, one column
+    per vector."""
     sizes = np.ones_like(rems)  # C(rem + cells - 1, cells - 1), exactly
     for i in range(1, cells):
         sizes = sizes * (rems + i) // i
@@ -205,7 +210,7 @@ def _blocks(prefix: list, rems: np.ndarray, cells: int):
         cols, left = [c[start:stop] for c in prefix], rems[start:stop]
         for _ in range(cells - 1):
             cols, left = _extend(cols, left)
-        yield np.stack(cols + [left], axis=1)
+        yield np.stack(cols + [left])
         start = stop
 
 
@@ -241,8 +246,8 @@ def _ball_mask(exp: LdpExperiment, counts: np.ndarray, n) -> np.ndarray:
     """
     d = exp.rho.dim
     freq = counts / n
-    delta = freq - exp.cb.rho_coeffs
-    q = ((delta @ exp.gram) * delta) @ np.ones(d)  # faster than a sum over the short last axis
+    delta = (freq - exp.cb.rho_coeffs).T  # k-major, as ``_blocks`` lays counts out
+    q = np.ones(d) @ ((exp.gram @ delta) * delta)  # every loop runs along the long axis
     below = max(exp.epsilon - exp.slack, 0.0)
     above = exp.epsilon + exp.slack
     inside = d * (q + exp.q_round) < 4.0 * below * below
@@ -255,25 +260,6 @@ def _ball_mask(exp: LdpExperiment, counts: np.ndarray, n) -> np.ndarray:
     return inside
 
 
-def _plan_blocks(plan: list[int], k: int):
-    """Every count vector of each size of ``plan`` (ascending, distinct)
-    into k cells, in blocks of at most ``CHUNK`` rows. Each block comes with
-    its pieces: (n, rows), the slice of its rows that are count vectors of
-    n, in plan order."""
-    left = [math.comb(n + k - 1, k - 1) for n in plan]
-    i = 0
-    for counts in _blocks([], np.array(plan, np.int64), k):
-        pieces, start = [], 0
-        while start < len(counts):
-            stop = min(start + left[i], len(counts))
-            pieces.append((plan[i], slice(start, stop)))
-            left[i] -= stop - start
-            if not left[i]:
-                i += 1
-            start = stop
-        yield counts, pieces
-
-
 def ball_log_probabilities(
     exp: LdpExperiment, sample_sizes, reference_weights=None
 ) -> list[float]:
@@ -283,12 +269,12 @@ def ball_log_probabilities(
     The whole plan is checked before anything is enumerated: every size
     must be a positive integer, and ``BudgetExceeded`` reports the
     enumeration size of the first that leaves the supported range. The
-    distinct sizes are then enumerated in one pass, ascending, packed whole
-    into blocks of at most ``CHUNK`` count vectors; a size with more
-    vectors than one block holds is split over several. Each block is
-    screened once, with a sample size per row. Each size's rows are summed
-    by a max-shifted log-sum-exp, and the pieces of a split size are
-    combined by ``logaddexp``. An empty event gives -inf.
+    distinct sizes are then enumerated in one pass of ``_blocks``, whose
+    row 0 is every vector's size: each block is screened once, against one
+    size or a column of sizes, and cut where that row changes. Each size's
+    vectors are summed by a max-shifted log-sum-exp, and the pieces of a
+    size split over several blocks by ``logaddexp``. An empty event gives
+    -inf.
     """
     sizes = [positive_count(n, "sample size") for n in sample_sizes]
     k = exp.cb.dim
@@ -300,22 +286,20 @@ def ball_log_probabilities(
             )
     log_w = np.log(_reference_weights(exp, reference_weights))
 
-    plan = sorted(set(sizes))
-    log_prob = dict.fromkeys(plan, -math.inf)
-    for counts, pieces in _plan_blocks(plan, k):
-        row_n = pieces[0][0]
-        if len(pieces) > 1:
-            ns, lens = zip(*((n, r.stop - r.start) for n, r in pieces))
-            row_n = np.repeat(ns, lens)[:, None]
-        inside = _ball_mask(exp, counts, row_n)
-        for n, rows in pieces:
-            hits = counts[rows][inside[rows]]
-            if not len(hits):
-                continue
-            logp = _log_pmf(hits.astype(float), n, log_w)
-            top = float(logp.max())
-            block = top + math.log(float(np.exp(logp - top).sum()))
-            log_prob[n] = float(np.logaddexp(log_prob[n], block))
+    plan = np.array(sorted(set(sizes)), np.int64)
+    log_prob = dict.fromkeys(sizes, -math.inf)
+    for block in _blocks([plan], plan, k):  # row 0, each vector's size, ascends
+        row_n, counts = block[0], block[1:].T
+        cuts = [] if row_n[0] == row_n[-1] else (np.flatnonzero(np.diff(row_n)) + 1).tolist()
+        inside = _ball_mask(exp, counts, row_n[:, None] if cuts else row_n[0])
+        for start, stop in zip([0] + cuts, cuts + [len(row_n)]):
+            hits = counts[start:stop][inside[start:stop]]
+            if len(hits):
+                n = int(row_n[start])
+                logp = _log_pmf(hits.astype(float), n, log_w)
+                top = float(logp.max())
+                total = top + math.log(float(np.exp(logp - top).sum()))
+                log_prob[n] = float(np.logaddexp(log_prob[n], total))
     return [log_prob[n] for n in sizes]
 
 

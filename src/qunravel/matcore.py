@@ -266,7 +266,7 @@ def herm_eig_stack(mats: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Spectra
             h[~ok] = identity(n)
         try:
             vals, vecs = np.linalg.eigh(h)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
+        except np.linalg.LinAlgError as exc:
             raise BackendFailure(f"eigensolver did not converge on the stack: {exc}") from exc
 
         vh = vecs.conj().swapaxes(-1, -2)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import qunravel.cli as cli
 import qunravel.ldp as ldp
 from qunravel.cli import main
 
@@ -243,14 +244,52 @@ def test_ldp_command(capsys, tmp_path):
     assert len(lines) == 5
     summary = json.loads(out)
     assert abs(summary["bs_entropy"] - KL_34_12) < 1e-9
-    gaps = [abs(row["rate"] - KL_34_12) for row in summary["rates"]]
+    gaps = [abs(float(row["rate"]) - KL_34_12) for row in summary["rates"]]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.05
     for line, row in zip(lines[1:], summary["rates"]):
         n, prob, rate, budget = line.split(",")
         assert int(n) == row["n"]
-        assert float(rate) == pytest.approx(row["rate"])
+        assert float(rate) == pytest.approx(float(row["rate"]))
         assert float(budget) == pytest.approx(row["tolerance_budget"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary holds the non-JSON constant {name}")
+
+
+def test_ldp_summary_is_strict_json(capsys, tmp_path):
+    # n = 50 has an empty event: its inf rate is the CSV's string, not bare Infinity
+    csv_path = tmp_path / "rates.csv"
+    code, out, _ = run(capsys, "ldp", LDP_CFG, "--out", str(csv_path))
+    assert code == 0
+    rates = json.loads(out, parse_constant=_reject_constant)["rates"]
+    csv_rates = [line.split(",")[2] for line in csv_path.read_text().splitlines()[1:]]
+    assert rates[0]["rate"] == csv_rates[0] == "inf"
+    assert all(isinstance(row["rate"], float) for row in rates[1:])
+
+
+def test_a_non_finite_summary_value_fails_without_printing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "umegaki", lambda rho, sigma, tols: math.nan)
+    code, out, err = run(capsys, "entropy", RHO_C, SIGMA_M)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("command", ["entropy", "common-basis", "haar-experiment"])
+def test_an_unwritable_summary_file_fails_before_printing(capsys, tmp_path, command):
+    missing = str(tmp_path / "no_such_dir" / "summary.json")
+    if command == "haar-experiment":
+        argv = [command, "--dim", "2", "--samples", "2",
+                "--out", str(tmp_path / "sweep.csv"), "--summary", missing]
+    else:
+        argv = [command, RHO_C, SIGMA_M, "--out", missing]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "FileNotFoundError"
 
 
 def test_ldp_budget_exceeded(capsys, tmp_path):

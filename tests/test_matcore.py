@@ -285,6 +285,16 @@ def test_herm_eig_stack_rejects_a_non_stack():
         herm_eig_stack(np.ones((2, 3, 4)))
 
 
+def test_herm_eig_stack_raises_a_non_converging_eigh_as_backend_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    mats = random_spd_stack(3, 3, np.random.default_rng(12))
+    with pytest.raises(BackendFailure, match="did not converge on the stack: Eigenvalues did not"):
+        herm_eig_stack(mats)
+
+
 def corrupt(mats, index, value):
     bad = mats.copy()
     bad[index] = value
