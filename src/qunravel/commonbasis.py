@@ -27,9 +27,10 @@ are the psi_i, next to the dual matrix and the two weight vectors; ``basis``
 rebuilds the ``PureState`` objects for API callers. One pair of state
 objects has one basis, built once (see ``entropy``).
 
-A basis is verified once, when it is constructed, and keeps its clamped
-weights; ``cb_measures`` wraps its rows and those weights unchecked, since
-the checks of ``CommonBasis`` imply every ``DiscreteEnsemble`` invariant.
+A basis is verified once, when it is constructed, on read-only copies of its
+arrays, and keeps its clamped weights; ``cb_measures`` wraps its rows and
+those weights unchecked, since the checks of ``CommonBasis`` imply every
+``DiscreteEnsemble`` invariant.
 
 When the spectrum of A is simple the basis is unique up to permutation and
 phase, which ``basis_match`` recovers; with degeneracies the construction is
@@ -94,6 +95,8 @@ class CommonBasis:
 
     These are every invariant of a ``DiscreteEnsemble`` on the basis rays,
     so ``cb_measures`` builds its two measures without checking them again.
+    The basis keeps read-only copies of its five input arrays, so it holds
+    what it certified whatever the caller later does to its own arrays.
     ``rho_weights`` and ``sigma_weights`` hold the ``clamp_weights`` of the
     two coefficient vectors, computed once here and read-only; every
     divergence on the basis reads them. So do G, as ``gram``, and its ascending
@@ -111,6 +114,10 @@ class CommonBasis:
     gram_eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("psis", "dual", "rho_coeffs", "sigma_coeffs", "eigenvalues"):
+            arr = np.array(getattr(self, name))  # its own copy
+            arr.setflags(write=False)  # cheaper than setting flags.writeable
+            object.__setattr__(self, name, arr)
         psis, d = self.psis, self.psis.shape[0]
         shapes = [a.shape for a in (psis, self.dual)]
         shapes += [v.shape for v in (self.rho_coeffs, self.sigma_coeffs, self.eigenvalues)]
@@ -133,7 +140,7 @@ class CommonBasis:
         names = ("rho_weights", "sigma_weights", "gram", "gram_eigenvalues")
         weights = clamp_weights(self.rho_coeffs), clamp_weights(self.sigma_coeffs)
         for name, arr in zip(names, (*weights, gram, spectrum)):
-            arr.flags.writeable = False
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -184,16 +191,13 @@ def _common_basis(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances) ->
     sigma_coeffs = rho_coeffs * usu / uru
     dual = v @ (y / sw) * (norms / uru)
 
-    cb = CommonBasis(
+    return CommonBasis(
         psis=psis,
         dual=dual,
         rho_coeffs=rho_coeffs,
         sigma_coeffs=sigma_coeffs,
         eigenvalues=kappa,
     )
-    for arr in (psis, dual, rho_coeffs, sigma_coeffs, kappa):
-        arr.flags.writeable = False
-    return cb
 
 
 def dual_consistency(

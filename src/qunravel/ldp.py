@@ -1,12 +1,14 @@
 """Sanov-type rates for empirical unravelings on a common basis.
 
-Draw n atoms i.i.d. from the sigma-side common-basis measure and form the
-empirical barycenter. The probability that it lands in the open trace-norm
-ball of radius epsilon around rho decays exponentially, with a rate that
-approaches the BS relative entropy as n grows and epsilon shrinks. With
-basis-supported sampling the event is a finite union of multinomial count
-vectors, so small systems admit exact enumeration; a Monte Carlo estimator
-covers spot checks.
+Draw n atoms i.i.d. from weights nu on the common basis, by default the
+sigma-side measure, and form the empirical barycenter. The probability that
+it lands in the open trace-norm ball of radius epsilon around rho decays
+exponentially, with a rate that approaches the BS relative entropy as n grows
+and epsilon shrinks. With basis-supported sampling the event is a finite
+union of multinomial count vectors, so small systems admit exact
+enumeration; a Monte Carlo estimator covers spot checks. ``LdpExperiment``
+holds nu and checks it, epsilon and the plan when it is built; every rate
+reads that one nu.
 
 One pass per plan. ``ball_log_probabilities`` enumerates every sample size
 of a plan together, from the plan itself as the first prefix column: each
@@ -76,6 +78,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .commonbasis import CommonBasis, common_basis
+from .ensembles import WEIGHT_SUM_TOL
 from .errors import BudgetExceeded, DimMismatch
 from .matcore import DEFAULT_TOLS, Tolerances
 from .states import DensityMatrix, RngStream, positive_count
@@ -96,15 +99,19 @@ MAX_SAMPLES = 400
 CHUNK = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdpExperiment:
-    """A target pair, its common basis, and the sampling plan.
+    """A target pair, its common basis, the sampling law and the plan.
 
-    The tables every rate of the experiment shares are derived once from
-    these: the projector rows |psi_i><psi_i|, the Gram matrix
-    |<psi_i|psi_j>|^2 and the membership screen's rounding allowances (see
-    the module docstring). Atoms are drawn from the basis's own clamped
-    ``cb.sigma_weights``.
+    Atoms are drawn i.i.d. from ``reference_weights`` (nu), by default the
+    basis's own clamped ``cb.sigma_weights``, kept as a read-only copy. The
+    experiment checks itself however it is built: ``ValueError`` unless
+    epsilon lies in (0, 1), the plan is a nonempty sequence of positive
+    integer sizes, and nu is positive and sums to 1 within
+    ``WEIGHT_SUM_TOL``; ``DimMismatch`` unless nu has one weight per basis
+    state. The tables every rate shares are derived once from these: log nu,
+    the projector rows |psi_i><psi_i|, the Gram matrix |<psi_i|psi_j>|^2 and
+    the membership screen's rounding allowances (see the module docstring).
     """
 
     rho: DensityMatrix
@@ -112,20 +119,38 @@ class LdpExperiment:
     cb: CommonBasis
     epsilon: float
     sample_sizes: tuple[int, ...]
-    proj: np.ndarray = field(init=False, repr=False, compare=False)
-    gram: np.ndarray = field(init=False, repr=False, compare=False)
-    slack: float = field(init=False, repr=False, compare=False)
-    q_round: float = field(init=False, repr=False, compare=False)
+    reference_weights: np.ndarray | None = None
+    log_weights: np.ndarray = field(init=False, repr=False)
+    proj: np.ndarray = field(init=False, repr=False)
+    gram: np.ndarray = field(init=False, repr=False)
+    slack: float = field(init=False, repr=False)
+    q_round: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        sizes = tuple(positive_count(n, "sample size") for n in self.sample_sizes)
+        if not sizes:
+            raise ValueError("need at least one sample size")
         psis, p, gram = self.cb.psis, self.cb.rho_coeffs, self.cb.gram
         d = psis.shape[0]
+        w = self.cb.sigma_weights if self.reference_weights is None else self.reference_weights
+        w = np.array(w, dtype=float)
+        if w.shape != (d,):
+            raise DimMismatch(f"need {d} weights, got shape {w.shape}")
+        if not ((w > 0).all() and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):  # NaN fails too
+            raise ValueError("reference weights must be positive and sum to 1")
+        w.setflags(write=False)
         proj = np.einsum("ik,jk->kij", psis, psis.conj()).reshape(d, d * d)
         resid = float(np.linalg.norm(p @ proj - self.rho.matrix.reshape(-1)))
         norms2 = gram.diagonal().real
         t_max = abs(1.0 - float(p @ norms2)) + float(np.abs(1.0 - norms2).max())
         u = np.finfo(float).eps / 2  # unit roundoff
         tables = {
+            "epsilon": float(self.epsilon),
+            "sample_sizes": sizes,
+            "reference_weights": w,
+            "log_weights": np.log(w),
             "proj": proj,
             "gram": np.abs(gram) ** 2,
             "slack": 0.5 * math.sqrt(d) * resid + t_max + 16 * d * d * (d + 1) * u,
@@ -136,20 +161,14 @@ class LdpExperiment:
 
 
 def make_experiment(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    epsilon: float,
-    sample_sizes,
-    tols: Tolerances = DEFAULT_TOLS,
+    rho: DensityMatrix, sigma: DensityMatrix, epsilon: float, sample_sizes,
+    tols: Tolerances = DEFAULT_TOLS, reference_weights=None,
 ) -> LdpExperiment:
-    """Validate inputs and precompute the common basis."""
+    """Build the common basis of (rho, sigma), which checks the pair, and the
+    experiment on it, which checks epsilon, the plan and the reference
+    weights nu (None samples from ``cb.sigma_weights``)."""
     cb = common_basis(rho, sigma, tols)  # checks the pair
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    sizes = tuple(positive_count(n, "sample size") for n in sample_sizes)
-    if not sizes:
-        raise ValueError("need at least one sample size")
-    return LdpExperiment(rho, sigma, cb, float(epsilon), sizes)
+    return LdpExperiment(rho, sigma, cb, epsilon, sample_sizes, reference_weights)
 
 
 def log_multinomial(counts, weights) -> float | np.ndarray:
@@ -177,17 +196,6 @@ def _log_pmf(c: np.ndarray, n, log_w: np.ndarray) -> np.ndarray:
     """``log_multinomial`` without its checks: float counts ``c`` summing
     to ``n`` (one size for all rows, or one per row), log-weights ``log_w``."""
     return gammaln(n + 1) - gammaln(c + 1).sum(axis=-1) + c @ log_w
-
-
-def _compositions(n: int, k: int):
-    """Yield all count vectors of n into k cells, lexicographically descending.
-
-    The vectors come as int64 ``(rows, k)`` blocks of at most ``CHUNK`` rows,
-    each the transposed view of a k-major ``_blocks`` block. When they do
-    not fit one block, the enumeration splits on its leading cells.
-    """
-    for block in _blocks([], np.array([n], np.int64), k):
-        yield block.T
 
 
 def _blocks(prefix: list, rems: np.ndarray, cells: int):
@@ -223,17 +231,6 @@ def _extend(prefix: list, rems: np.ndarray) -> tuple[list, np.ndarray]:
     return cols + [np.repeat(rems, reps) - left], left
 
 
-def _reference_weights(exp: LdpExperiment, override) -> np.ndarray:
-    if override is not None:
-        w = np.asarray(override, dtype=float)
-        if w.shape != (exp.cb.dim,):
-            raise DimMismatch(f"need {exp.cb.dim} weights, got shape {w.shape}")
-        if not ((w > 0).all() and abs(w.sum() - 1.0) <= 1e-10):  # NaN fails too
-            raise ValueError("reference weights must be positive and sum to 1")
-        return w
-    return exp.cb.sigma_weights
-
-
 def _ball_mask(exp: LdpExperiment, counts: np.ndarray, n) -> np.ndarray:
     """Which count vectors put the empirical barycenter inside the ball.
 
@@ -260,9 +257,7 @@ def _ball_mask(exp: LdpExperiment, counts: np.ndarray, n) -> np.ndarray:
     return inside
 
 
-def ball_log_probabilities(
-    exp: LdpExperiment, sample_sizes, reference_weights=None
-) -> list[float]:
+def ball_log_probabilities(exp: LdpExperiment, sample_sizes) -> list[float]:
     """Exact log-probability logP that the n-sample empirical state hits the
     ball, for every n of ``sample_sizes``, in their order.
 
@@ -284,28 +279,25 @@ def ball_log_probabilities(
                 f"enumeration of {math.comb(n + k - 1, k - 1)} count vectors (n={n}, cells={k}) "
                 f"exceeds the supported budget"
             )
-    log_w = np.log(_reference_weights(exp, reference_weights))
 
     plan = np.array(sorted(set(sizes)), np.int64)
     log_prob = dict.fromkeys(sizes, -math.inf)
     for block in _blocks([plan], plan, k):  # row 0, each vector's size, ascends
         row_n, counts = block[0], block[1:].T
         cuts = [] if row_n[0] == row_n[-1] else (np.flatnonzero(np.diff(row_n)) + 1).tolist()
-        inside = _ball_mask(exp, counts, row_n[:, None] if cuts else row_n[0])
-        for start, stop in zip([0] + cuts, cuts + [len(row_n)]):
-            hits = counts[start:stop][inside[start:stop]]
-            if len(hits):
-                n = int(row_n[start])
-                logp = _log_pmf(hits.astype(float), n, log_w)
+        hits = np.flatnonzero(_ball_mask(exp, counts, row_n[:, None] if cuts else row_n[0]))
+        bounds = np.searchsorted(hits, cuts).tolist() if cuts else []
+        for lo, hi in zip([0] + bounds, bounds + [len(hits)]):
+            if hi > lo:
+                n = int(row_n[hits[lo]])
+                logp = _log_pmf(counts[hits[lo:hi]].astype(float), n, exp.log_weights)
                 top = float(logp.max())
                 total = top + math.log(float(np.exp(logp - top).sum()))
                 log_prob[n] = float(np.logaddexp(log_prob[n], total))
     return [log_prob[n] for n in sizes]
 
 
-def ball_probability_exact(
-    exp: LdpExperiment, n: int, reference_weights=None
-) -> tuple[float, float]:
+def ball_probability_exact(exp: LdpExperiment, n: int) -> tuple[float, float]:
     """Exact probability that the n-sample empirical state hits the ball.
 
     A plan of one size for ``ball_log_probabilities``. Returns (exp(logP),
@@ -315,32 +307,28 @@ def ball_probability_exact(
     or sample size leaves the supported range.
     """
     n = positive_count(n, "sample size")
-    (log_prob,) = ball_log_probabilities(exp, [n], reference_weights)
+    (log_prob,) = ball_log_probabilities(exp, [n])
     return math.exp(log_prob), -log_prob / n
 
 
 def ball_probability_mc(
-    exp: LdpExperiment,
-    n: int,
-    trials: int,
-    rng: RngStream,
-    reference_weights=None,
+    exp: LdpExperiment, n: int, trials: int, rng: RngStream
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the ball probability with its binomial stderr."""
+    """Monte Carlo estimate of the ball probability with its binomial stderr,
+    from ``trials`` draws of n atoms from ``exp.reference_weights``."""
     n = positive_count(n, "sample size")
     trials = positive_count(trials, "trials")
-    w = _reference_weights(exp, reference_weights)
-    counts = rng.gen.multinomial(n, w, size=trials).astype(float)
+    counts = rng.gen.multinomial(n, exp.reference_weights, size=trials).astype(float)
     inside = _ball_mask(exp, counts, n)
     p_hat = float(inside.mean())
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return p_hat, stderr
 
 
-def rate_curve(exp: LdpExperiment, reference_weights=None) -> list[tuple[int, float]]:
+def rate_curve(exp: LdpExperiment) -> list[tuple[int, float]]:
     """Exact finite-n rates for every planned sample size, from one
     ``ball_log_probabilities`` pass over the whole plan."""
-    log_probs = ball_log_probabilities(exp, exp.sample_sizes, reference_weights)
+    log_probs = ball_log_probabilities(exp, exp.sample_sizes)
     return [(n, -log_prob / n) for n, log_prob in zip(exp.sample_sizes, log_probs)]
 
 

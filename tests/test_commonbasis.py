@@ -329,6 +329,25 @@ def test_hand_built_basis_passing_every_check():
     assert kl_divergence(mu, nu) == pytest.approx(KL_34_12, abs=1e-15)
 
 
+def test_hand_built_basis_holds_what_it_certified():
+    # a basis keeps read-only copies of its arrays: a later write to the caller's
+    # own arrays must not reach the rays that cb_measures wraps unchecked
+    rng = RngStream(55)
+    rho, sigma = sample_faithful(2, rng), sample_faithful(2, rng)
+    valid = common_basis(rho, sigma)
+    names = ("psis", "dual", "rho_coeffs", "sigma_coeffs", "eigenvalues")
+    arrays = {name: getattr(valid, name).copy() for name in names}
+    cb = CommonBasis(**arrays)
+    arrays["psis"][:, 0] = [3, 0]
+    for name in names:
+        assert arrays[name].flags.writeable and not getattr(cb, name).flags.writeable
+        assert np.array_equal(getattr(cb, name), getattr(valid, name))
+    mu, nu = cb_measures(cb)
+    assert np.abs(np.linalg.norm(mu.amps, axis=1) - 1.0).max() < 1e-12
+    assert trace_distance(realize(mu), rho) < 1e-9
+    assert trace_distance(realize(nu), sigma) < 1e-9
+
+
 def test_clamped_weights_are_computed_once_on_the_basis():
     rng = RngStream(54)
     cb = common_basis(sample_faithful(3, rng), sample_faithful(3, rng))

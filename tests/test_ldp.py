@@ -30,8 +30,8 @@ RHO_C = validate_density(np.diag([0.75, 0.25]))
 SIGMA_C = validate_density(np.eye(2) / 2)
 
 
-def qubit_experiment(epsilon, sizes=(50, 100, 200, 400)):
-    return make_experiment(RHO_C, SIGMA_C, epsilon, sizes)
+def qubit_experiment(epsilon, sizes=(50, 100, 200, 400), reference_weights=None):
+    return make_experiment(RHO_C, SIGMA_C, epsilon, sizes, reference_weights=reference_weights)
 
 
 def test_log_multinomial_oracles():
@@ -185,7 +185,7 @@ def test_rate_with_perturbed_reference():
     # divergence against those weights, within the disclosed budget
     exp = qubit_experiment(0.01, sizes=(400,))
     ref = np.array([0.55, 0.45])
-    _, rate = ball_probability_exact(exp, 400, reference_weights=ref)
+    _, rate = ball_probability_exact(qubit_experiment(0.01, (400,), ref), 400)
     kl = 0.75 * math.log(0.75 / 0.55) + 0.25 * math.log(0.25 / 0.45)
     budget = tolerance_budget(400, 2, 0.01)
     assert rate >= kl - budget
@@ -196,19 +196,54 @@ def test_rate_with_perturbed_reference():
 
 
 def test_reference_weight_validation():
-    exp = qubit_experiment(0.1)
+    # the experiment checks its reference weights when it is built, before any rate
     with pytest.raises(DimMismatch):
-        ball_probability_exact(exp, 10, reference_weights=[0.2, 0.3, 0.5])
+        ball_probability_exact(qubit_experiment(0.1, (10,), [0.2, 0.3, 0.5]), 10)
     with pytest.raises(ValueError):
-        ball_probability_exact(exp, 10, reference_weights=[0.7, 0.2])
+        ball_probability_exact(qubit_experiment(0.1, (10,), [0.7, 0.2]), 10)
     with pytest.raises(ValueError):
-        ball_probability_exact(exp, 10, reference_weights=[1.0, 0.0])
+        ball_probability_exact(qubit_experiment(0.1, (10,), [1.0, 0.0]), 10)
     # NaN compares False both ways; the bound must reject it, not pass it on to
     # the log (a RuntimeWarning, which the suite makes an error) or to numpy's sampler
     with pytest.raises(ValueError, match="positive and sum to 1"):
-        ball_probability_exact(exp, 10, reference_weights=[np.nan, np.nan])
+        ball_probability_exact(qubit_experiment(0.1, (10,), [np.nan, np.nan]), 10)
     with pytest.raises(ValueError, match="positive and sum to 1"):
-        ball_probability_mc(exp, 10, 5, RngStream(3), reference_weights=[np.nan, np.nan])
+        ball_probability_mc(qubit_experiment(0.1, (10,), [np.nan, np.nan]), 10, 5, RngStream(3))
+
+
+@pytest.mark.parametrize(
+    "epsilon, sizes, weights, error, message",
+    [
+        (5.0, (10,), None, ValueError, "epsilon must lie in"),
+        (-1.0, (10,), None, ValueError, "epsilon must lie in"),
+        (0.1, (), None, ValueError, "need at least one sample size"),
+        (0.1, (0,), None, ValueError, "sample size must be a positive integer"),
+        (0.1, (10,), [np.nan, np.nan], ValueError, "positive and sum to 1"),
+        (0.1, (10,), [0.2, 0.3, 0.5], DimMismatch, "need 2 weights"),
+    ],
+    ids=["epsilon-5", "epsilon-negative", "empty-plan", "size-0", "nan-weights", "three-weights"],
+)
+def test_a_directly_built_experiment_checks_what_make_experiment_checks(
+    epsilon, sizes, weights, error, message
+):
+    cb = make_experiment(RHO_C, SIGMA_C, 0.1, (10,)).cb
+    with pytest.raises(error, match=message) as direct:
+        ldp.LdpExperiment(RHO_C, SIGMA_C, cb, epsilon, sizes, weights)
+    with pytest.raises(error) as made:
+        make_experiment(RHO_C, SIGMA_C, epsilon, sizes, reference_weights=weights)
+    assert str(made.value) == str(direct.value)
+
+
+def test_an_experiment_keeps_a_read_only_copy_of_its_reference_weights():
+    ref = np.array([0.55, 0.45])
+    exp = qubit_experiment(0.01, (400,), ref)
+    ref[:] = [0.9, 0.1]
+    assert np.array_equal(exp.reference_weights, [0.55, 0.45]) and ref.flags.writeable
+    assert np.array_equal(exp.log_weights, np.log([0.55, 0.45]))
+    with pytest.raises(ValueError):
+        exp.reference_weights[0] = 0.5
+    default = qubit_experiment(0.01, (400,))
+    assert np.array_equal(default.reference_weights, default.cb.sigma_weights)
 
 
 def test_type_class_asymptotics():
@@ -278,6 +313,12 @@ def reference_rate(exp, n):
     return -(top + math.log(float(np.exp(logp - top).sum()))) / n
 
 
+def compositions(n, k):
+    """Every count vector of n into k cells, as the int64 ``(rows, k)``
+    transposed views of the k-major blocks ``ldp._blocks`` yields for one size."""
+    return [block.T for block in ldp._blocks([], np.array([n], np.int64), k)]
+
+
 def seeded_experiments(dim, epsilon, count, seed):
     rng = RngStream(seed, dim)
     for _ in range(count):
@@ -301,7 +342,7 @@ def counting_eigvalsh(monkeypatch):
     "n,k", [(0, 1), (7, 1), (0, 2), (9, 2), (0, 3), (8, 3), (0, 4), (6, 4), (15, 4)]
 )
 def test_compositions_match_stars_and_bars(n, k):
-    blocks = list(ldp._compositions(n, k))
+    blocks = compositions(n, k)
     assert all(b.dtype == np.int64 for b in blocks)
     got = np.concatenate(blocks)
     np.testing.assert_array_equal(got, stars_and_bars(n, k))
@@ -312,18 +353,18 @@ def test_compositions_blocks_concatenate_to_one(monkeypatch):
     cases = [(9, 2), (8, 3), (15, 4), (0, 3)]
     whole = {}
     for n, k in cases:
-        (whole[n, k],) = ldp._compositions(n, k)
+        (whole[n, k],) = compositions(n, k)
     for chunk in (1, 5, 64):
         monkeypatch.setattr(ldp, "CHUNK", chunk)
         for n, k in cases:
-            blocks = list(ldp._compositions(n, k))
+            blocks = compositions(n, k)
             assert max(len(b) for b in blocks) <= chunk
             np.testing.assert_array_equal(np.concatenate(blocks), whole[n, k])
 
 
 def test_compositions_split_beyond_one_chunk():
     # C(402, 2) = 80601 count vectors do not fit one CHUNK
-    blocks = list(ldp._compositions(400, 3))
+    blocks = compositions(400, 3)
     assert len(blocks) > 1
     assert max(len(b) for b in blocks) <= ldp.CHUNK
     np.testing.assert_array_equal(np.concatenate(blocks), stars_and_bars(400, 3))
@@ -470,10 +511,11 @@ def test_a_plan_equals_each_size_run_alone_bit_for_bit():
         tilted = np.arange(1.0, dim + 1) / (dim * (dim + 1) / 2)
         for exp in seeded_experiments(dim, 0.2, 2, seed=135):
             for weights in (None, tilted):
-                logs = ldp.ball_log_probabilities(exp, plan, weights)
+                run = make_experiment(exp.rho, exp.sigma, 0.2, plan, reference_weights=weights)
+                logs = ldp.ball_log_probabilities(run, plan)
                 assert len(logs) == len(plan) and logs[0] == logs[2]
                 for n, log_prob in zip(plan, logs):
-                    alone = ball_probability_exact(exp, n, weights)
+                    alone = ball_probability_exact(run, n)
                     assert (math.exp(log_prob), -log_prob / n) == alone
                     finite += math.isfinite(log_prob)
     assert finite >= 40

@@ -41,6 +41,9 @@ def fresh_basis():
     )
 
 
+LDP_PAIR = (states.validate_density(np.diag([0.75, 0.25])), states.validate_density(np.eye(2) / 2))
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -51,9 +54,10 @@ def fresh_basis():
         lambda: dynamics.LindbladModel(np.diag([1.0, -1.0])),
         lambda: dynamics.Trajectory(np.zeros(2), np.eye(2), np.zeros(2), 0, 0),
         lambda: entropy.KrausMap((np.eye(2),)),
+        lambda: ldp.make_experiment(*LDP_PAIR, 0.1, (10,)),  # the same states and basis
     ],
     ids=["PureState", "CommonBasis", "DiscreteEnsemble", "CoarseKernel", "LindbladModel",
-         "Trajectory", "KrausMap"],
+         "Trajectory", "KrausMap", "LdpExperiment"],
 )
 def test_array_holding_dataclasses_compare_and_hash_by_identity(build):
     # a generated __eq__ would compare ndarray fields, and so raise
