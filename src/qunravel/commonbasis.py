@@ -48,7 +48,7 @@ import numpy as np
 from .ensembles import DiscreteEnsemble, _greedy_plan
 from .errors import BackendFailure, DimMismatch
 from .matcore import (
-    DEFAULT_TOLS, Tolerances, herm_eig, hermitize, identity, lapack_eigh, populations,
+    DEFAULT_TOLS, Tolerances, herm_eig, hermitize, hold, identity, lapack_eigh, populations,
 )
 from .states import DensityMatrix, PureState, canonical_rows, check_pair, fs_angles
 
@@ -95,8 +95,8 @@ class CommonBasis:
 
     These are every invariant of a ``DiscreteEnsemble`` on the basis rays,
     so ``cb_measures`` builds its two measures without checking them again.
-    The basis keeps read-only copies of its five input arrays, so it holds
-    what it certified whatever the caller later does to its own arrays.
+    The basis keeps read-only copies of its five input arrays (``hold``), so
+    it holds what it certified whatever the caller later does to its own.
     ``rho_weights`` and ``sigma_weights`` hold the ``clamp_weights`` of the
     two coefficient vectors, computed once here and read-only; every
     divergence on the basis reads them. So do G, as ``gram``, and its ascending
@@ -114,10 +114,8 @@ class CommonBasis:
     gram_eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("psis", "dual", "rho_coeffs", "sigma_coeffs", "eigenvalues"):
-            arr = np.array(getattr(self, name))  # its own copy
-            arr.setflags(write=False)  # cheaper than setting flags.writeable
-            object.__setattr__(self, name, arr)
+        names = ("psis", "dual", "rho_coeffs", "sigma_coeffs", "eigenvalues")
+        hold(self, **{name: np.array(getattr(self, name)) for name in names})
         psis, d = self.psis, self.psis.shape[0]
         shapes = [a.shape for a in (psis, self.dual)]
         shapes += [v.shape for v in (self.rho_coeffs, self.sigma_coeffs, self.eigenvalues)]
@@ -137,11 +135,8 @@ class CommonBasis:
         spectrum = lapack_eigh(gram, 0)[0]
         if not spectrum[0] > 1e-14:
             raise BackendFailure(f"basis Gram matrix is rank-deficient ({spectrum[0]:.3e})")
-        names = ("rho_weights", "sigma_weights", "gram", "gram_eigenvalues")
-        weights = clamp_weights(self.rho_coeffs), clamp_weights(self.sigma_coeffs)
-        for name, arr in zip(names, (*weights, gram, spectrum)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        rho_w, sigma_w = clamp_weights(self.rho_coeffs), clamp_weights(self.sigma_coeffs)
+        hold(self, rho_weights=rho_w, sigma_weights=sigma_w, gram=gram, gram_eigenvalues=spectrum)
 
     @property
     def dim(self) -> int:
@@ -154,7 +149,7 @@ class CommonBasis:
 
     @property
     def basis(self) -> tuple[PureState, ...]:
-        """The columns of ``psis`` as pure states."""
+        """The columns of ``psis`` as pure states, each holding its own copy."""
         return tuple(PureState(p) for p in self.psis.T)
 
 
@@ -227,9 +222,9 @@ def clamp_weights(w: np.ndarray) -> np.ndarray:
 def cb_measures(cb: CommonBasis) -> tuple[DiscreteEnsemble, DiscreteEnsemble]:
     """The two classical measures carried by the common basis.
 
-    Both ensembles share one C-contiguous amplitude array (the
-    phase-canonicalized basis states as rows) and carry the basis's
-    ``rho_weights`` and ``sigma_weights``. The basis certified every
+    Both ensembles share one read-only, C-contiguous amplitude array that
+    no caller holds (the phase-canonicalized basis states as rows) and carry
+    the basis's ``rho_weights`` and ``sigma_weights``. The basis certified every
     invariant of a ``DiscreteEnsemble`` on them when it was built (see
     ``CommonBasis``), so neither measure is checked again.
     """

@@ -88,6 +88,7 @@ from .matcore import (
     Tolerances,
     herm_eig_stack,
     hermiticity_defect,
+    hold,
     is_square,
 )
 from .states import (
@@ -128,7 +129,7 @@ class LindbladModel:
 
     A rate must be finite and nonnegative, and D must be finite; else
     ``ValueError`` names the rate, or the first jump whose term overflows D.
-    The model keeps read-only copies of its arrays."""
+    The model keeps read-only copies of its arrays (``hold``)."""
 
     hamiltonian: np.ndarray
     jumps: tuple[np.ndarray, ...] = ()
@@ -161,12 +162,7 @@ class LindbladModel:
                 drift -= 0.5 * (g * g) * (s.conj().T @ s)
                 if not np.isfinite(drift).all():
                     raise ValueError(f"jump {j} at rate {g!r} overflows the drift")
-        for arr in (h, *jumps, drift):  # drift stays true to the data it was built from
-            arr.flags.writeable = False
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "drift", drift)
+        hold(self, hamiltonian=h, jumps=jumps, rates=rates, drift=drift)
 
     @property
     def dim(self) -> int:
@@ -192,7 +188,7 @@ class Trajectory:
 
     @property
     def states(self) -> tuple[PureState, ...]:
-        """The rows of ``amps`` as pure states, built on access."""
+        """The rows of ``amps`` as pure states, built on access, each its own copy."""
         return tuple(PureState(a) for a in self.amps)
 
 
@@ -250,7 +246,7 @@ def _frame(n: int) -> np.ndarray:
     i < j in ``np.triu_indices`` order."""
     i, j = np.triu_indices(n, 1)
     pos = np.concatenate([np.arange(n) * (n + 1), i + n * j, j + n * i])
-    pos.flags.writeable = False
+    pos.setflags(write=False)
     return pos
 
 

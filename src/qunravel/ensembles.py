@@ -20,9 +20,9 @@ for ``_merged_ensemble``, whose merge leaves no close pair.
 ``DiscreteEnsemble._certified`` checks nothing, for the two measures of
 ``cb_measures``: their ``CommonBasis`` verified the unit rows, the weights
 and, through its Gram floor and Cauchy interlacing, rays at least about
-1.4e-7 apart, when it was built.
-Coarse-graining and couplings live here too,
-since both are purely measure-level operations on angle tables.
+1.4e-7 apart, when it was built. That pair shares one read-only ``amps``;
+every other ensemble holds its own copy. Coarse-graining and couplings live
+here too, since both are purely measure-level operations on angle tables.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .errors import (
     EmptyEnsemble,
     InvalidCoupling,
 )
-from .matcore import DEFAULT_TOLS, Tolerances, hermitize
+from .matcore import DEFAULT_TOLS, Tolerances, hold
 from .states import (
     DensityMatrix,
     PureState,
@@ -167,7 +167,8 @@ class DiscreteEnsemble:
     of unit rows, and ``weights``. Invariants checked at construction: at
     least one atom, all atoms of one dimension, unit and pairwise distinct
     beyond ``TOL_MATCH``, weights nonnegative and summing to 1 within 1e-10.
-    Only the amplitudes are stored, as the rows of ``amps``.
+    Only the amplitudes are stored, as the rows of ``amps``; the ensemble
+    keeps read-only copies of its arrays (``hold``).
     """
 
     amps: np.ndarray
@@ -190,42 +191,39 @@ class DiscreteEnsemble:
     @classmethod
     def _distinct(cls, amps: np.ndarray, weights) -> "DiscreteEnsemble":
         """Every constructor check but the pairwise screen, for rows proven
-        distinct beyond ``TOL_MATCH``; a checked array is stored as is."""
+        distinct beyond ``TOL_MATCH``."""
         ens = object.__new__(cls)
         ens._store(amps, weights)
         return ens
 
     @classmethod
     def _certified(cls, amps: np.ndarray, weights: np.ndarray) -> "DiscreteEnsemble":
-        """An ensemble on arrays stored as given, with no check at all: for a
-        C-contiguous complex ``amps`` and float ``weights`` whose builder has
-        verified every constructor invariant (``cb_measures``, on the checks
-        of ``CommonBasis``)."""
+        """An ensemble on arrays held as given, with no check at all: for a
+        C-contiguous complex ``amps`` and float ``weights`` that no caller holds and
+        whose builder verified every invariant (``cb_measures``, on ``CommonBasis``)."""
         ens = object.__new__(cls)
-        object.__setattr__(ens, "amps", amps)
-        object.__setattr__(ens, "weights", weights)
+        hold(ens, amps=amps, weights=weights)
         return ens
 
     def _store(self, amps: np.ndarray, weights) -> None:
-        amps = np.ascontiguousarray(amps, dtype=complex)
+        amps = np.array(amps, dtype=complex, order="C")
         if amps.ndim != 2 or amps.shape[1] == 0:
             raise DimMismatch(f"atoms must form a (k, d) array with d >= 1, got {amps.shape}")
         if amps.shape[0] == 0:
             raise EmptyEnsemble("ensemble needs at least one atom")
         check_unit_rows(amps)
-        w = np.ascontiguousarray(weights, dtype=float)
+        w = np.array(weights, dtype=float, order="C")
         if w.ndim != 1 or w.size != len(amps):
             raise DimMismatch(f"got {w.size} weights for {len(amps)} atoms")
         if not (w >= 0).all():  # a NaN weight fails here too
             raise ValueError(f"weights must be nonnegative, got {w.min()!r}")
         if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "weights", w)
+        hold(self, amps=amps, weights=w)
 
     @property
     def atoms(self) -> tuple[PureState, ...]:
-        """The rows of ``amps`` as pure states, built on access."""
+        """The rows of ``amps`` as pure states, built on access, each its own copy."""
         return tuple(PureState(a) for a in self.amps)
 
     @property
@@ -252,18 +250,18 @@ def _merged_ensemble(rows: np.ndarray, weights: np.ndarray) -> DiscreteEnsemble:
 def realize(mu: DiscreteEnsemble, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
     """Barycenter sum_k w_k |psi_k><psi_k| as a validated density matrix."""
     mat = (mu.amps.T * mu.weights) @ mu.amps.conj()
-    return validate_density(hermitize(mat), tols)
+    return validate_density(mat, tols)  # which hermitizes it
 
 
 def _aligned_weights(mu: DiscreteEnsemble, nu: DiscreteEnsemble) -> Optional[np.ndarray]:
     """mu's weights moved onto nu's atom order, or None when mu puts mass on a
     ray that nu lacks.
 
-    Only ensembles that share one array align without a screen (the common
-    case, as ``cb_measures`` builds them). Otherwise rays are matched through
-    ``_near_pairs``, and the match is rejected as ambiguous when an atom of
-    either ensemble lies within the tolerance of two atoms of the other,
-    whatever the lengths of the supports.
+    Only the two measures of one ``cb_measures`` call share an array, and only
+    they align without a screen. Every other pair, built from one caller array
+    or not, is matched through ``_near_pairs``, and the match is rejected as
+    ambiguous when an atom of either lies within the tolerance of two atoms of
+    the other, whatever the lengths of the supports.
     """
     if mu.dim != nu.dim:
         raise DimMismatch(f"ensemble dimensions differ: {mu.dim} vs {nu.dim}")

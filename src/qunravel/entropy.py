@@ -60,7 +60,7 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOLS, SpectralDecomposition, Tolerances, herm_eig, herm_eig_stack, hermitize,
-    populations,
+    hold, populations,
 )
 from .states import DensityMatrix, RngStream, check_pair, validate_density
 
@@ -152,12 +152,12 @@ def _max_f_core(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances):
 
 @dataclass(frozen=True, eq=False)
 class KrausMap:
-    """CPTP map given by Kraus operators with sum_j K_j^dag K_j = I."""
+    """CPTP map by Kraus operators with sum_j K_j^dag K_j = I, kept as read-only copies."""
 
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(np.ascontiguousarray(k, dtype=complex) for k in self.operators)
+        ops = tuple(np.array(k, dtype=complex, order="C") for k in self.operators)
         if not ops:
             raise DimMismatch("a Kraus map needs at least one operator")
         shape = ops[0].shape
@@ -172,7 +172,7 @@ class KrausMap:
             raise NotTracePreserving(
                 f"sum K^dag K deviates from identity by {defect:.3e}"
             )
-        object.__setattr__(self, "operators", ops)
+        hold(self, operators=ops)
 
     @property
     def dim_in(self) -> int:
@@ -190,7 +190,7 @@ def apply_cptp(
     if phi.dim_in != rho.dim:
         raise DimMismatch(f"channel expects dim {phi.dim_in}, state has {rho.dim}")
     out = sum(k @ rho.matrix @ k.conj().T for k in phi.operators)
-    return validate_density(hermitize(out), tols)
+    return validate_density(out, tols)  # which hermitizes it
 
 
 def random_cptp(dim_in: int, dim_out: int, n_kraus: int, rng: RngStream) -> KrausMap:

@@ -80,7 +80,7 @@ from scipy.special import gammaln
 from .commonbasis import CommonBasis, common_basis
 from .ensembles import WEIGHT_SUM_TOL
 from .errors import BudgetExceeded, DimMismatch
-from .matcore import DEFAULT_TOLS, Tolerances
+from .matcore import DEFAULT_TOLS, Tolerances, hold
 from .states import DensityMatrix, RngStream, positive_count
 
 __all__ = [
@@ -104,14 +104,15 @@ class LdpExperiment:
     """A target pair, its common basis, the sampling law and the plan.
 
     Atoms are drawn i.i.d. from ``reference_weights`` (nu), by default the
-    basis's own clamped ``cb.sigma_weights``, kept as a read-only copy. The
-    experiment checks itself however it is built: ``ValueError`` unless
-    epsilon lies in (0, 1), the plan is a nonempty sequence of positive
-    integer sizes, and nu is positive and sums to 1 within
-    ``WEIGHT_SUM_TOL``; ``DimMismatch`` unless nu has one weight per basis
-    state. The tables every rate shares are derived once from these: log nu,
-    the projector rows |psi_i><psi_i|, the Gram matrix |<psi_i|psi_j>|^2 and
-    the membership screen's rounding allowances (see the module docstring).
+    basis's own clamped ``cb.sigma_weights``. The experiment checks itself
+    however it is built: ``ValueError`` unless epsilon lies in (0, 1), the
+    plan is a nonempty sequence of positive integer sizes, and nu is
+    positive and sums to 1 within ``WEIGHT_SUM_TOL``; ``DimMismatch`` unless
+    nu has one weight per basis state. The tables every rate shares are
+    derived once from these: log nu, the projector rows |psi_i><psi_i|, the
+    Gram matrix |<psi_i|psi_j>|^2 and the membership screen's rounding
+    allowances (see the module docstring). nu and the tables are kept as
+    read-only copies (``hold``), as the screen's rounding proof needs.
     """
 
     rho: DensityMatrix
@@ -140,7 +141,6 @@ class LdpExperiment:
             raise DimMismatch(f"need {d} weights, got shape {w.shape}")
         if not ((w > 0).all() and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):  # NaN fails too
             raise ValueError("reference weights must be positive and sum to 1")
-        w.setflags(write=False)
         proj = np.einsum("ik,jk->kij", psis, psis.conj()).reshape(d, d * d)
         resid = float(np.linalg.norm(p @ proj - self.rho.matrix.reshape(-1)))
         norms2 = gram.diagonal().real
@@ -156,8 +156,7 @@ class LdpExperiment:
             "slack": 0.5 * math.sqrt(d) * resid + t_max + 16 * d * d * (d + 1) * u,
             "q_round": 32 * (d + 3) * u,
         }
-        for name, value in tables.items():
-            object.__setattr__(self, name, value)
+        hold(self, **tables)
 
 
 def make_experiment(

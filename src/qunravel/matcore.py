@@ -151,11 +151,21 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     return _halves(np.asarray(mat))[2]
 
 
+def hold(record, **values) -> None:
+    """Set fields of a frozen checked record, each array among them or in a tuple
+    field made read-only first. The arrays must be the record's own, never a caller's."""
+    for name, value in values.items():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        object.__setattr__(record, name, value)
+
+
 @functools.lru_cache(maxsize=64)
 def identity(n: int) -> np.ndarray:
     """The n x n real identity, built once per n and read-only."""
     eye = np.eye(n)
-    eye.flags.writeable = False
+    eye.setflags(write=False)
     return eye
 
 

@@ -29,6 +29,7 @@ from .matcore import (
     Tolerances,
     herm_eig,
     hermitize,
+    hold,
     lapack_eigh,
 )
 
@@ -64,16 +65,17 @@ def check_unit_rows(amps: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector in C^n. Global phase is physically irrelevant but kept
-    as stored; comparisons go through ``fubini_study`` or ``canonical_phase``."""
+    as stored; comparisons go through ``fubini_study`` or ``canonical_phase``.
+    The state keeps its own read-only copy of the amplitudes (see ``hold``)."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        a = np.array(self.amplitudes, dtype=complex, order="C")
         if a.ndim != 1 or a.size == 0:
             raise DimMismatch(f"pure state must be a nonempty vector, got shape {a.shape}")
         check_unit_rows(a[None])
-        object.__setattr__(self, "amplitudes", a)
+        hold(self, amplitudes=a)
 
     @property
     def dim(self) -> int:
@@ -90,9 +92,9 @@ class PureState:
 class DensityMatrix:
     """Validated density matrix with its verified eigendecomposition.
 
-    A state equals and hashes as itself only. The arrays are read-only: the
-    spectrum, and every result kept for a pair of states, stay true to the
-    matrix."""
+    A state equals and hashes as itself only. Its arrays are read-only and its
+    own, as every checked record's are (``hold``): the spectrum, and every
+    result kept for a pair of states, stay true to the matrix."""
 
     matrix: np.ndarray
     eig: SpectralDecomposition
@@ -126,7 +128,7 @@ def validate_density(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Densit
     if not lo >= PSD_FLOOR:
         raise NotPSD(f"smallest eigenvalue {lo:.3e} is below the floor {PSD_FLOOR:.1e}")
     for arr in (m, *eig):
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return DensityMatrix(matrix=m, eig=eig, faithful=lo > tols.eps_faithful)
 
 

@@ -64,3 +64,168 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity(build):
     a, b = build(), build()
     assert a == a and a != b and not a == b
     assert len({a, b, a}) == 2
+
+
+def _held_pure_state():
+    a = np.array([0.6, 0.8j])
+    psi = states.PureState(a)
+
+    def spoil():
+        a[0] = 3.0
+
+    def certified():
+        states.check_unit_rows(psi.amplitudes[None])
+
+    return {"amplitudes": psi.amplitudes}, [a], spoil, certified
+
+
+def _held_ensemble():
+    a = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
+    w = np.array([0.25, 0.75])
+    ens = ensembles.DiscreteEnsemble(a, w)
+
+    def spoil():
+        a[0] = [3.0, 0.0]
+        w[0] = 5.0
+
+    def certified():
+        states.check_unit_rows(ens.amps)
+        assert ens.weights.tolist() == [0.25, 0.75]
+        assert ensembles.realize(ens).dim == 2
+
+    return {"amps": ens.amps, "weights": ens.weights}, [a, w], spoil, certified
+
+
+def _held_atoms():
+    a = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
+    ens = ensembles.DiscreteEnsemble(a, np.array([0.25, 0.75]))
+    atoms = ens.atoms
+
+    def spoil():
+        a[0] = [3.0, 0.0]
+
+    def certified():
+        states.check_unit_rows(np.stack([psi.amplitudes for psi in atoms]))
+
+    held = {f"atoms[{i}]": psi.amplitudes for i, psi in enumerate(atoms)}
+    return held, [a, ens.amps], spoil, certified
+
+
+def _held_model_and_states():
+    h = np.diag([1.0, -1.0]).astype(complex)
+    s = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    model = dynamics.LindbladModel(h, (s,), (0.5,))
+    traj = dynamics.sse_trajectory(
+        model, states.PureState(np.array([0.6, 0.8])), 0.05, 0.01, states.RngStream(3)
+    )
+    path = traj.states
+
+    def spoil():
+        h[0, 0] = 7.0
+        s[0, 1] = 9.0
+        traj.amps[0] = [3.0, 0.0]  # a Trajectory is an unchecked container
+
+    def certified():
+        drift = -1j * model.hamiltonian
+        drift -= 0.5 * (0.5 * 0.5) * (model.jumps[0].conj().T @ model.jumps[0])
+        assert np.array_equal(model.drift, drift)
+        assert model.rates == (0.5,)  # a non-array field is left as given
+        states.check_unit_rows(np.stack([psi.amplitudes for psi in path]))
+
+    held = {"hamiltonian": model.hamiltonian, "jumps[0]": model.jumps[0], "drift": model.drift}
+    held.update({f"states[{i}]": psi.amplitudes for i, psi in enumerate(path)})
+    return held, [h, s, traj.amps], spoil, certified
+
+
+BASIS_FIELDS = ("psis", "dual", "rho_coeffs", "sigma_coeffs", "eigenvalues")
+
+
+def _held_basis_and_measures():
+    made = fresh_basis()
+    inputs = {name: np.array(getattr(made, name)) for name in BASIS_FIELDS}
+    cb = commonbasis.CommonBasis(**inputs)
+    mu, nu = commonbasis.cb_measures(cb)
+    basis = cb.basis
+
+    def spoil():
+        inputs["psis"][:, 0] = [3.0, 0.0]
+        inputs["rho_coeffs"][:] = -1.0
+
+    def certified():
+        for ens in (mu, nu):
+            states.check_unit_rows(ens.amps)
+            assert ensembles.realize(ens).dim == 2  # a trace of 1
+        states.check_unit_rows(np.stack([psi.amplitudes for psi in basis]))
+        assert cb.rho_coeffs.min() >= 0.0
+
+    held = {name: getattr(cb, name) for name in BASIS_FIELDS}
+    for name in ("rho_weights", "sigma_weights", "gram", "gram_eigenvalues"):
+        held[name] = getattr(cb, name)
+    held.update({"mu.amps": mu.amps, "mu.weights": mu.weights, "nu.amps": nu.amps})
+    held.update({"nu.weights": nu.weights})
+    held.update({f"basis[{i}]": psi.amplitudes for i, psi in enumerate(basis)})
+    return held, list(inputs.values()), spoil, certified
+
+
+def _held_channel_and_state():
+    m = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
+    rho = states.validate_density(m)
+    ops = [np.sqrt(0.5) * np.eye(2, dtype=complex), np.sqrt(0.5) * np.diag([1.0, -1.0]) + 0j]
+    phi = entropy.KrausMap(tuple(ops))
+
+    def spoil():
+        m[0, 0] = 5.0
+        ops[0][:] = 0.0
+
+    def certified():
+        total = sum(k.conj().T @ k for k in phi.operators)
+        assert np.abs(total - np.eye(2)).max() <= 1e-10
+        assert abs(np.trace(rho.matrix) - 1.0) <= 1e-10
+        assert entropy.apply_cptp(phi, rho).dim == 2  # a trace of 1
+
+    held = {"matrix": rho.matrix, "eigenvalues": rho.eig[0], "eigenvectors": rho.eig[1]}
+    held.update({f"operators[{i}]": k for i, k in enumerate(phi.operators)})
+    return held, [m, *ops], spoil, certified
+
+
+def _held_experiment():
+    w = np.array([0.4, 0.6])
+    rho, sigma = LDP_PAIR
+    exp = ldp.LdpExperiment(rho, sigma, commonbasis.common_basis(rho, sigma), 0.1, (10,), w)
+
+    def spoil():
+        w[:] = [2.0, -1.0]
+
+    def certified():
+        assert exp.reference_weights.tolist() == [0.4, 0.6]
+        assert np.array_equal(exp.log_weights, np.log(exp.reference_weights))
+
+    names = ("reference_weights", "log_weights", "proj", "gram")
+    held = {name: getattr(exp, name) for name in names}
+    return held, [w, exp.cb.psis, exp.cb.gram, exp.rho.matrix], spoil, certified
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _held_pure_state,
+        _held_ensemble,
+        _held_atoms,
+        _held_model_and_states,
+        _held_basis_and_measures,
+        _held_channel_and_state,
+        _held_experiment,
+    ],
+    ids=["PureState", "DiscreteEnsemble", "atoms", "LindbladModel-states", "cb_measures-basis",
+         "KrausMap-DensityMatrix", "LdpExperiment"],
+)
+def test_checked_records_hold_read_only_arrays_of_their_own(build):
+    # every array a checked record certified is read-only and shares no memory
+    # with what it was built from, so no later write can break what was checked
+    held, inputs, spoil, certified = build()
+    for name, arr in held.items():
+        assert not arr.flags.writeable, name
+        for source in inputs:
+            assert not np.shares_memory(arr, source), name
+    spoil()
+    certified()
