@@ -9,8 +9,8 @@ is strict JSON: the one non-finite value a run can report, the inf rate of
 an empty ``ldp`` event, is written as the string ``"inf"``, as in the CSV.
 
 Exit codes: 0 success, 2 input validation (a bad flag or argument too),
-3 property violation, 4 enumeration budget exceeded. Every failure prints one
-JSON line on stderr.
+3 property violation, 4 budget exceeded (an ``ldp`` enumeration or a
+``contraction`` grid). Every failure prints one JSON line on stderr.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .commonbasis import common_basis, dual_consistency
-from .dynamics import LindbladModel, contraction_scan
+from .dynamics import LindbladModel, check_scan_budget, contraction_scan
 from .entropy import bs_entropy, umegaki, unr_entropy
 from .errors import (
     BudgetExceeded, ContractionViolation, NotHermitian, QunravelError, ValidationError
@@ -260,6 +260,7 @@ def cmd_contraction(args) -> int:
     model = _load_model(args.model, tols)
     rho = _load_density(args.rho, tols)
     sigma = _load_density(args.sigma, tols)
+    check_scan_budget(args.steps, 2, model.dim)  # before the grid is allocated
     times = np.linspace(0.0, args.t_max, args.steps)
     series = contraction_scan(model, rho, sigma, times, tols)
 

@@ -15,13 +15,13 @@ serves distinctness, merging and alignment alike: the constructor rejects a
 support with a close pair, ``_merged_ensemble`` merges every such pair, and
 the divergences match the atoms of two supports through it. Each support is
 verified once, or not at all where its builder proves it. The constructor
-checks everything. ``DiscreteEnsemble._distinct`` checks all but the screen,
-for ``_merged_ensemble``, whose merge leaves no close pair.
-``DiscreteEnsemble._certified`` checks nothing, for the two measures of
-``cb_measures``: their ``CommonBasis`` verified the unit rows, the weights
-and, through its Gram floor and Cauchy interlacing, rays at least about
-1.4e-7 apart, when it was built. That pair shares one read-only ``amps``;
-every other ensemble holds its own copy. Coarse-graining and couplings live
+checks everything; ``DiscreteEnsemble._certified`` checks nothing, for two
+builders that certify their own support. The two measures of ``cb_measures``
+share one read-only ``amps`` whose ``CommonBasis`` verified the unit rows,
+the weights and, through its Gram floor and Cauchy interlacing, rays at least
+about 1.4e-7 apart. ``_merged_ensemble`` merges every close pair, so its rows
+are distinct, and checks the unit rows and weight total itself. Every other
+ensemble holds arrays of its own. Coarse-graining and couplings live
 here too, since both are purely measure-level operations on angle tables.
 """
 from __future__ import annotations
@@ -180,33 +180,8 @@ class DiscreteEnsemble:
             dims = sorted({r.size for r in rows})
             if len(dims) > 1:
                 raise DimMismatch(f"atom dimensions differ: {dims}")
-            atoms = np.stack(rows) if rows else np.empty((0, 1))
-        self._store(atoms, weights)
-        for i, j, d in _near_pairs(self.amps):
-            raise ValueError(
-                f"atoms {i} and {j} coincide up to phase "
-                f"(Fubini-Study distance {d:.3e} <= {TOL_MATCH:.1e})"
-            )
-
-    @classmethod
-    def _distinct(cls, amps: np.ndarray, weights) -> "DiscreteEnsemble":
-        """Every constructor check but the pairwise screen, for rows proven
-        distinct beyond ``TOL_MATCH``."""
-        ens = object.__new__(cls)
-        ens._store(amps, weights)
-        return ens
-
-    @classmethod
-    def _certified(cls, amps: np.ndarray, weights: np.ndarray) -> "DiscreteEnsemble":
-        """An ensemble on arrays held as given, with no check at all: for a
-        C-contiguous complex ``amps`` and float ``weights`` that no caller holds and
-        whose builder verified every invariant (``cb_measures``, on ``CommonBasis``)."""
-        ens = object.__new__(cls)
-        hold(ens, amps=amps, weights=weights)
-        return ens
-
-    def _store(self, amps: np.ndarray, weights) -> None:
-        amps = np.array(amps, dtype=complex, order="C")
+            atoms = rows if rows else np.empty((0, 1))
+        amps = np.array(atoms, dtype=complex, order="C")
         if amps.ndim != 2 or amps.shape[1] == 0:
             raise DimMismatch(f"atoms must form a (k, d) array with d >= 1, got {amps.shape}")
         if amps.shape[0] == 0:
@@ -219,7 +194,22 @@ class DiscreteEnsemble:
             raise ValueError(f"weights must be nonnegative, got {w.min()!r}")
         if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+        for i, j, d in _near_pairs(amps):
+            raise ValueError(
+                f"atoms {i} and {j} coincide up to phase "
+                f"(Fubini-Study distance {d:.3e} <= {TOL_MATCH:.1e})"
+            )
         hold(self, amps=amps, weights=w)
+
+    @classmethod
+    def _certified(cls, amps: np.ndarray, weights: np.ndarray) -> "DiscreteEnsemble":
+        """An ensemble on arrays held as given, with no check at all: for a
+        C-contiguous complex ``amps`` and float ``weights`` that no caller holds and
+        whose builder verified every invariant (``cb_measures`` on its
+        ``CommonBasis``, ``_merged_ensemble`` on its merged support)."""
+        ens = object.__new__(cls)
+        hold(ens, amps=amps, weights=weights)
+        return ens
 
     @property
     def atoms(self) -> tuple[PureState, ...]:
@@ -235,8 +225,11 @@ class DiscreteEnsemble:
 
 
 def _merged_ensemble(rows: np.ndarray, weights: np.ndarray) -> DiscreteEnsemble:
-    """Ensemble of unit ``rows``: phases fixed, rows within ``TOL_MATCH`` merged
-    into the first of them with their ``weights`` summed, weights normalized."""
+    """Ensemble of unit complex ``rows``: phases fixed, rows within ``TOL_MATCH``
+    merged into the first of them with their ``weights`` summed, weights
+    normalized. Rows that are not unit, or weights that are not nonnegative with
+    a positive finite sum, raise ``ValueError``."""
+    check_unit_rows(rows)  # before canonical_rows, which divides by each row's pivot
     canon = canonical_rows(rows)
     # exact duplicates (the noiseless case) merge in one sort, in order of first
     # occurrence; rows distinct but within TOL_MATCH are merged next
@@ -244,7 +237,14 @@ def _merged_ensemble(rows: np.ndarray, weights: np.ndarray) -> DiscreteEnsemble:
     order = np.argsort(first)
     summed = np.bincount(label.ravel(), weights=weights)[order]
     amps, summed = _merge_coincident(canon[first[order]], summed)
-    return DiscreteEnsemble._distinct(amps, summed / summed.sum())
+    # rows kept and rotated by a phase stay unit, the merge leaves no close pair,
+    # and its arrays are fresh, one weight per row
+    total = float(summed.sum())
+    if not ((summed >= 0.0).all() and 0.0 < total < math.inf):  # a NaN fails here too
+        raise ValueError(
+            f"merged path weights must be nonnegative with a positive finite sum, got sum {total!r}"
+        )
+    return DiscreteEnsemble._certified(amps, summed / total)
 
 
 def realize(mu: DiscreteEnsemble, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:

@@ -88,17 +88,35 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DensityMatrix:
-    """Validated density matrix with its verified eigendecomposition.
+    """Density matrix, validated where it is built, with its verified eigendecomposition.
 
-    A state equals and hashes as itself only. Its arrays are read-only and its
-    own, as every checked record's are (``hold``): the spectrum, and every
-    result kept for a pair of states, stay true to the matrix."""
+    The constructor checks Hermiticity, unit trace, and positivity, in that
+    order, so the failure names the first violated bound; non-square or
+    non-finite input fails as ``NotHermitian``. It keeps a re-Hermitized copy
+    as ``matrix``, the eigendecomposition ``herm_eig`` verified as ``eig``, and
+    whether the smallest eigenvalue clears ``eps_faithful`` as ``faithful``; a
+    caller sets neither, and the state keeps no ``tols``. A state equals and
+    hashes as itself only; its arrays are read-only and its own (``hold``), so
+    the spectrum, and every result kept for a pair of states, stay true to
+    the matrix."""
 
     matrix: np.ndarray
     eig: SpectralDecomposition
     faithful: bool
+
+    def __init__(self, matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+        m = np.asarray(matrix, dtype=complex)
+        eig = herm_eig(m, tols)
+        m = hermitize(m)  # the matrix herm_eig decomposed
+        tr = float(np.real(np.trace(m)))
+        if not abs(tr - 1.0) <= TRACE_TOL:  # a NaN trace fails here too
+            raise NotTraceOne(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL:.1e}")
+        lo = float(eig.eigenvalues[0])
+        if not lo >= PSD_FLOOR:
+            raise NotPSD(f"smallest eigenvalue {lo:.3e} is below the floor {PSD_FLOOR:.1e}")
+        hold(self, matrix=m, eig=eig, faithful=lo > tols.eps_faithful)
 
     @property
     def dim(self) -> int:
@@ -110,26 +128,8 @@ class DensityMatrix:
 
 
 def validate_density(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
-    """Check Hermiticity, unit trace, and positivity; return the state.
-
-    Checks run in that order so the reported failure names the first violated
-    bound; non-square or non-finite input fails as ``NotHermitian``. The
-    returned matrix is a re-Hermitized, read-only copy and carries the
-    eigendecomposition that ``herm_eig`` verified, and the faithfulness flag
-    records whether the smallest eigenvalue clears ``eps_faithful``.
-    """
-    m = np.asarray(mat, dtype=complex)
-    eig = herm_eig(m, tols)
-    m = hermitize(m)  # the matrix herm_eig decomposed
-    tr = float(np.real(np.trace(m)))
-    if not abs(tr - 1.0) <= TRACE_TOL:  # a NaN trace fails here too
-        raise NotTraceOne(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL:.1e}")
-    lo = float(eig.eigenvalues[0])
-    if not lo >= PSD_FLOOR:
-        raise NotPSD(f"smallest eigenvalue {lo:.3e} is below the floor {PSD_FLOOR:.1e}")
-    for arr in (m, *eig):
-        arr.setflags(write=False)
-    return DensityMatrix(matrix=m, eig=eig, faithful=lo > tols.eps_faithful)
+    """The checked state ``DensityMatrix(mat, tols)``."""
+    return DensityMatrix(mat, tols)
 
 
 def require_faithful(state: DensityMatrix, name: str, tols: Tolerances = DEFAULT_TOLS) -> None:

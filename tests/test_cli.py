@@ -3,6 +3,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qunravel.cli as cli
@@ -318,6 +319,22 @@ def test_ldp_checks_the_whole_plan_before_enumerating(capsys, tmp_path, monkeypa
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "BudgetExceeded"
     assert blocks == []
+    assert not csv_path.exists()
+
+
+def test_contraction_grid_over_budget_exits_4_before_building_it(capsys, tmp_path, monkeypatch):
+    grids = []
+    monkeypatch.setattr(cli.np, "linspace", lambda *a: grids.append(a) or np.zeros(0))
+    csv_path = tmp_path / "series.csv"
+    code, out, err = run(
+        capsys, "contraction", DEPHASING, RHO_X, SIGMA_Y,
+        "--steps", "1000000000", "--out", str(csv_path),
+    )
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "BudgetExceeded"
+    assert grids == []
     assert not csv_path.exists()
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -564,6 +565,50 @@ def test_contraction_builds_one_generator_and_one_propagator_per_gap(monkeypatch
     assert calls["superop"] == 1
     # the 20 gaps hold 5 floats that differ only in their last bits
     assert calls["expm"] == 1
+
+
+def _scanned_gaps(gaps, rounding):
+    # the reference choice: each positive gap takes the earliest kept gap within
+    # rounding, found by scanning every kept gap, and is kept when there is none
+    kept, n, out = np.empty(len(gaps)), 0, []
+    for gap in gaps:
+        if gap > 0:
+            hit = np.flatnonzero(np.abs(kept[:n] - gap) <= rounding)
+            if hit.size:
+                gap = float(kept[hit[0]])
+            else:
+                kept[n], n = gap, n + 1
+        out.append(gap)
+    return out
+
+
+def test_each_gap_finds_the_scanned_propagator_in_constant_time():
+    # 20000 distinct gaps, then a uniform tail whose gaps differ in their last bits
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 20000), np.linspace(1.0, 2.0, 2001)[1:]])
+    gaps = np.diff(ts, prepend=0.0).tolist()
+    rounding = 4 * np.spacing(ts.max())
+    start = time.perf_counter()
+    shared = dynamics._shared_gaps(gaps, rounding)
+    elapsed = time.perf_counter() - start
+    assert shared == _scanned_gaps(gaps, rounding)
+    assert len(set(shared[1:20001])) == 20000 and len(set(shared[20001:])) < 2000
+    assert elapsed < 2.0  # a scan of every kept gap per point takes tens of seconds
+
+
+def test_contraction_grid_over_budget_raises_before_any_propagator(monkeypatch):
+    built, expm = [], dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda a: built.append(a) or np.eye(len(a)))
+    rng = RngStream(102)
+    rho, sigma = sample_faithful(2, rng), sample_faithful(2, rng)
+    points = dynamics.MAX_SCAN_ENTRIES // (2 * 2 * 2) + 1
+    with pytest.raises(BudgetExceeded, match=f"^{points} points of 2 states at dimension 2 "):
+        contraction_scan(DEPHASING, rho, sigma, np.linspace(0.0, 2.0, points))
+    assert built == []
+    monkeypatch.setattr(dynamics, "expm", expm)
+    monkeypatch.setattr(dynamics, "MAX_SCAN_ENTRIES", 2 * 2 * 2 * 21)
+    assert len(contraction_scan(DEPHASING, rho, sigma, np.linspace(0.0, 2.0, 21))) == 21
+    with pytest.raises(BudgetExceeded):
+        contraction_scan(DEPHASING, rho, sigma, np.linspace(0.0, 2.0, 22))
 
 
 def test_trace_drift_raises_with_time_stamp(monkeypatch):

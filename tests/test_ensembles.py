@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,26 +114,32 @@ def test_array_input_raises_like_the_pure_state_path(rows, weights, error):
 def test_nan_weights_are_rejected():
     # NaN compares False with any bound, so the weight checks must fail on it
     amps = np.stack([KET0.amplitudes, KET1.amplitudes])
-    for build in (DiscreteEnsemble, DiscreteEnsemble._distinct):
-        with pytest.raises(ValueError):
-            build(amps, np.array([np.nan, np.nan]))
-        with pytest.raises(ValueError):
-            build(amps, np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        DiscreteEnsemble(amps, np.array([np.nan, np.nan]))
+    with pytest.raises(ValueError):
+        DiscreteEnsemble(amps, np.array([np.nan, 1.0]))
 
 
-def test_distinct_path_skips_only_the_pair_screen():
-    same_ray = np.stack([KET0.amplitudes, 1j * KET0.amplitudes])
-    assert len(DiscreteEnsemble._distinct(same_ray, np.array([0.5, 0.5]))) == 2
-    for rows, weights, error in (
-        (np.array([[np.nan, 0.0], [0.0, 1.0]]), [0.5, 0.5], ValueError),
-        (np.array([[1.0, 1.0], [0.0, 1.0]]), [0.5, 0.5], ValueError),
-        (np.array([[1.0, 0.0], [0.0, 1.0]]), [0.7, 0.7], ValueError),
-        (np.array([[1.0, 0.0], [0.0, 1.0]]), [1.5, -0.5], ValueError),
-        (np.eye(2), [1.0], DimMismatch),
-        (np.empty((0, 2)), [], EmptyEnsemble),
-    ):
-        with pytest.raises(error):
-            DiscreteEnsemble._distinct(rows, np.array(weights))
+@pytest.mark.parametrize(
+    "rows, weights, match",
+    [
+        ([[np.nan, 0.0], [0.0, 1.0]], [0.5, 0.5], "not all finite"),
+        ([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5], "row 0 has norm"),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], "merged path weights"),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0], "merged path weights"),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.inf, 1.0], "merged path weights"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.5, -0.5], "merged path weights"),
+    ],
+    ids=["nan-row", "non-unit-row", "zero-total", "nan-weight", "inf-weight", "negative-weight"],
+)
+def test_merge_checks_what_its_construction_does_not_prove(rows, weights, match):
+    # the merge builds through the unchecked _certified path: its screen proves the
+    # rows distinct, so it must check the unit rows and the weight total itself,
+    # the total before it divides by it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            ensembles._merged_ensemble(np.array(rows, dtype=complex), np.array(weights))
 
 
 def test_each_support_is_screened_once(monkeypatch):

@@ -96,6 +96,23 @@ def _held_ensemble():
     return {"amps": ens.amps, "weights": ens.weights}, [a, w], spoil, certified
 
 
+def _held_merged_ensemble():
+    rows = np.array([[1.0, 0.0], [0.6, 0.8], [1j, 0.0]])  # rows 0 and 2 are one ray
+    w = np.array([0.25, 0.5, 0.25])
+    ens = ensembles._merged_ensemble(rows, w)
+
+    def spoil():
+        rows[:] = 3.0
+        w[:] = -1.0
+
+    def certified():
+        states.check_unit_rows(ens.amps)
+        assert ens.weights.tolist() == [0.5, 0.5]
+        assert ensembles.realize(ens).dim == 2
+
+    return {"amps": ens.amps, "weights": ens.weights}, [rows, w], spoil, certified
+
+
 def _held_atoms():
     a = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
     ens = ensembles.DiscreteEnsemble(a, np.array([0.25, 0.75]))
@@ -210,14 +227,15 @@ def _held_experiment():
     [
         _held_pure_state,
         _held_ensemble,
+        _held_merged_ensemble,
         _held_atoms,
         _held_model_and_states,
         _held_basis_and_measures,
         _held_channel_and_state,
         _held_experiment,
     ],
-    ids=["PureState", "DiscreteEnsemble", "atoms", "LindbladModel-states", "cb_measures-basis",
-         "KrausMap-DensityMatrix", "LdpExperiment"],
+    ids=["PureState", "DiscreteEnsemble", "merged-DiscreteEnsemble", "atoms",
+         "LindbladModel-states", "cb_measures-basis", "KrausMap-DensityMatrix", "LdpExperiment"],
 )
 def test_checked_records_hold_read_only_arrays_of_their_own(build):
     # every array a checked record certified is read-only and shares no memory

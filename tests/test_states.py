@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from qunravel import (
     GENERATORS,
+    DensityMatrix,
     DiscreteEnsemble,
     PureState,
     RngStream,
@@ -28,6 +31,7 @@ from qunravel.errors import (
     NotHermitian,
     NotPSD,
     NotTraceOne,
+    QunravelError,
 )
 from qunravel.states import check_pair, require_faithful
 
@@ -93,6 +97,41 @@ def test_validate_density_failures_name_first_violation():
         validate_density(np.array([[0.5, 0.3], [0.0, 0.5]]))
     with pytest.raises(NotPSD):
         validate_density(np.diag([1.5, -0.5]))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.diag([0.6, 0.5]),
+        np.array([[0.5, 0.3], [0.0, 0.5]]),
+        np.diag([1.5, -0.5]),
+        np.full((2, 2), np.nan),
+        np.full((2, 2), np.inf),
+        np.ones((2, 3)) / 2,
+        5 * np.eye(2),
+    ],
+    ids=["trace", "non-hermitian", "non-psd", "nan", "inf", "non-square", "trace-10"],
+)
+def test_density_matrix_validates_itself_as_validate_density_does(mat):
+    # the constructor is the one checked way in: it raises what validate_density raises
+    with pytest.raises(QunravelError) as via:
+        validate_density(mat)
+    with pytest.raises(type(via.value), match=f"^{re.escape(str(via.value))}$"):
+        DensityMatrix(mat)
+
+
+def test_density_matrix_sets_its_spectrum_and_flag_itself():
+    # no caller can hand a state a spectrum or a faithfulness flag it did not earn
+    forged = validate_density(np.eye(2) / 2).eig
+    with pytest.raises(TypeError):
+        DensityMatrix(5 * np.eye(2), eig=forged, faithful=True)
+    with pytest.raises(TypeError):
+        DensityMatrix(np.eye(2) / 2, eig=forged)
+    with pytest.raises(TypeError):
+        DensityMatrix(np.eye(2) / 2, faithful=False)
+    strict = DensityMatrix(np.diag([0.75, 0.25]), Tolerances(eps_faithful=0.3))
+    assert not strict.faithful and not hasattr(strict, "tols")
+    assert DensityMatrix(np.diag([0.75, 0.25]), tols=Tolerances()).faithful
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
