@@ -21,7 +21,8 @@ automatic, degenerate eigenvalues included.
 
 No rho^{-1/2} is formed: in rho's eigenbasis A = C^dag C, with
 C = W_sigma^{1/2} V_sigma^dag V_rho W_rho^{-1/2} from the states' verified
-spectra, and the quadratic forms are squared column norms of y, C y and
+spectra, decomposed as the Gram product of C^dag (``matcore._gram_eig``),
+and the quadratic forms are squared column norms of y, C y and
 W_rho^{1/2} y. The basis is kept as one d x d matrix ``psis`` whose columns
 are the psi_i, next to the dual matrix and the two weight vectors; ``basis``
 rebuilds the ``PureState`` objects for API callers. One pair of state
@@ -48,7 +49,7 @@ import numpy as np
 from .ensembles import DiscreteEnsemble, _greedy_plan
 from .errors import BackendFailure, DimMismatch
 from .matcore import (
-    DEFAULT_TOLS, Tolerances, herm_eig, hermitize, hold, identity, lapack_eigh, populations,
+    DEFAULT_TOLS, Tolerances, _gram_eig, hold, identity, lapack_eigh, populations,
 )
 from .states import DensityMatrix, PureState, canonical_rows, check_pair, fs_angles
 
@@ -121,21 +122,22 @@ class CommonBasis:
         shapes += [v.shape for v in (self.rho_coeffs, self.sigma_coeffs, self.eigenvalues)]
         if d == 0 or shapes != [(d, d)] * 2 + [(d,)] * 3:
             raise DimMismatch(f"basis arrays do not fit one dimension: shapes {shapes}")
-        bio_err = float(np.abs(psis.conj().T @ self.dual - identity(d)).max())
+        bio_err = float(np.abs(psis.conj().T.dot(self.dual) - identity(d)).max())
         if not bio_err <= 1e-9:  # a NaN defect fails here too
             raise BackendFailure(f"dual basis not biorthogonal (defect {bio_err:.3e})")
-        for label, w in (("rho", self.rho_coeffs), ("sigma", self.sigma_coeffs)):
-            lo, total = float(w.min()), float(w.sum())
+        coeffs = np.array((self.rho_coeffs, self.sigma_coeffs))  # checked and clamped as one
+        checks = zip(("rho", "sigma"), coeffs.min(1).tolist(), coeffs.sum(1).tolist())
+        for label, lo, total in checks:
             if not (lo >= -1e-9 and abs(total - 1.0) <= 1e-9):  # NaN weights fail too
-                raise BackendFailure(f"{label} weights invalid (min {lo:.3e}, sum {total!r})")
-        gram = psis.conj().T @ psis
+                raise BackendFailure(f"{label} weights invalid (min {lo:.3e}, sum {float(total)!r})")
+        gram = psis.conj().T.dot(psis)
         unit_err = float(np.abs(gram.diagonal().real - 1.0).max())
         if not unit_err <= 1e-12:
             raise BackendFailure(f"basis columns are not unit vectors (|norm^2 - 1| {unit_err:.3e})")
         spectrum = lapack_eigh(gram, 0)[0]
         if not spectrum[0] > 1e-14:
             raise BackendFailure(f"basis Gram matrix is rank-deficient ({spectrum[0]:.3e})")
-        rho_w, sigma_w = clamp_weights(self.rho_coeffs), clamp_weights(self.sigma_coeffs)
+        rho_w, sigma_w = clamp_weights(coeffs)
         hold(self, rho_weights=rho_w, sigma_weights=sigma_w, gram=gram, gram_eigenvalues=spectrum)
 
     @property
@@ -171,20 +173,20 @@ def common_basis(
 def _common_basis(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances) -> CommonBasis:
     check_pair(rho, sigma, tols)
     (w, v), c = rho.eig, sigma.eig.overlap(rho.eig, -0.5)
-    kappa, y = herm_eig(hermitize(c.conj().T @ c), tols)  # A in rho's eigenbasis
+    kappa, y = _gram_eig(c.conj().T, tols)  # A = C^dag C in rho's eigenbasis
 
     # there u_i = W^{-1/2} y_i, rho-orthonormal by construction, and rho u_i = W^{1/2} y_i
-    cy = c @ y
+    cy = c.dot(y)
     norms2 = populations(w, y)
     uru = np.einsum("ij,ij->j", y.conj(), y).real
     usu = np.einsum("ij,ij->j", cy.conj(), cy).real
 
     norms = np.sqrt(norms2)
     sw = np.sqrt(w)[:, None]
-    psis = v @ (sw * y) / norms
+    psis = v.dot(sw * y) / norms
     rho_coeffs = norms2 / uru
     sigma_coeffs = rho_coeffs * usu / uru
-    dual = v @ (y / sw) * (norms / uru)
+    dual = v.dot(y / sw) * (norms / uru)
 
     return CommonBasis(
         psis=psis,
@@ -214,9 +216,10 @@ def dual_consistency(
 
 def clamp_weights(w: np.ndarray) -> np.ndarray:
     """Common-basis weights clamped up to ``WEIGHT_CLAMP`` and renormalized,
-    so a measure built on them stays strictly positive for divergence work."""
+    so a measure built on them stays strictly positive for divergence work;
+    of each row of a 2-D array, too."""
     w = np.maximum(w, WEIGHT_CLAMP)
-    return w / w.sum()
+    return w / w.sum(-1, keepdims=True)
 
 
 def cb_measures(cb: CommonBasis) -> tuple[DiscreteEnsemble, DiscreteEnsemble]:
@@ -229,6 +232,7 @@ def cb_measures(cb: CommonBasis) -> tuple[DiscreteEnsemble, DiscreteEnsemble]:
     ``CommonBasis``), so neither measure is checked again.
     """
     amps = np.ascontiguousarray(canonical_rows(cb.psis.T), dtype=complex)
+    amps.setflags(write=False)  # once for both; the basis's weights are read-only already
     return (
         DiscreteEnsemble._certified(amps, cb.rho_weights),
         DiscreteEnsemble._certified(amps, cb.sigma_weights),

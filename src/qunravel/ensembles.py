@@ -203,12 +203,14 @@ class DiscreteEnsemble:
 
     @classmethod
     def _certified(cls, amps: np.ndarray, weights: np.ndarray) -> "DiscreteEnsemble":
-        """An ensemble on arrays held as given, with no check at all: for a
-        C-contiguous complex ``amps`` and float ``weights`` that no caller holds and
-        whose builder verified every invariant (``cb_measures`` on its
-        ``CommonBasis``, ``_merged_ensemble`` on its merged support)."""
+        """An ensemble on arrays held as given, with no check and no flag set:
+        for a read-only, C-contiguous complex ``amps`` and float ``weights`` that
+        no caller holds and whose builder verified every invariant and set each
+        array read-only once (``cb_measures`` on its ``CommonBasis``, whose two
+        measures share one ``amps``; ``_merged_ensemble`` on its merged support)."""
         ens = object.__new__(cls)
-        hold(ens, amps=amps, weights=weights)
+        object.__setattr__(ens, "amps", amps)
+        object.__setattr__(ens, "weights", weights)
         return ens
 
     @property
@@ -244,7 +246,10 @@ def _merged_ensemble(rows: np.ndarray, weights: np.ndarray) -> DiscreteEnsemble:
         raise ValueError(
             f"merged path weights must be nonnegative with a positive finite sum, got sum {total!r}"
         )
-    return DiscreteEnsemble._certified(amps, summed / total)
+    weights = summed / total
+    for arr in (amps, weights):
+        arr.setflags(write=False)
+    return DiscreteEnsemble._certified(amps, weights)
 
 
 def realize(mu: DiscreteEnsemble, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:

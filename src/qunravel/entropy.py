@@ -21,7 +21,9 @@ A pair has one core, built in the eigen-coordinates of the states' verified
 spectra (``DensityMatrix.eig``) from their overlap M = V_sigma^dag V_rho; no
 matrix function is formed (``SpectralDecomposition.overlap``). With
 B = W_sigma^{-1/2} M W_rho^{1/2}, the core sigma^{-1/2} rho sigma^{-1/2} is
-B B^dag in sigma's eigenbasis, hermitized and decomposed by ``herm_eig``, and
+B B^dag in sigma's eigenbasis, hermitized and decomposed by ``_gram_eig``
+(``herm_eig`` less the Hermiticity test that hermitize passes by construction,
+see ``matcore``; a stack's cores go to ``herm_eig_stack``), and
 Tr[sigma f(core)] is sum_i f(c_i) (w_sigma @ |U|^2)_i (``populations``).
 Umegaki needs no core. The other Gram product, sqrt(rho) sigma^{-1} sqrt(rho)
 in rho's eigenbasis, is not formed: it carries sigma^{-1} there, and near
@@ -59,7 +61,7 @@ from .errors import (
     NotTracePreserving,
 )
 from .matcore import (
-    DEFAULT_TOLS, SpectralDecomposition, Tolerances, herm_eig, herm_eig_stack, hermitize,
+    DEFAULT_TOLS, SpectralDecomposition, Tolerances, _gram_eig, herm_eig_stack, hermitize,
     hold, populations,
 )
 from .states import DensityMatrix, RngStream, check_pair, validate_density
@@ -82,7 +84,7 @@ def umegaki(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFAULT
     sums sum_i w_i log w_i - sum_j log(s_j) <s_j|rho|s_j> on the states' spectra."""
     check_pair(rho, sigma, tols)
     (wr, vr), (ws, vs) = rho.eig, sigma.eig
-    return float(wr @ np.log(wr) - np.log(ws) @ populations(wr, vr.conj().T @ vs))
+    return float(wr @ np.log(wr) - np.log(ws) @ populations(wr, vr.conj().T.dot(vs)))
 
 
 def bs_entropy(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -103,8 +105,10 @@ def _pair_core(rho_eig: SpectralDecomposition, sigma_eig: SpectralDecomposition,
     B B^dag with B = W_sigma^{-1/2} M W_rho^{1/2}, and the weights of
     Tr[sigma f(core)] on it, of one faithful pair or of each pair of a stack."""
     b = sigma_eig.overlap(rho_eig, 0.5)
-    decompose = herm_eig_stack if b.ndim == 3 else herm_eig
-    core = decompose(hermitize(b @ b.conj().swapaxes(-1, -2)), tols)
+    if b.ndim == 3:
+        core = herm_eig_stack(hermitize(b @ b.conj().swapaxes(-1, -2)), tols)
+    else:
+        core = _gram_eig(b, tols)
     return core, populations(sigma_eig.eigenvalues, core.eigenvectors)
 
 

@@ -16,8 +16,20 @@ whose weights are ``populations`` when A is diagonal in a known basis.
 
 ``herm_eig`` runs its checks in two groups: before its eigensolve (square
 with d >= 1, finite, Hermiticity defect, finite norm) and after it (round
-trip, orthonormality). Each scalar eigensolve (``herm_eig``, the common
-basis's Gram check, ``trace_distance``) calls ``lapack_eigh``: LAPACK
+trip, orthonormality). The finite and Hermiticity checks first read one
+Frobenius sum each (``np.vdot``); only a sum that does not settle the bound
+is followed by the exact entrywise reduction, whose verdict and message are
+the check's. ``_gram_eig`` decomposes the Gram product hermitize(F F^dag) of
+a pair's two cores (``entropy``, ``commonbasis``). ``hermitize`` adds each
+entry to the conjugate of its mirror, and floating-point addition commutes,
+so its output is exactly Hermitian, with a defect of exactly 0: ``_gram_eig``
+runs every check of ``herm_eig`` but that one, and shares its eigensolve and
+the checks after it (``_verified_eig``). Products of two 2-D operands on the
+scalar path are ``ndarray.dot``: the same zgemm as ``@``, so the same bits,
+with less dispatch at small d; stacked code keeps ``@``.
+
+Each scalar eigensolve (``herm_eig``, ``_gram_eig``, the common basis's Gram
+check, ``trace_distance``) calls ``lapack_eigh``: LAPACK
 ``zheevd`` on the lower triangle, as ``np.linalg.eigh`` calls it, bound
 once from ``scipy.linalg.lapack`` to skip numpy's per-call wrapper.
 ``herm_eig_stack`` keeps numpy's batched ``eigh``, whose wrapper runs once
@@ -137,18 +149,12 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return half + half.conj().swapaxes(-1, -2)
 
 
-def _halves(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """M/2, its conjugate transpose, and the largest entry of |M - M^dag|,
-    taken from the exact halves so that a finite M overflows nowhere."""
-    half = 0.5 * mat
-    half_h = half.conj().T
-    # a Python float doubles to inf silently
-    return half, half_h, 2.0 * float(np.abs(half - half_h).max())
-
-
 def hermiticity_defect(mat: np.ndarray) -> float:
-    """Largest entry of |M - M^dag|; inf when it exceeds double precision."""
-    return _halves(np.asarray(mat))[2]
+    """Largest entry of |M - M^dag|, taken from the exact halves so that a finite
+    M overflows nowhere; inf when it exceeds double precision."""
+    half = 0.5 * np.asarray(mat)
+    # a Python float doubles to inf silently
+    return 2.0 * float(np.abs(half - half.conj().T).max())
 
 
 def hold(record, **values) -> None:
@@ -178,6 +184,22 @@ def is_square(shape: tuple[int, ...]) -> bool:
     return len(shape) == 2 and shape[0] == shape[1] >= 1
 
 
+def _require_finite(m: np.ndarray) -> None:
+    """``NotHermitian`` unless every entry is finite. A finite sum of squares
+    proves it; an infinite or NaN sum, which finite entries can give by
+    overflow, is settled entry by entry."""
+    if not math.isfinite(np.vdot(m, m).real) and not np.isfinite(m).all():
+        raise NotHermitian("matrix contains non-finite entries")
+
+
+def _finite_norm(m: np.ndarray) -> float:
+    """Frobenius norm of the hermitized matrix, ``NotHermitian`` if it overflows."""
+    norm = _frobenius(m)
+    if not math.isfinite(norm):
+        raise NotHermitian("matrix norm overflows double precision once hermitized")
+    return norm
+
+
 def _hermitized(mat: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, float]:
     """The checks of ``herm_eig`` before ``eigh``: a square, finite matrix
     within ``tol_herm`` of Hermitian whose hermitized norm is finite. Returns
@@ -185,18 +207,21 @@ def _hermitized(mat: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, float]:
     m = np.asarray(mat, dtype=complex)
     if not is_square(m.shape):
         raise NotHermitian(f"expected a square matrix with d >= 1, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NotHermitian("matrix contains non-finite entries")
-    half, half_h, defect = _halves(m)
-    if defect > tols.tol_herm:
-        raise NotHermitian(
-            f"max |M - M^dag| entry {defect:.3e} exceeds tol_herm={tols.tol_herm:.1e}"
-        )
+    _require_finite(m)
+    half = 0.5 * m
+    half_h = half.conj().T
+    gap = half - half_h  # (M - M^dag) / 2 from the exact halves, finite for finite M
+    # ||M - M^dag||_F = 2 sqrt(sum |gap|^2) bounds every entry. Below half of
+    # tol_herm, a margin for the sum's rounding and underflow, it settles the
+    # bound; the test is strict, so a sum or a tol_herm**2 that overflows settles
+    # nothing. Otherwise the largest entry decides, so the verdict is always its.
+    tol = tols.tol_herm
+    if not 16.0 * np.vdot(gap, gap).real + m.size * 2.0**-1069 < tol * tol:
+        defect = 2.0 * float(np.abs(gap).max())  # a Python float doubles to inf silently
+        if defect > tol:
+            raise NotHermitian(f"max |M - M^dag| entry {defect:.3e} exceeds tol_herm={tol:.1e}")
     m = half + half_h  # hermitize(m), reusing the halves
-    norm = _frobenius(m)
-    if not math.isfinite(norm):
-        raise NotHermitian("matrix norm overflows double precision once hermitized")
-    return m, norm
+    return m, _finite_norm(m)
 
 
 def _check_eigenpairs(
@@ -206,13 +231,13 @@ def _check_eigenpairs(
     n = m.shape[0]
     vh = vecs.conj().T
     scale = max(1.0, norm)
-    recon_err = _frobenius((vecs * vals) @ vh - m)
+    recon_err = _frobenius((vecs * vals).dot(vh) - m)
     if not recon_err <= tols.tol_recon * n * scale:  # a NaN defect fails here too
         raise BackendFailure(
             f"eigendecomposition round trip off by {recon_err:.3e} "
             f"(budget {tols.tol_recon * n * scale:.3e})"
         )
-    ortho_err = _frobenius(vh @ vecs - identity(n))
+    ortho_err = _frobenius(vh.dot(vecs) - identity(n))
     if not ortho_err <= 1e-12 * n:
         raise BackendFailure(f"eigenvector columns not orthonormal ({ortho_err:.3e})")
 
@@ -241,11 +266,42 @@ def herm_eig(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomp
     A matrix whose norm overflows double precision once hermitized cannot be
     verified and fails as ``NotHermitian``.
     """
-    m, norm = _hermitized(mat, tols)
+    return _verified_eig(*_hermitized(mat, tols), tols)
+
+
+def _verified_eig(m: np.ndarray, norm: float, tols: Tolerances) -> SpectralDecomposition:
+    """The eigensolve of ``herm_eig`` and ``_gram_eig`` on an exactly Hermitian
+    ``m`` of Frobenius norm ``norm``, with the checks after it."""
     vals, vecs = lapack_eigh(m)
     vecs = np.ascontiguousarray(vecs)
     _check_eigenpairs(m, norm, vals, vecs, tols)
     return SpectralDecomposition(vals, vecs)
+
+
+# ||F||_F^2 bounds every entry of F F^dag and every partial sum forming it, so
+# below this, rounding included, the product of a factor overflows nowhere
+_GRAM_SAFE = 2.0**1000
+
+
+def _gram_eig(factor: np.ndarray, tols: Tolerances) -> SpectralDecomposition:
+    """``herm_eig(hermitize(F F^dag))`` of a 2-D complex factor F, less the
+    ``tol_herm`` test that hermitize's output passes exactly (see the module
+    docstring); ``herm_eig`` would hermitize it again to the same bits, as
+    halving is exact above the subnormal range. With ||F||_F^2 below
+    ``_GRAM_SAFE`` the product is finite; otherwise it is formed with
+    overflow ignored and read entry by entry, so a NaN, infinite or huge
+    factor, or a hermitized norm that overflows, raises the ``NotHermitian``
+    of ``herm_eig``, unwarned.
+    """
+    fh = factor.conj().T
+    if np.vdot(factor, factor).real < _GRAM_SAFE:  # a NaN fails here too
+        p = factor.dot(fh)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = factor.dot(fh)
+        _require_finite(p)
+    m = hermitize(p)
+    return _verified_eig(m, _finite_norm(m), tols)
 
 
 def herm_eig_stack(mats: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:

@@ -348,6 +348,17 @@ def test_hand_built_basis_holds_what_it_certified():
     assert trace_distance(realize(nu), sigma) < 1e-9
 
 
+@pytest.mark.parametrize("dim", [1, 3, 8, 9, 32, 200, 1000])
+def test_clamp_weights_of_two_rows_is_that_of_each_row_bit_for_bit(dim):
+    # CommonBasis clamps its two coefficient vectors as one (2, d) array
+    rng = np.random.default_rng(dim)
+    rows = rng.dirichlet(np.ones(dim), size=2)
+    rows[:, : dim // 2] *= 1e-16  # some weights below the clamp
+    both = clamp_weights(rows)
+    for row, clamped in zip(rows, both):
+        assert clamped.tobytes() == clamp_weights(row).tobytes()
+
+
 def test_clamped_weights_are_computed_once_on_the_basis():
     rng = RngStream(54)
     cb = common_basis(sample_faithful(3, rng), sample_faithful(3, rng))

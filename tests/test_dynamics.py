@@ -759,7 +759,7 @@ def test_a_failing_stacked_core_falls_back_to_the_per_point_chain(monkeypatch, s
         assert contraction_scan(DEPHASING, rho, sigma, times) == expected
         assert len(chain) == len(times)
         return
-    monkeypatch.setattr(entropy, "herm_eig", strict_cores(matcore.herm_eig))
+    monkeypatch.setattr(entropy, "_gram_eig", strict_cores(matcore._gram_eig))
     mats = dynamics._propagate(DEPHASING, (rho, sigma), times)
     with pytest.raises(BackendFailure) as chain:
         dynamics._point_bs_value(mats[:, 0], float(times[0]), DEFAULT_TOLS)

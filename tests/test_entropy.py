@@ -319,18 +319,19 @@ def test_divergences_equal_their_matrix_formulas():
         assert np.abs(kappa - np.linalg.eigvalsh(hermitize(ir @ s @ ir))).max() <= 1e-12 * kappa[-1]
 
 
-def count_herm_eig(monkeypatch):
-    """Route herm_eig, under every name the package imported it as, through a
-    recorder of the matrices it is asked to decompose."""
+def count_eigensolves(monkeypatch):
+    """Route herm_eig and _gram_eig, under every name the package imported them
+    as, through a recorder of the matrices they are asked to decompose (for
+    _gram_eig, the Gram product F F^dag of its factor), in call order."""
     seen = []
-    orig = matcore.herm_eig
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "qunravel"]
+    for orig, product in ((matcore.herm_eig, lambda m: m), (matcore._gram_eig, lambda f: f @ f.conj().T)):
 
-    def counted(mat, tols=None):
-        seen.append(np.array(mat, copy=True))
-        return orig(mat, tols)
+        def counted(mat, tols=None, orig=orig, product=product):
+            seen.append(np.array(product(mat), copy=True))
+            return orig(mat, tols)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "qunravel" or name.startswith("qunravel."):
+        for mod in modules:
             for attr, val in list(vars(mod).items()):
                 if val is orig:
                     monkeypatch.setattr(mod, attr, counted)
@@ -340,7 +341,7 @@ def count_herm_eig(monkeypatch):
 def test_each_divergence_decomposes_only_its_core(monkeypatch):
     rng = RngStream(68)
     pairs = [(sample_faithful(d, rng), sample_faithful(d, rng)) for d in (2, 3, 8)]
-    seen = count_herm_eig(monkeypatch)
+    seen = count_eigensolves(monkeypatch)
     calls = [(umegaki, 0), (bs_entropy, 1), (unr_entropy, 1)]
     # BS and the generators share one spectrum of their core per pair
     calls += [(lambda r, s, g=g: max_f_divergence(r, s, g), 0) for g in GENERATORS.values()]
@@ -366,7 +367,7 @@ def benchmark_pair_op(r, s):
 
 def test_pair_op_decomposes_each_core_once(monkeypatch):
     rng = RngStream(69)
-    seen = count_herm_eig(monkeypatch)
+    seen = count_eigensolves(monkeypatch)
     for dim in (2, 3, 4, 8):
         r, s = sample_faithful(dim, rng).matrix, sample_faithful(dim, rng).matrix
         seen.clear()
@@ -430,7 +431,7 @@ def test_max_f_core_is_rebuilt_for_another_pair_or_tolerance(monkeypatch):
     rho, sigma = sample_faithful(3, rng), sample_faithful(3, rng)
     twin = validate_density(rho.matrix)
     xlogx = GENERATORS["xlogx"]
-    seen = count_herm_eig(monkeypatch)
+    seen = count_eigensolves(monkeypatch)
     max_f_divergence(rho, sigma, xlogx)
     for args in (
         (sigma, rho),

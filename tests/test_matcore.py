@@ -1,16 +1,22 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qunravel import (
     DEFAULT_TOLS,
     GENERATORS,
     LindbladModel,
+    RngStream,
     herm_eig,
     herm_eig_stack,
     hermitize,
+    sample_faithful,
     spectral_fn,
     validate_density,
 )
@@ -462,3 +468,139 @@ def test_a_stack_reports_its_least_eigenvalue_below_the_domain():
     stack = herm_eig_stack(np.stack([np.diag(v) for v in diagonals]))
     message = domain_error(stack, np.log, 0.0)
     assert message == "eigenvalue -2.000000e+00 lies below the domain minimum 0.000000e+00"
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+
+def docs_state(name):
+    entries = np.array(json.loads((DOCS / name).read_text())["matrix"])
+    return validate_density(entries[..., 0] + 1j * entries[..., 1])
+
+
+def pair_factors(rho, sigma):
+    """The factors whose Gram products a pair decomposes: B, with B B^dag the
+    core sigma^-1/2 rho sigma^-1/2, and C^dag, with C^dag C = rho^-1/2 sigma rho^-1/2."""
+    return sigma.eig.overlap(rho.eig, 0.5), sigma.eig.overlap(rho.eig, -0.5).conj().T
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 16, 32])
+def test_gram_eig_is_herm_eig_of_the_hermitized_product_bit_for_bit(dim):
+    rng = RngStream(300 + dim)
+    factors = [rng.complex_normal((dim, dim)) for _ in range(3)]
+    for _ in range(3):
+        factors += pair_factors(sample_faithful(dim, rng), sample_faithful(dim, rng))
+    if dim == 4:  # the far-edge pair, whose least eigenvalues lie at 1e-10
+        factors += pair_factors(docs_state("rho_edge.json"), docs_state("sigma_edge.json"))
+    for f in factors:
+        got = matcore._gram_eig(f, DEFAULT_TOLS)
+        want = herm_eig(hermitize(f @ f.conj().T))
+        assert same_bits(got.eigenvalues, want.eigenvalues)
+        assert same_bits(got.eigenvectors, want.eigenvectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: arrays(complex, (d, d), elements=st.complex_numbers(allow_nan=False, allow_infinity=False))
+    )
+)
+def test_hermitize_leaves_a_defect_of_exactly_zero(x):
+    # each (j, i) entry of the output is the exact conjugate of its (i, j) entry,
+    # so the Hermiticity test _gram_eig skips could not fail on it
+    h = hermitize(x)
+    assert hermiticity_defect(h) == 0.0
+    assert np.array_equal(h, h.conj().T)
+
+
+@pytest.mark.parametrize(
+    "factor, message",
+    [
+        ([[np.nan, 1.0], [0.0, 1.0]], "matrix contains non-finite entries"),
+        ([[np.inf, 1.0], [0.0, 1.0]], "matrix contains non-finite entries"),
+        (np.full((2, 2), 1e160), "matrix contains non-finite entries"),
+        ([[np.nan, 1e160], [1e78, 1.0]], "matrix contains non-finite entries"),
+        (np.full((2, 2), 1e78), "matrix norm overflows double precision once hermitized"),
+        (np.full((2, 2), 1e152), "matrix norm overflows double precision once hermitized"),
+    ],
+    ids=["nan", "inf", "product-overflows", "nan-before-norm", "norm-overflows", "norm-overflows-large-factor"],
+)
+def test_gram_eig_raises_what_herm_eig_raises_on_its_product(factor, message):
+    f = np.array(factor, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotHermitian) as want:
+            herm_eig(hermitize(f @ f.conj().T))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian) as got:
+            matcore._gram_eig(f, DEFAULT_TOLS)
+    assert str(got.value) == str(want.value) == message
+
+
+def with_gaps(dim, gaps):
+    """The identity plus ``gap`` at each listed upper entry (i, j), so that entry
+    of |M - M^dag| is exactly ``gap``."""
+    m = np.eye(dim, dtype=complex)
+    for (i, j), gap in gaps.items():
+        m[i, j] = gap
+    return m
+
+
+def test_herm_eig_passes_entries_within_tol_herm_whose_frobenius_defect_is_not():
+    m = with_gaps(4, {(i, j): 0.9e-10 for i in range(4) for j in range(i + 1, 4)})
+    assert hermiticity_defect(m) <= 1e-10 < np.linalg.norm(m - m.conj().T)
+    vals, _ = herm_eig(m)
+    assert np.abs(vals - 1.0).max() < 1e-9
+    # an entry exactly at tol_herm passes, the next float above it does not
+    herm_eig(with_gaps(2, {(0, 1): 1e-10}))
+    with pytest.raises(NotHermitian, match="exceeds tol_herm"):
+        herm_eig(with_gaps(2, {(0, 1): math.nextafter(1e-10, 1.0)}))
+    # a diagonal entry's defect 2 |Im m_ii| is its whole Frobenius defect
+    herm_eig(np.diag([1.0 + 0.5e-10j, 1.0]))
+    with pytest.raises(NotHermitian, match="exceeds tol_herm"):
+        herm_eig(np.diag([1.0 + 0.5j * math.nextafter(1e-10, 1.0), 1.0]))
+
+
+@pytest.mark.parametrize(
+    "m, tols",
+    [
+        (with_gaps(4, {(0, 1): 0.5e-10, (0, 3): 1.1e-10, (2, 3): 0.5e-10}), DEFAULT_TOLS),
+        # squares that underflow to 0 must not pass a zero or tiny tolerance
+        (with_gaps(2, {(0, 1): 1e-170}), Tolerances(tol_herm=0.0)),
+        (with_gaps(2, {(0, 1): 1e-170}), Tolerances(tol_herm=1e-200)),
+        (with_gaps(2, {(0, 1): 3e-162}), Tolerances(tol_herm=2e-162)),  # tol_herm**2 subnormal
+        # a sum of squares that overflows must not pass a tolerance whose square does
+        (with_gaps(2, {(0, 1): 2.6e154}), Tolerances(tol_herm=1.5e154)),
+    ],
+    ids=[
+        "one-entry-above", "underflow-zero-tol", "underflow-tiny-tol", "underflow-subnormal-square",
+        "overflow-huge-tol",
+    ],
+)
+def test_herm_eig_names_the_largest_entry_above_tol_herm(m, tols):
+    with pytest.raises(NotHermitian) as raised:
+        herm_eig(m, tols)
+    defect = hermiticity_defect(m)
+    assert str(raised.value) == f"max |M - M^dag| entry {defect:.3e} exceeds tol_herm={tols.tol_herm:.1e}"
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (with_gaps(3, {(0, 2): np.nan}), "matrix contains non-finite entries"),
+        (np.diag([1.0, np.inf]), "matrix contains non-finite entries"),
+        # finite entries whose sum of squares overflows are not non-finite ones
+        (np.full((2, 2), 1e160, dtype=complex), "matrix norm overflows double precision once hermitized"),
+    ],
+    ids=["nan", "inf", "finite-sum-overflows"],
+)
+def test_herm_eig_finite_check_reads_the_entries_when_the_sum_overflows(m, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian) as raised:
+            herm_eig(m)
+    assert str(raised.value) == message
