@@ -9,8 +9,9 @@ is strict JSON: the one non-finite value a run can report, the inf rate of
 an empty ``ldp`` event, is written as the string ``"inf"``, as in the CSV.
 
 Exit codes: 0 success, 2 input validation (a bad flag or argument too),
-3 property violation, 4 budget exceeded (an ``ldp`` enumeration or a
-``contraction`` grid). Every failure prints one JSON line on stderr.
+3 property violation, 4 budget exceeded (an ``ldp`` enumeration, a
+``contraction`` grid or generator, or an allocation the system refuses).
+Every failure prints one JSON line on stderr.
 """
 from __future__ import annotations
 
@@ -414,7 +415,7 @@ def main(argv=None) -> int:
         # non-finite results fail a check with a JSON error, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, MemoryError) as exc:
         _report_error(exc)
         return 4
     except (ValidationError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

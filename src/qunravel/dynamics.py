@@ -30,10 +30,10 @@ part of T^H L T is dropped only after a check (see ``_real_generator``).
 
 One propagator, ``_propagate``, runs every flow: it checks the time grid and
 the states' dimensions, builds the generator once, steps all its states
-together in the real frame, one exponential per distinct gap, found in O(1)
-per point (``_shared_gaps``), and returns every state at every time as a
-Hermitian matrix. A grid whose states hold more than ``MAX_SCAN_ENTRIES``
-matrix entries raises ``BudgetExceeded`` before anything is built.
+together in the real frame, with one propagator held at a time, and returns
+every state at every time as a Hermitian matrix. A grid whose states hold
+more than ``MAX_SCAN_ENTRIES`` matrix entries, or a model whose generator
+does, raises ``BudgetExceeded`` before anything is built.
 ``lindblad_evolve`` is a one-state, one-point run of it. A contraction scan propagates its pair to
 every point before checking any. It then checks all 2P states of its P
 points, each divided by its trace, with one stacked eigensolve
@@ -121,9 +121,10 @@ GENERATOR_DEFECT_TOL = 1e-10
 # increments (steps x paths x jumps) plus the path ``sse_trajectory`` stores.
 # 5e7 float64 are 400 MB. Criterion 09 draws 1e7 (1e4 paths x 1e3 steps).
 MAX_NOISE_DRAWS = 50_000_000
-# Most matrix entries one flow propagates, points x states x n^2. A contraction
-# scan holds about 160 B per entry (frame coordinates, propagated matrices, the
-# stacked eigensolves of its states and cores), so this is about 400 MB.
+# Most matrix entries a flow holds: points x states x n^2 propagated, and n^4 in
+# its n^2 x n^2 generator (so flows run at n <= 39). A scan takes about 160 B per
+# state entry (frame coordinates, propagated matrices, the stacked eigensolves of
+# its states and cores), 400 MB, and about 80 B per generator entry, 200 MB.
 MAX_SCAN_ENTRIES = 2_500_000
 _R = math.sqrt(0.5)
 
@@ -474,17 +475,17 @@ def contraction_scan(
 
     Returns (t, d_bs) for every requested time. The generator is built once,
     moved to the real Hermitian frame, and both states are stepped together on
-    their real coordinates from each time to the next, one real propagator per
-    distinct gap (see ``_propagate``); every propagated state is Hermitian by
+    their real coordinates from each time to the next, with one propagator held
+    at a time (see ``_propagate``); every propagated state is Hermitian by
     construction. Every state then gets the checks of ``lindblad_evolve`` and
     of faithfulness, and every point its BS value, from two stacked
     eigensolves whatever the number of points.
     Both states must stay faithful; a flow that drives one rank-deficient
     raises ``NotFaithful`` stamped with the failing time. Any failure is
     reported by rerunning the checks point by point, so it names the earliest
-    failing time. A grid over ``MAX_SCAN_ENTRIES`` raises ``BudgetExceeded``
-    before anything is propagated. Monotone decrease is the caller's check, not
-    enforced here.
+    failing time. A grid or a generator over ``MAX_SCAN_ENTRIES`` raises
+    ``BudgetExceeded`` before anything is built. Monotone decrease is the
+    caller's check, not enforced here.
     """
     mats = _propagate(model, (rho0, sigma0), times)
     ts = np.asarray(times, dtype=float).tolist()
@@ -501,11 +502,13 @@ def _propagate(model: LindbladModel, states, times) -> np.ndarray:
     ``times`` must be a nonempty grid of finite, nonnegative, strictly
     increasing times (else ``ValueError``) and every state of the model's
     dimension (else ``DimMismatch``). The states step together on their real
-    frame coordinates, from each time to the next, one real propagator per
-    distinct gap; gaps within 4 ulps of the largest time differ by the grid's
-    rounding only and share one (``_shared_gaps``). The coordinates are mapped
-    back to matrices once, at the end. More than ``MAX_SCAN_ENTRIES`` entries
-    raise ``BudgetExceeded`` (``check_scan_budget``) before any is propagated."""
+    frame coordinates, from each time to the next, with one propagator held at
+    a time: a gap within 4 ulps of the largest time of the held propagator's
+    gap differs from it by the grid's rounding only and reuses it, and any
+    other positive gap replaces it with its own. The coordinates are mapped
+    back to matrices once, at the end. A grid or a generator over
+    ``MAX_SCAN_ENTRIES`` entries raises ``BudgetExceeded``
+    (``check_scan_budget``) before anything is built."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a nonempty 1-d array")
@@ -518,52 +521,35 @@ def _propagate(model: LindbladModel, states, times) -> np.ndarray:
     g = _real_generator(lindblad_superop(model), n)
     # column-stacked: vec(A rho B) = (B^T kron A) vec(rho)
     block = _frame_coords(np.stack([s.matrix.flatten(order="F") for s in states], axis=1), n)
-    propagators: dict[float, np.ndarray] = {}
     rounding = float(4 * np.spacing(ts.max()))
+    held_gap, held = math.inf, None
     blocks = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state fails its trace check
-        for gap in _shared_gaps(np.diff(ts, prepend=0.0).tolist(), rounding):
+        for gap in np.diff(ts, prepend=0.0).tolist():
             if gap > 0:
-                if gap not in propagators:
-                    propagators[gap] = expm(gap * g)
-                block = propagators[gap] @ block
+                if not abs(gap - held_gap) <= rounding:
+                    held_gap, held = gap, expm(gap * g)
+                block = held @ block
             blocks.append(block)
         vecs = _frame_vecs(np.stack(blocks, axis=1), n)  # (n^2, P, states), column-stacked
     return np.ascontiguousarray(vecs.reshape(n, n, *vecs.shape[1:]).transpose(3, 2, 1, 0))
 
 
 def check_scan_budget(points: int, states: int, n: int) -> None:
-    """``BudgetExceeded`` when propagating ``states`` states of dimension ``n`` to
-    ``points`` times takes more than ``MAX_SCAN_ENTRIES`` matrix entries."""
+    """``BudgetExceeded`` when the n^2 x n^2 generator of dimension ``n``, or
+    propagating ``states`` states of that dimension to ``points`` times, takes
+    more than ``MAX_SCAN_ENTRIES`` matrix entries."""
+    if n**4 > MAX_SCAN_ENTRIES:
+        raise BudgetExceeded(
+            f"the generator at dimension {n} takes {n**4} matrix entries, "
+            f"over the budget of {MAX_SCAN_ENTRIES}"
+        )
     entries = points * states * n * n
     if entries > MAX_SCAN_ENTRIES:
         raise BudgetExceeded(
             f"{points} points of {states} states at dimension {n} take {entries} "
             f"matrix entries, over the budget of {MAX_SCAN_ENTRIES}"
         )
-
-
-def _shared_gaps(gaps: list[float], rounding: float) -> list[float]:
-    """Each positive gap replaced by the earliest gap before it, or itself, that
-    was kept and lies within ``rounding`` of it; a gap with none is kept.
-
-    ``rounding`` is a power of 2, so ``gap / rounding`` is exact: a kept gap
-    within ``rounding`` lies in the gap's bin of that width or in a neighbour,
-    and no bin keeps two. A gap met again takes its earlier choice. The lookup
-    costs O(1) per gap."""
-    kept: dict[int, tuple[int, float]] = {}  # bin -> (order kept, gap)
-    chosen: dict[float, float] = {}
-    for gap in gaps:
-        if gap > 0 and gap not in chosen:
-            b = math.floor(gap / rounding)
-            near = [kept[c] for c in (b - 1, b, b + 1) if c in kept]
-            near = [e for e in near if abs(e[1] - gap) <= rounding]
-            if near:
-                chosen[gap] = min(near)[1]
-            else:
-                kept[b] = (len(kept), gap)
-                chosen[gap] = gap
-    return [chosen.get(gap, gap) for gap in gaps]
 
 
 def _stacked_bs_values(mats: np.ndarray, tols: Tolerances) -> list[float] | None:

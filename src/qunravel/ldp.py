@@ -108,11 +108,12 @@ class LdpExperiment:
     however it is built: ``ValueError`` unless epsilon lies in (0, 1), the
     plan is a nonempty sequence of positive integer sizes, and nu is
     positive and sums to 1 within ``WEIGHT_SUM_TOL``; ``DimMismatch`` unless
-    nu has one weight per basis state. The tables every rate shares are
-    derived once from these: log nu, the projector rows |psi_i><psi_i|, the
-    Gram matrix |<psi_i|psi_j>|^2 and the membership screen's rounding
-    allowances (see the module docstring). nu and the tables are kept as
-    read-only copies (``hold``), as the screen's rounding proof needs.
+    rho and sigma have the basis's dimension and nu has one weight per basis
+    state. The tables every rate shares are derived once from these: log nu,
+    the projector rows |psi_i><psi_i|, the Gram matrix |<psi_i|psi_j>|^2 and
+    the membership screen's rounding allowances (see the module docstring).
+    nu and the tables are kept as read-only copies (``hold``), as the
+    screen's rounding proof needs.
     """
 
     rho: DensityMatrix
@@ -135,6 +136,11 @@ class LdpExperiment:
             raise ValueError("need at least one sample size")
         psis, p, gram = self.cb.psis, self.cb.rho_coeffs, self.cb.gram
         d = psis.shape[0]
+        if self.rho.dim != d or self.sigma.dim != d:
+            raise DimMismatch(
+                f"basis of dimension {d} for states of dimension "
+                f"{self.rho.dim} and {self.sigma.dim}"
+            )
         w = self.cb.sigma_weights if self.reference_weights is None else self.reference_weights
         w = np.array(w, dtype=float)
         if w.shape != (d,):

@@ -338,6 +338,24 @@ def test_contraction_grid_over_budget_exits_4_before_building_it(capsys, tmp_pat
     assert not csv_path.exists()
 
 
+def test_an_allocation_the_system_refuses_exits_4_with_one_json_line(
+    capsys, tmp_path, monkeypatch
+):
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(cli, "sample_faithful", refuse)
+    csv_path = tmp_path / "sweep.csv"
+    code, out, err = run(
+        capsys, "haar-experiment", "--dim", "2", "--samples", "1", "--out", str(csv_path)
+    )
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "MemoryError", "message": "Unable to allocate 74.5 GiB"}
+    assert not csv_path.exists()
+
+
 def test_haar_experiment_csv(capsys, tmp_path):
     csv_path = tmp_path / "sweep.csv"
     code, out, _ = run(

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import re
 import sys
-import time
 import warnings
 
 import numpy as np
@@ -567,32 +566,47 @@ def test_contraction_builds_one_generator_and_one_propagator_per_gap(monkeypatch
     assert calls["expm"] == 1
 
 
-def _scanned_gaps(gaps, rounding):
-    # the reference choice: each positive gap takes the earliest kept gap within
-    # rounding, found by scanning every kept gap, and is kept when there is none
-    kept, n, out = np.empty(len(gaps)), 0, []
-    for gap in gaps:
-        if gap > 0:
-            hit = np.flatnonzero(np.abs(kept[:n] - gap) <= rounding)
-            if hit.size:
-                gap = float(kept[hit[0]])
-            else:
-                kept[n], n = gap, n + 1
-        out.append(gap)
-    return out
+def test_a_grid_builds_one_propagator_per_run_of_near_equal_gaps(monkeypatch):
+    built, expm = [], dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda a: built.append(1) or expm(a))
+    rng = RngStream(106)
+    # 2000 distinct gaps, then a uniform tail whose gaps differ in their last bits
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 2000), np.linspace(1.0, 2.0, 201)[1:]])
+    series = contraction_scan(
+        random_model(2, rng), sample_faithful(2, rng), sample_faithful(2, rng), ts
+    )
+    assert len(series) == ts.size
+    assert len(built) == 2001
 
 
-def test_each_gap_finds_the_scanned_propagator_in_constant_time():
-    # 20000 distinct gaps, then a uniform tail whose gaps differ in their last bits
-    ts = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 20000), np.linspace(1.0, 2.0, 2001)[1:]])
-    gaps = np.diff(ts, prepend=0.0).tolist()
-    rounding = 4 * np.spacing(ts.max())
-    start = time.perf_counter()
-    shared = dynamics._shared_gaps(gaps, rounding)
-    elapsed = time.perf_counter() - start
-    assert shared == _scanned_gaps(gaps, rounding)
-    assert len(set(shared[1:20001])) == 20000 and len(set(shared[20001:])) < 2000
-    assert elapsed < 2.0  # a scan of every kept gap per point takes tens of seconds
+def test_a_flow_holds_one_propagator_at_a_time():
+    import tracemalloc
+
+    # 2000 distinct gaps at d = 8: a 32 KB real propagator each, 65 MB if all were kept
+    rng = RngStream(107)
+    model, states = random_model(8, rng, 2), (sample_faithful(8, rng), sample_faithful(8, rng))
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 2.0, 2000)])
+    tracemalloc.start()
+    try:
+        dynamics._propagate(model, states, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def test_a_generator_over_budget_raises_before_it_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(dynamics, "lindblad_superop", built.append)
+    # 39^4 generator entries fit the budget, 40^4 do not
+    dynamics.check_scan_budget(1, 1, 39)
+    model = LindbladModel(np.zeros((40, 40)))
+    rho = validate_density(np.eye(40) / 40)
+    with pytest.raises(BudgetExceeded, match="^the generator at dimension 40 takes 2560000 "):
+        contraction_scan(model, rho, rho, np.array([0.0, 1.0]))
+    with pytest.raises(BudgetExceeded, match="^the generator at dimension 40 "):
+        lindblad_evolve(model, rho, 1.0)
+    assert built == []
 
 
 def test_contraction_grid_over_budget_raises_before_any_propagator(monkeypatch):

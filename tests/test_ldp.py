@@ -234,6 +234,13 @@ def test_a_directly_built_experiment_checks_what_make_experiment_checks(
     assert str(made.value) == str(direct.value)
 
 
+def test_an_experiment_rejects_a_basis_of_another_dimension():
+    rng = RngStream(12)
+    cb3 = make_experiment(sample_faithful(3, rng), sample_faithful(3, rng), 0.1, (10,)).cb
+    with pytest.raises(DimMismatch, match="^basis of dimension 3 for states of dimension 2 and 2$"):
+        ldp.LdpExperiment(RHO_C, SIGMA_C, cb3, 0.1, (10,))
+
+
 def test_an_experiment_keeps_a_read_only_copy_of_its_reference_weights():
     ref = np.array([0.55, 0.45])
     exp = qubit_experiment(0.01, (400,), ref)
