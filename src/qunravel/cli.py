@@ -3,15 +3,16 @@
 Five subcommands: ``entropy``, ``haar-experiment``, ``common-basis``,
 ``contraction``, and ``ldp``. Matrices travel as JSON with complex entries
 encoded ``[re, im]``; tabular results are CSV with 15 significant digits.
-Every run prints a JSON summary to stdout carrying its configuration
-(including the seed), so reruns are reproducible byte for byte. The summary
-is strict JSON: the one non-finite value a run can report, the inf rate of
-an empty ``ldp`` event, is written as the string ``"inf"``, as in the CSV.
+Every run prints a JSON summary to stdout carrying its configuration (and
+the seed of ``haar-experiment``, the one command that draws random numbers),
+so reruns are reproducible byte for byte. The summary is strict JSON: the one
+non-finite value a run can report, the inf rate of an empty ``ldp`` event, is
+written as the string ``"inf"``, as in the CSV.
 
 Exit codes: 0 success, 2 input validation (a bad flag or argument too),
 3 property violation, 4 budget exceeded (an ``ldp`` enumeration, a
-``contraction`` grid or generator, or an allocation the system refuses).
-Every failure prints one JSON line on stderr.
+``contraction`` grid or generator, a ``haar-experiment`` dimension, or an
+allocation the system refuses). Every failure prints one JSON line on stderr.
 """
 from __future__ import annotations
 
@@ -20,38 +21,28 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from .commonbasis import common_basis, dual_consistency
-from .dynamics import LindbladModel, check_scan_budget, contraction_scan
+from .dynamics import MAX_SCAN_ENTRIES, LindbladModel, check_scan_budget, contraction_scan
 from .entropy import bs_entropy, umegaki, unr_entropy
 from .errors import (
     BudgetExceeded, ContractionViolation, NotHermitian, QunravelError, ValidationError
 )
-from .ldp import ball_log_probabilities, make_experiment, tolerance_budget
+from .ldp import ball_log_probabilities, make_experiment
 from .matcore import Tolerances, hermitize, hermiticity_defect
 from .states import RngStream, sample_faithful, trace_distance, validate_density
 
 __all__ = ["main", "entry"]
 
-SEED_ENV_VAR = "QUNRAVEL_SEED"
 LN2 = math.log(2.0)
 CONTRACTION_SLACK = 1e-7
 
 
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
 
 
 def _tols_from_args(args) -> tuple[Tolerances, dict]:
@@ -65,7 +56,7 @@ def _tols_from_args(args) -> tuple[Tolerances, dict]:
 
 def _metadata(args, inputs, base: str = "nats", **params) -> dict:
     """Everything needed to reproduce the run, for its JSON summary."""
-    meta = {"command": args.command, "inputs": list(inputs), "seed": args.seed, "base": base}
+    meta = {"command": args.command, "inputs": list(inputs), "base": base}
     if args.out:
         meta["out"] = args.out
     if args.overrides:
@@ -181,11 +172,7 @@ def cmd_entropy(args) -> int:
     cb = common_basis(rho, sigma, tols)
 
     scale = LN2 if args.base == "bits" else 1.0
-    values = {
-        "umegaki": d_u / scale,
-        "bs": d_bs / scale,
-        "unr": d_unr / scale,
-    }
+    values = {"umegaki": d_u / scale, "bs": d_bs / scale, "unr": d_unr / scale}
     if args.which != "all":
         values = {args.which: values[args.which]}
     report = {
@@ -204,10 +191,12 @@ def cmd_haar_experiment(args) -> int:
         raise ValueError(
             f"--dim and --samples must be at least 1, got {args.dim} and {args.samples}"
         )
+    if args.dim * args.dim > MAX_SCAN_ENTRIES:  # before a d x d state is drawn
+        raise BudgetExceeded(f"--dim {args.dim} takes {args.dim * args.dim} matrix entries "
+                             f"per state, over the budget of {MAX_SCAN_ENTRIES}")
     rng = RngStream(args.seed)
     lines = ["idx,d_u,d_bs,d_unr,abs_bs_unr_gap"]
-    max_gap = 0.0
-    below = 0
+    max_gap, below = 0.0, 0
     for idx in range(args.samples):
         rho = sample_faithful(args.dim, rng, tols)
         sigma = sample_faithful(args.dim, rng, tols)
@@ -217,12 +206,10 @@ def cmd_haar_experiment(args) -> int:
         gap = abs(d_bs - d_unr)
         max_gap = max(max_gap, gap)
         below += int(d_u < d_bs)
-        lines.append(
-            f"{idx},{_fmt(d_u)},{_fmt(d_bs)},{_fmt(d_unr)},{_fmt(gap)}"
-        )
+        lines.append(f"{idx},{_fmt(d_u)},{_fmt(d_bs)},{_fmt(d_unr)},{_fmt(gap)}")
     _write_text(args.out, "\n".join(lines) + "\n")
     summary = {
-        "metadata": _metadata(args, (), dim=args.dim, samples=args.samples),
+        "metadata": _metadata(args, (), seed=args.seed, dim=args.dim, samples=args.samples),
         "max_abs_bs_unr_gap": max_gap,
         "fraction_umegaki_below_bs": below / args.samples,
     }
@@ -270,10 +257,9 @@ def cmd_contraction(args) -> int:
 
     worst = float(np.diff([d for _, d in series]).max(initial=0.0))
     monotone = worst <= CONTRACTION_SLACK
+    inputs = (args.model, args.rho, args.sigma)
     summary = {
-        "metadata": _metadata(
-            args, (args.model, args.rho, args.sigma), t_max=args.t_max, steps=args.steps
-        ),
+        "metadata": _metadata(args, inputs, t_max=args.t_max, steps=args.steps),
         "initial_d_bs": series[0][1],
         "final_d_bs": series[-1][1],
         "max_step_increase": worst,
@@ -299,17 +285,15 @@ def cmd_ldp(args) -> int:
     ]
     exp = make_experiment(rho, sigma, epsilon, sizes, tols)
 
-    k = exp.cb.dim
-    lines = ["n,prob,rate,tolerance_budget"]
+    lines = ["n,prob,rate"]
     rates = []
     log_probs = ball_log_probabilities(exp, exp.sample_sizes)
     for n, log_prob in zip(exp.sample_sizes, log_probs):
         prob, rate = math.exp(log_prob), -log_prob / n
-        budget = tolerance_budget(n, k, exp.epsilon)
         # an empty event's rate is inf: written as the CSV writes it, not as bare Infinity
         json_rate = rate if math.isfinite(rate) else _fmt(rate)
-        rates.append({"n": n, "prob": prob, "rate": json_rate, "tolerance_budget": budget})
-        lines.append(f"{n},{_fmt(prob)},{_fmt(rate)},{_fmt(budget)}")
+        rates.append({"n": n, "prob": prob, "rate": json_rate})
+        lines.append(f"{n},{_fmt(prob)},{_fmt(rate)}")
     _write_text(args.out, "\n".join(lines) + "\n")
 
     summary = {
@@ -323,8 +307,6 @@ def cmd_ldp(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"random seed (default: ${SEED_ENV_VAR} or 0)")
     p.add_argument("--tol-herm", dest="tol_herm", type=float, default=None,
                    help="override the Hermiticity tolerance")
     p.add_argument("--tol-recon", dest="tol_recon", type=float, default=None,
@@ -363,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--out", required=True, help="per-sample CSV path")
     p.add_argument("--summary", default=None, help="also write the summary JSON here")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
     _add_common(p)
     p.set_defaults(func=cmd_haar_experiment)
 
@@ -386,10 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "ldp",
         help="finite-n Sanov rates toward the BS entropy",
-        description="Finite-n Sanov rates toward the BS entropy. The CSV column "
-        "tolerance_budget, 2k log(n)/n + epsilon, is a heuristic and not a bound "
-        "on |rate - BS|: the rate tends to the ball's I-projection value, and 2 "
-        "of 300 seeded d = 3 pairs at epsilon 0.05, n = 100 exceed it.",
+        description="Finite-n Sanov rates toward the BS entropy. At a finite "
+        "epsilon the rate tends to the ball's I-projection value, and to the BS "
+        "entropy, printed beside it in the summary, as epsilon goes to 0.",
     )
     p.add_argument("config", help="experiment JSON (rho, sigma, epsilon, sample_sizes)")
     p.add_argument("--out", default=None, help="write the rate CSV here")
@@ -409,8 +391,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.seed is None:  # read here so a bad value gets the JSON error
-            args.seed = _default_seed()
         args.tols, args.overrides = _tols_from_args(args)
         # non-finite results fail a check with a JSON error, not a warning
         with np.errstate(over="ignore", invalid="ignore"):

@@ -50,7 +50,8 @@ equation, integrated by Euler-Maruyama:
 
     d psi = D psi dt + i sum_j gamma_j S_j psi dX_j,    dX_j ~ N(0, dt),
 
-over round(t_final / dt) steps, for finite t_final >= dt > 0. A path keeps
+over t_final / dt steps, for finite t_final >= dt > 0 whose ratio is a whole
+number to within 1e-9 relative, so a run ends at t_final. A path keeps
 its states as the rows of one ``(steps + 1, d)`` array, ``Trajectory.amps``.
 
 This equation is linear, so paths preserve their norm only in mean. Each
@@ -124,7 +125,8 @@ MAX_NOISE_DRAWS = 50_000_000
 # Most matrix entries a flow holds: points x states x n^2 propagated, and n^4 in
 # its n^2 x n^2 generator (so flows run at n <= 39). A scan takes about 160 B per
 # state entry (frame coordinates, propagated matrices, the stacked eigensolves of
-# its states and cores), 400 MB, and about 80 B per generator entry, 200 MB.
+# its states and cores), 400 MB, and about 80 B per generator entry, 200 MB. It
+# also bounds one sampled state: ``qunravel haar-experiment`` takes d^2 <= it.
 MAX_SCAN_ENTRIES = 2_500_000
 _R = math.sqrt(0.5)
 
@@ -320,7 +322,8 @@ def _check_times(t_final: float, dt: float) -> None:
 
 
 def _n_steps(t_final: float, dt: float, paths: int, jumps: int, kept: int = 0) -> int:
-    """round(t_final / dt) for finite t_final >= dt > 0, else ``ValueError``.
+    """The whole number of steps t_final / dt, for finite t_final >= dt > 0
+    whose ratio is within 1e-9 relative of an integer; else ``ValueError``.
 
     ``BudgetExceeded`` is raised, before anything is drawn or allocated, when
     the increments, steps x paths x jumps, plus ``kept`` stored float64 words
@@ -328,10 +331,12 @@ def _n_steps(t_final: float, dt: float, paths: int, jumps: int, kept: int = 0) -
     _check_times(t_final, dt)
     if t_final < dt:
         raise ValueError(f"t_final {t_final} is below one step dt={dt}")
-    steps = t_final / dt
-    if not math.isfinite(steps):
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
         raise ValueError(f"t_final / dt overflows: t_final={t_final}, dt={dt}")
-    steps = int(round(steps))
+    steps = round(ratio)
+    if abs(ratio - steps) > 1e-9 * steps:
+        raise ValueError(f"t_final={t_final} is not a whole number of steps dt={dt}")
     draws = steps * paths * max(jumps, 1)
     words = (steps + 1) * kept
     if draws + words > MAX_NOISE_DRAWS:
@@ -390,11 +395,11 @@ def sse_trajectory(
 ) -> Trajectory:
     """Single Euler-Maruyama path of the diffusive unraveling.
 
-    Runs round(t_final / dt) steps of size dt, renormalizing after each one
-    and folding the discarded squared norm into the path's running log
-    weight. A pre-normalization norm outside [0.5, 2] aborts with
-    ``StepExplosion``; that window flags a step size too coarse for the
-    model's rates. A run whose increments and stored path (2 dim + 2 float64
+    Runs t_final / dt steps of size dt (a whole number, see ``_n_steps``),
+    renormalizing after each one and folding the discarded squared norm into
+    the path's running log weight. A pre-normalization norm outside [0.5, 2]
+    aborts with ``StepExplosion``; that window flags a step size too coarse
+    for the model's rates. A run whose increments and stored path (2 dim + 2 float64
     per time) exceed ``MAX_NOISE_DRAWS`` raises ``BudgetExceeded`` before
     drawing or allocating anything. The path is a batch of one
     through the stepping loop of ``evolve_ensemble``, with the same noise
@@ -433,7 +438,8 @@ def evolve_ensemble(
 
     The barycenter of the result tracks ``lindblad_evolve`` of the input
     barycenter within Monte Carlo error O(1/sqrt(n_per_atom)) plus O(dt)
-    integrator bias. ``n_per_atom`` must be a positive integer, and a run
+    integrator bias. ``n_per_atom`` must be a positive integer, t / dt a
+    whole number of steps unless t = 0 (which returns ``mu0``), and a run
     over ``MAX_NOISE_DRAWS`` increments (all paths of all atoms) raises
     ``BudgetExceeded`` before drawing any.
     """

@@ -346,5 +346,6 @@ def tolerance_budget(n: int, k: int, epsilon: float) -> float:
     weight vectors q whose barycenter lies in the ball, not to the BS
     entropy. Of 300 seeded d = 3 pairs (``RngStream(11)``, epsilon 0.05,
     n = 100), 2 exceed it, with gaps 0.32632 and 0.34684 against 0.32631.
+    No CLI output reports it; the benchmark's sanov gate (``perfbench``) calls it.
     """
     return 2.0 * k * math.log(n) / n + epsilon

@@ -241,7 +241,7 @@ def test_ldp_command(capsys, tmp_path):
     code, out, _ = run(capsys, "ldp", LDP_CFG, "--out", str(csv_path))
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "n,prob,rate,tolerance_budget"
+    assert lines[0] == "n,prob,rate"
     assert len(lines) == 5
     summary = json.loads(out)
     assert abs(summary["bs_entropy"] - KL_34_12) < 1e-9
@@ -249,10 +249,11 @@ def test_ldp_command(capsys, tmp_path):
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.05
     for line, row in zip(lines[1:], summary["rates"]):
-        n, prob, rate, budget = line.split(",")
+        n, prob, rate = line.split(",")
+        assert list(row) == ["n", "prob", "rate"]
         assert int(n) == row["n"]
+        assert float(prob) == pytest.approx(row["prob"])
         assert float(rate) == pytest.approx(float(row["rate"]))
-        assert float(budget) == pytest.approx(row["tolerance_budget"])
 
 
 def _reject_constant(name):
@@ -356,6 +357,31 @@ def test_an_allocation_the_system_refuses_exits_4_with_one_json_line(
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("dim, code", [(1581, 0), (1582, 4)])
+def test_haar_experiment_dimension_budget_is_checked_before_sampling(
+    capsys, tmp_path, monkeypatch, dim, code
+):
+    # d^2 <= MAX_SCAN_ENTRIES admits d = 1581; the stub keeps every state 2 x 2
+    sampled = []
+    sample = cli.sample_faithful
+    monkeypatch.setattr(
+        cli, "sample_faithful", lambda d, rng, tols: sampled.append(d) or sample(2, rng, tols)
+    )
+    csv_path = tmp_path / "sweep.csv"
+    got, out, err = run(
+        capsys, "haar-experiment", "--dim", str(dim), "--samples", "1", "--out", str(csv_path)
+    )
+    assert got == code
+    if code == 4:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "BudgetExceeded"
+        assert sampled == []
+        assert not csv_path.exists()
+    else:
+        assert sampled == [dim, dim]
+
+
 def test_haar_experiment_csv(capsys, tmp_path):
     csv_path = tmp_path / "sweep.csv"
     code, out, _ = run(
@@ -387,25 +413,32 @@ def test_haar_experiment_reproducible(capsys, tmp_path):
     assert paths[0].read_bytes() != paths[2].read_bytes()
 
 
-def test_seed_env_var_default(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("QUNRAVEL_SEED", "123")
-    csv_path = tmp_path / "sweep.csv"
-    code, out, _ = run(
-        capsys, "haar-experiment", "--dim", "2", "--samples", "2",
-        "--out", str(csv_path),
-    )
-    assert code == 0
-    assert json.loads(out)["metadata"]["seed"] == 123
-
-
-def test_non_integer_seed_env_var_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("QUNRAVEL_SEED", "abc")
-    code, out, err = run(capsys, "entropy", RHO_C, SIGMA_M)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("entropy", RHO_C, SIGMA_M),
+        ("common-basis", RHO_C, SIGMA_M),
+        ("contraction", DEPHASING, RHO_X, SIGMA_Y),
+        ("ldp", LDP_CFG),
+    ],
+    ids=["entropy", "common-basis", "contraction", "ldp"],
+)
+def test_deterministic_commands_take_no_seed(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "1")
     assert code == 2
     assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "ValueError"
-    assert "QUNRAVEL_SEED" in payload["message"]
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {
+        "error": "ValueError", "message": "qunravel: unrecognized arguments: --seed 1"
+    }
+
+
+def test_the_environment_sets_no_seed(capsys, monkeypatch):
+    monkeypatch.delenv("QUNRAVEL_SEED", raising=False)
+    plain = run(capsys, "entropy", RHO_C, SIGMA_M)
+    monkeypatch.setenv("QUNRAVEL_SEED", "abc")
+    assert run(capsys, "entropy", RHO_C, SIGMA_M) == plain
+    assert plain[0] == 0
 
 
 @pytest.mark.parametrize("dim, samples", [("2", "0"), ("0", "2"), ("2", "-1")])
@@ -453,23 +486,23 @@ def test_parser_is_built_once_and_parses_each_call_afresh(capsys, tmp_path, monk
     from qunravel import cli
 
     assert cli._parser() is cli._parser()
-    csv_path = str(tmp_path / "rates.csv")
-    code, out, _ = run(capsys, "ldp", LDP_CFG, "--seed", "5", "--out", csv_path)
+    argv = ["haar-experiment", "--dim", "2", "--samples", "1", "--out", str(tmp_path / "s.csv")]
+    code, out, _ = run(capsys, *argv, "--seed", "5")
     assert code == 0
     assert json.loads(out)["metadata"]["seed"] == 5
-    monkeypatch.setenv("QUNRAVEL_SEED", "9")
-    code, out, _ = run(capsys, "ldp", LDP_CFG, "--out", csv_path)
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["metadata"]["seed"] == 9
+    assert json.loads(out)["metadata"]["seed"] == 0
 
 
-def test_argparse_error_leaves_the_parser_usable(capsys):
-    code, out, err = run(capsys, "ldp", LDP_CFG, "--seed", "not-a-number")
+def test_argparse_error_leaves_the_parser_usable(capsys, tmp_path):
+    argv = ["haar-experiment", "--dim", "2", "--samples", "1", "--out", str(tmp_path / "s.csv")]
+    code, out, err = run(capsys, *argv, "--seed", "not-a-number")
     assert code == 2 and out == ""
     assert json.loads(err)["message"] == (
-        "qunravel ldp: argument --seed: invalid int value: 'not-a-number'"
+        "qunravel haar-experiment: argument --seed: invalid int value: 'not-a-number'"
     )
-    code, out, _ = run(capsys, "ldp", LDP_CFG, "--seed", "3")
+    code, out, _ = run(capsys, *argv, "--seed", "3")
     assert code == 0
     assert json.loads(out)["metadata"]["seed"] == 3
 
@@ -626,36 +659,35 @@ def test_entropy_rejects_a_matrix_that_overflows_as_input_error(capsys, tmp_path
 
 
 @pytest.mark.parametrize("command", ["entropy", "haar-experiment", "common-basis", "contraction", "ldp"])
-def test_metadata_is_the_run_configuration_in_order(capsys, tmp_path, monkeypatch, command):
-    monkeypatch.delenv("QUNRAVEL_SEED", raising=False)
+def test_metadata_is_the_run_configuration_in_order(capsys, tmp_path, command):
     out_path = str(tmp_path / "out")
     argv, expected = {
         "entropy": (
             ["entropy", RHO_X, SIGMA_Y, "--base", "bits", "--which", "bs",
-             "--out", out_path, "--eps-faithful", "1e-13", "--seed", "4"],
-            {"command": "entropy", "inputs": [RHO_X, SIGMA_Y], "seed": 4, "base": "bits",
+             "--out", out_path, "--eps-faithful", "1e-13"],
+            {"command": "entropy", "inputs": [RHO_X, SIGMA_Y], "base": "bits",
              "out": out_path, "tolerance_overrides": {"eps_faithful": 1e-13}, "which": "bs"},
         ),
         "haar-experiment": (
             ["haar-experiment", "--dim", "2", "--samples", "3", "--out", out_path,
              "--tol-recon", "1e-9", "--tol-herm", "1e-9", "--seed", "7"],
-            {"command": "haar-experiment", "inputs": [], "seed": 7, "base": "nats",
-             "out": out_path, "tolerance_overrides": {"tol_herm": 1e-9, "tol_recon": 1e-9},
-             "dim": 2, "samples": 3},
+            {"command": "haar-experiment", "inputs": [], "base": "nats", "out": out_path,
+             "tolerance_overrides": {"tol_herm": 1e-9, "tol_recon": 1e-9},
+             "seed": 7, "dim": 2, "samples": 3},
         ),
         "common-basis": (
             ["common-basis", RHO_X, SIGMA_Y],
-            {"command": "common-basis", "inputs": [RHO_X, SIGMA_Y], "seed": 0, "base": "nats"},
+            {"command": "common-basis", "inputs": [RHO_X, SIGMA_Y], "base": "nats"},
         ),
         "contraction": (
             ["contraction", DEPHASING, RHO_X, SIGMA_Y, "--t-max", "1.0", "--steps", "5",
              "--out", out_path],
-            {"command": "contraction", "inputs": [DEPHASING, RHO_X, SIGMA_Y], "seed": 0,
-             "base": "nats", "out": out_path, "t_max": 1.0, "steps": 5},
+            {"command": "contraction", "inputs": [DEPHASING, RHO_X, SIGMA_Y], "base": "nats",
+             "out": out_path, "t_max": 1.0, "steps": 5},
         ),
         "ldp": (
-            ["ldp", LDP_CFG, "--out", out_path, "--seed", "2", "--tol-herm", "1e-9"],
-            {"command": "ldp", "inputs": [LDP_CFG], "seed": 2, "base": "nats",
+            ["ldp", LDP_CFG, "--out", out_path, "--tol-herm", "1e-9"],
+            {"command": "ldp", "inputs": [LDP_CFG], "base": "nats",
              "out": out_path, "tolerance_overrides": {"tol_herm": 1e-9}},
         ),
     }[command]

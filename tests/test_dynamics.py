@@ -808,6 +808,19 @@ def test_step_count_rejects_an_overflowing_quotient():
         evolve_ensemble(DAMPING, mu, 1e308, 1e-10, 2, RngStream(6))
 
 
+def test_step_count_must_reach_t_final():
+    # 1 / 0.03 = 33.33 steps: the run would end at t = 0.99, so it is refused
+    mu = DiscreteEnsemble((KET1,), np.array([1.0]))
+    message = r"t_final=1\.0 is not a whole number of steps dt=0\.03"
+    with pytest.raises(ValueError, match=message):
+        sse_trajectory(DAMPING, KET1, 1.0, 0.03, NoDraws())
+    with pytest.raises(ValueError, match=message):
+        evolve_ensemble(DAMPING, mu, 1.0, 0.03, 2, NoDraws())
+    assert dynamics._n_steps(0.3, 1e-3, 1, 1) == 300
+    assert 0.3 / 0.1 != 3  # a ratio off by roundoff still counts as whole
+    assert dynamics._n_steps(0.3, 0.1, 1, 1) == 3
+
+
 def test_lindblad_model_rejects_a_zero_by_zero_hamiltonian():
     with pytest.raises(DimMismatch, match=r"square with d >= 1, got shape \(0, 0\)"):
         LindbladModel(np.zeros((0, 0)))
