@@ -482,7 +482,7 @@ def test_contraction_rejects_a_model_whose_drift_overflows_as_input_error(capsys
     }
 
 
-def test_parser_is_built_once_and_parses_each_call_afresh(capsys, tmp_path, monkeypatch):
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys, tmp_path):
     from qunravel import cli
 
     assert cli._parser() is cli._parser()
