@@ -9,6 +9,9 @@ so reruns are reproducible byte for byte. The summary is strict JSON: the one
 non-finite value a run can report, the inf rate of an empty ``ldp`` event, is
 written as the string ``"inf"``, as in the CSV.
 
+Input files take only the fields that the README lists for their kind: a
+missing field, or any other one, exits 2 naming ``path:field``.
+
 Exit codes: 0 success, 2 input validation (a bad flag or argument too),
 3 property violation, 4 budget exceeded (an ``ldp`` enumeration, a
 ``contraction`` grid or generator, a ``haar-experiment`` dimension, or an
@@ -108,16 +111,32 @@ def _pairs(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return _typed(json.load(fh), dict, path)
+        return json.load(fh)
+
+
+def _fields(obj, what: str, *required: str, **optional) -> list:
+    """The values of the ``required`` fields of the JSON object ``obj``, then
+    of the ``optional`` ones, each of these its default when absent. A field
+    of neither kind, or a missing required one, is a ``ValueError`` naming
+    ``what:field``."""
+    obj = _typed(obj, dict, what)
+    known = (*required, *optional)
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{what}:{key} is not a field; the fields are {', '.join(known)}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what}:{key} is missing")
+    return [obj[key] for key in required] + [obj.get(k, v) for k, v in optional.items()]
 
 
 def _parse_density(obj, what: str, tols: Tolerances):
-    obj = _typed(obj, dict, what)
-    dim = _number(obj["dim"], int, f"{what}:dim")
+    dim, rows = _fields(obj, what, "dim", "matrix")
+    dim = _number(dim, int, f"{what}:dim")
     try:
-        return validate_density(_parse_matrix(obj["matrix"], dim, what), tols)
+        return validate_density(_parse_matrix(rows, dim, what), tols)
     except QunravelError as exc:  # same class, so the same exit code
         raise type(exc)(f"{what}: {exc}") from None
 
@@ -128,8 +147,9 @@ def _load_density(path: str, tols: Tolerances):
 
 def _load_model(path: str, tols: Tolerances) -> LindbladModel:
     obj = _load_json(path)
-    dim = _number(obj["dim"], int, f"{path}:dim")
-    h = _parse_matrix(obj["hamiltonian"], dim, f"{path}:hamiltonian")
+    dim, h, jumps, rates = _fields(obj, path, "dim", "hamiltonian", jumps=[], rates=[])
+    dim = _number(dim, int, f"{path}:dim")
+    h = _parse_matrix(h, dim, f"{path}:hamiltonian")
     defect = hermiticity_defect(h)
     if defect > tols.tol_herm:
         raise NotHermitian(
@@ -137,12 +157,9 @@ def _load_model(path: str, tols: Tolerances) -> LindbladModel:
         )
     jumps = tuple(
         _parse_matrix(rows, dim, f"{path}:jumps[{i}]")
-        for i, rows in enumerate(_typed(obj.get("jumps", []), list, f"{path}:jumps"))
+        for i, rows in enumerate(_typed(jumps, list, f"{path}:jumps"))
     )
-    rates = tuple(
-        _number(g, float, f"{path}:rates")
-        for g in _typed(obj.get("rates", []), list, f"{path}:rates")
-    )
+    rates = tuple(_number(g, float, f"{path}:rates") for g in _typed(rates, list, f"{path}:rates"))
     return LindbladModel(hermitize(h), jumps, rates)
 
 
@@ -275,13 +292,16 @@ def cmd_contraction(args) -> int:
 
 def cmd_ldp(args) -> int:
     tols = args.tols
-    obj = _load_json(args.config)
-    rho = _parse_density(obj["rho"], f"{args.config}:rho", tols)
-    sigma = _parse_density(obj["sigma"], f"{args.config}:sigma", tols)
-    epsilon = _number(obj["epsilon"], float, f"{args.config}:epsilon")
+    path = args.config
+    rho, sigma, epsilon, sizes = _fields(
+        _load_json(path), path, "rho", "sigma", "epsilon", "sample_sizes"
+    )
+    rho = _parse_density(rho, f"{path}:rho", tols)
+    sigma = _parse_density(sigma, f"{path}:sigma", tols)
+    epsilon = _number(epsilon, float, f"{path}:epsilon")
     sizes = [
-        _number(n, int, f"{args.config}:sample_sizes")
-        for n in _typed(obj["sample_sizes"], list, f"{args.config}:sample_sizes")
+        _number(n, int, f"{path}:sample_sizes")
+        for n in _typed(sizes, list, f"{path}:sample_sizes")
     ]
     exp = make_experiment(rho, sigma, epsilon, sizes, tols)
 
@@ -398,7 +418,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, MemoryError) as exc:
         _report_error(exc)
         return 4
-    except (ValidationError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         _report_error(exc)
         return 2
     except QunravelError as exc:

@@ -33,9 +33,9 @@ the states' dimensions, builds the generator once, steps all its states
 together in the real frame, with one propagator held at a time, and returns
 every state at every time as a Hermitian matrix. A grid whose states hold
 more than ``MAX_SCAN_ENTRIES`` matrix entries, or a model whose generator
-does, raises ``BudgetExceeded`` before anything is built.
-``lindblad_evolve`` is a one-state, one-point run of it. A contraction scan propagates its pair to
-every point before checking any. It then checks all 2P states of its P
+does, raises ``BudgetExceeded`` before anything is built. ``lindblad_evolve``
+is a one-state, one-point run of it. A contraction scan propagates its pair
+to every point before checking any. It then checks all 2P states of its P
 points, each divided by its trace, with one stacked eigensolve
 (``herm_eig_stack``) and the faithfulness floor, and takes the BS values
 from a second one over the P pair cores sigma^{-1/2} rho sigma^{-1/2}, built
@@ -217,7 +217,7 @@ def lindblad_superop(model: LindbladModel) -> np.ndarray:
 
 
 def _checked_state(mat: np.ndarray, t: float, tols: Tolerances) -> DensityMatrix:
-    # mat is Hermitian as _frame_vecs built it; drift is read before renormalizing
+    # mat is Hermitian bit for bit, as _propagate returns it; drift is read before renormalizing
     tr = float(np.real(np.trace(mat)))
     if not abs(tr - 1.0) <= TRACE_DRIFT_TOL:  # a NaN trace fails here too
         raise ValidationFailure(
@@ -268,20 +268,24 @@ def _frame_rows(y: np.ndarray, n: int, phase: complex) -> np.ndarray:
     return np.concatenate([d, _R * (u + w), (phase * _R) * (u - w)])
 
 
-def _frame_coords(v: np.ndarray, n: int) -> np.ndarray:
-    """Real frame coordinates Re(T^H v) of column-stacked matrices, one per
-    column of ``v``; the real part is the coordinates of their Hermitian parts."""
-    return _frame_rows(v[_frame(n)], n, 1j).real
+def _frame_coords(mats: np.ndarray, n: int) -> np.ndarray:
+    """Re(T^H vec(X)), the real frame coordinates of the Hermitian parts of a
+    stack of n x n matrices X: the frame along the first axis, then the stack
+    axes reversed, as ``.T`` puts them."""
+    cols, rows = np.divmod(_frame(n), n)  # column-stacked position i + n j is entry (i, j)
+    return _frame_rows(mats[..., rows, cols].T, n, 1j).real
 
 
 def _frame_vecs(c: np.ndarray, n: int) -> np.ndarray:
-    """T c: the column-stacked Hermitian matrices with real frame coordinates
-    ``c`` (frame along the first axis). Entry (j, i) is the exact conjugate
+    """T c, a C-contiguous stack of Hermitian matrices, from coordinates laid
+    out as ``_frame_coords`` returns them: entry (j, i) is the exact conjugate
     of entry (i, j), and the diagonal is real."""
-    m = n * (n - 1) // 2
-    d, s, a = c[:n], _R * c[n : n + m], _R * c[n + m :]
-    out = np.empty(c.shape, dtype=complex)
-    out[_frame(n)] = np.concatenate([d, s - 1j * a, s + 1j * a])
+    i, j = np.triu_indices(n, 1)
+    s, ja = _R * c[n : n + i.size], 1j * (_R * c[n + i.size :])
+    out = np.empty(c.shape[:0:-1] + (n, n), dtype=complex)
+    out[..., np.arange(n), np.arange(n)] = c[:n].T
+    out[..., i, j] = (s - ja).T
+    out[..., j, i] = (s + ja).T
     return out
 
 
@@ -479,13 +483,11 @@ def contraction_scan(
 ) -> list[tuple[float, float]]:
     """BS relative entropy of a co-evolved pair along the flow.
 
-    Returns (t, d_bs) for every requested time. The generator is built once,
-    moved to the real Hermitian frame, and both states are stepped together on
-    their real coordinates from each time to the next, with one propagator held
-    at a time (see ``_propagate``); every propagated state is Hermitian by
-    construction. Every state then gets the checks of ``lindblad_evolve`` and
-    of faithfulness, and every point its BS value, from two stacked
-    eigensolves whatever the number of points.
+    Returns (t, d_bs) for every requested time. Both states are propagated
+    together in the real Hermitian frame (``_propagate``), so every propagated
+    state is Hermitian by construction. Every state then gets the checks of
+    ``lindblad_evolve`` and of faithfulness, and every point its BS value, from
+    two stacked eigensolves whatever the number of points.
     Both states must stay faithful; a flow that drives one rank-deficient
     raises ``NotFaithful`` stamped with the failing time. Any failure is
     reported by rerunning the checks point by point, so it names the earliest
@@ -511,10 +513,10 @@ def _propagate(model: LindbladModel, states, times) -> np.ndarray:
     frame coordinates, from each time to the next, with one propagator held at
     a time: a gap within 4 ulps of the largest time of the held propagator's
     gap differs from it by the grid's rounding only and reuses it, and any
-    other positive gap replaces it with its own. The coordinates are mapped
-    back to matrices once, at the end. A grid or a generator over
-    ``MAX_SCAN_ENTRIES`` entries raises ``BudgetExceeded``
-    (``check_scan_budget``) before anything is built."""
+    other positive gap replaces it with its own. One ``(n^2, P, len(states))``
+    array holds every point's coordinates; ``_frame_vecs`` writes them once,
+    straight into the returned stack. A grid or a generator over
+    ``MAX_SCAN_ENTRIES`` entries raises ``BudgetExceeded`` before anything is built."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a nonempty 1-d array")
@@ -525,20 +527,18 @@ def _propagate(model: LindbladModel, states, times) -> np.ndarray:
         raise DimMismatch(f"model dim {n} vs states {', '.join(str(s.dim) for s in states)}")
     check_scan_budget(ts.size, len(states), n)
     g = _real_generator(lindblad_superop(model), n)
-    # column-stacked: vec(A rho B) = (B^T kron A) vec(rho)
-    block = _frame_coords(np.stack([s.matrix.flatten(order="F") for s in states], axis=1), n)
+    block = _frame_coords(np.stack([s.matrix for s in states]), n)  # (n^2, states)
+    coords = np.empty((n * n, ts.size, len(states)))
     rounding = float(4 * np.spacing(ts.max()))
     held_gap, held = math.inf, None
-    blocks = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state fails its trace check
-        for gap in np.diff(ts, prepend=0.0).tolist():
+        for k, gap in enumerate(np.diff(ts, prepend=0.0).tolist()):
             if gap > 0:
                 if not abs(gap - held_gap) <= rounding:
                     held_gap, held = gap, expm(gap * g)
                 block = held @ block
-            blocks.append(block)
-        vecs = _frame_vecs(np.stack(blocks, axis=1), n)  # (n^2, P, states), column-stacked
-    return np.ascontiguousarray(vecs.reshape(n, n, *vecs.shape[1:]).transpose(3, 2, 1, 0))
+            coords[:, k] = block
+        return _frame_vecs(coords, n)
 
 
 def check_scan_budget(points: int, states: int, n: int) -> None:

@@ -730,3 +730,75 @@ def test_contraction_violation_exits_3_after_the_summary(capsys, monkeypatch):
         '{"error": "ContractionViolation", '
         '"message": "d_bs increased by 2.500e-01 in one step (slack 1.0e-07)"}\n'
     )
+
+
+DAMPING = str(DOCS / "model_damping.json")
+RHO_T = str(DOCS / "rho_tilted.json")
+# each input file kind: an example file, the command that reads it, and its required fields
+INPUT_KINDS = {
+    "density": (RHO_C, lambda p: ("entropy", p, SIGMA_M), ("dim", "matrix")),
+    "model": (DAMPING, lambda p: ("contraction", p, RHO_T, SIGMA_M), ("dim", "hamiltonian")),
+    "ldp": (LDP_CFG, lambda p: ("ldp", p), ("rho", "sigma", "epsilon", "sample_sizes")),
+}
+MISSING = [(kind, field) for kind, (_, _, fields) in INPUT_KINDS.items() for field in fields]
+
+
+def run_edited(capsys, tmp_path, kind, edit):
+    """Run the command of ``kind`` on its example file after ``edit``; the
+    exit code and the one-line JSON error on stderr."""
+    example, argv, _ = INPUT_KINDS[kind]
+    obj = json.loads(Path(example).read_text())
+    edit(obj)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *argv(str(path)))
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    return code, json.loads(err), str(path)
+
+
+@pytest.mark.parametrize("kind, field", MISSING, ids=[f"{k}-{f}" for k, f in MISSING])
+def test_a_missing_field_names_its_file_and_field(capsys, tmp_path, kind, field):
+    code, error, path = run_edited(capsys, tmp_path, kind, lambda o: o.pop(field))
+    assert (code, error["error"]) == (2, "ValueError")
+    assert f"{path}:{field} is missing" in error["message"]
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_an_unknown_field_is_an_input_error(capsys, tmp_path, kind):
+    code, error, path = run_edited(capsys, tmp_path, kind, lambda o: o.update(note="x"))
+    assert (code, error["error"]) == (2, "ValueError")
+    assert f"{path}:note is not a field" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda o: o["sigma"].pop("dim"), "sigma:dim is missing"),
+        (lambda o: o["sigma"].pop("matrix"), "sigma:matrix is missing"),
+        (lambda o: o["rho"].update(trace=1), "rho:trace is not a field"),
+    ],
+    ids=["no-dim", "no-matrix", "unknown"],
+)
+def test_an_ldp_density_field_names_the_config_and_the_density(capsys, tmp_path, edit, message):
+    code, error, path = run_edited(capsys, tmp_path, "ldp", edit)
+    assert (code, error["error"]) == (2, "ValueError")
+    assert f"{path}:{message}" in error["message"]
+
+
+def test_a_misspelt_jump_field_is_not_read_as_a_jump_free_flow(capsys, tmp_path):
+    def misspell(obj):
+        obj["jump"], obj["rate"] = obj.pop("jumps"), obj.pop("rates")
+
+    code, error, path = run_edited(capsys, tmp_path, "model", misspell)
+    assert code == 2
+    assert f"{path}:jump is not a field" in error["message"]
+
+
+def test_jumps_and_rates_are_optional(capsys, tmp_path):
+    model = tmp_path / "free.json"
+    model.write_text(json.dumps({"dim": 2, "hamiltonian": [[1.0, 0.0], [0.0, -1.0]]}))
+    code, out, _ = run(capsys, "contraction", str(model), RHO_X, SIGMA_Y, "--steps", "3")
+    assert code == 0
+    summary = json.loads(out)
+    assert abs(summary["final_d_bs"] - summary["initial_d_bs"]) < 1e-9
