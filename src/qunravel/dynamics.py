@@ -25,8 +25,10 @@ coordinates: a real matrix exponential, at about a quarter of the flops of
 the complex one (scaling and squaring, Al-Mohy & Higham, SIAM J. Matrix
 Anal. Appl. 31, 2009). Mapping real coordinates back writes entry (j, i) as
 the exact conjugate of entry (i, j) and a real diagonal, so every propagated
-state is Hermitian bit for bit and is checked as it stands. The imaginary
-part of T^H L T is dropped only after a check (see ``_real_generator``).
+state is Hermitian bit for bit and is checked as it stands. G is built
+straight from the drift and the jumps (``_real_generator``);
+``lindblad_superop``, the dense complex L, is the public reference that
+flows are tested against, off the flow path.
 
 One propagator, ``_propagate``, runs every flow: it checks the time grid and
 the states' dimensions, builds the generator once, steps all its states
@@ -75,7 +77,7 @@ from typing import Iterator
 import numpy as np
 from scipy.linalg import expm
 
-from .entropy import _f_trace, _pair_core, bs_entropy
+from .entropy import _bs_values, bs_entropy
 from .errors import (
     BudgetExceeded,
     DimMismatch,
@@ -102,7 +104,7 @@ from .states import (
     require_faithful,
     validate_density,
 )
-from .ensembles import DiscreteEnsemble, _merged_ensemble, _xlogx
+from .ensembles import DiscreteEnsemble, _merged_ensemble
 
 __all__ = [
     "LindbladModel",
@@ -115,9 +117,6 @@ __all__ = [
 ]
 
 TRACE_DRIFT_TOL = 1e-9
-# Largest imaginary entry of T^H L T that the real frame drops, relative to
-# max(1, largest real entry); roundoff is about 1e-16 of that (``_real_generator``).
-GENERATOR_DEFECT_TOL = 1e-10
 # Most float64 words one unraveling call draws and keeps: its Gaussian
 # increments (steps x paths x jumps) plus the path ``sse_trajectory`` stores.
 # 5e7 float64 are 400 MB. Criterion 09 draws 1e7 (1e4 paths x 1e3 steps).
@@ -125,8 +124,9 @@ MAX_NOISE_DRAWS = 50_000_000
 # Most matrix entries a flow holds: points x states x n^2 propagated, and n^4 in
 # its n^2 x n^2 generator (so flows run at n <= 39). A scan takes about 160 B per
 # state entry (frame coordinates, propagated matrices, the stacked eigensolves of
-# its states and cores), 400 MB, and about 80 B per generator entry, 200 MB. It
-# also bounds one sampled state: ``qunravel haar-experiment`` takes d^2 <= it.
+# its states and cores), 400 MB, and 64 B per generator entry while G is built
+# (tracemalloc peak at n = 16, 32, 39), 160 MB. It also bounds one sampled
+# state: ``qunravel haar-experiment`` takes d^2 <= it.
 MAX_SCAN_ENTRIES = 2_500_000
 _R = math.sqrt(0.5)
 
@@ -206,8 +206,9 @@ def lindblad_superop(model: LindbladModel) -> np.ndarray:
     I kron D + conj(D) kron I + sum_j gamma_j^2 conj(S_j) kron S_j.
 
     It maps Hermitian matrices to Hermitian matrices for any drift D, since
-    D X + X D^dag and S_j X S_j^dag are Hermitian whenever X is; flows use it
-    in the real Hermitian frame (see the module docstring)."""
+    D X + X D^dag and S_j X S_j^dag are Hermitian whenever X is. It is the
+    public complex reference: no flow calls it, as flows build their real
+    generator from the drift and the jumps (``_real_generator``)."""
     eye = np.eye(model.dim)
     d = model.drift
     l = np.kron(eye, d) + np.kron(d.conj(), eye)
@@ -289,32 +290,24 @@ def _frame_vecs(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _real_generator(l: np.ndarray, n: int) -> np.ndarray:
-    """G = Re(T^H L T), the generator ``l`` on real frame coordinates.
+def _real_generator(model: LindbladModel) -> np.ndarray:
+    """G = T^H L T, the model's generator on real frame coordinates, as a
+    C-contiguous real n^2 x n^2 matrix.
 
-    T^H L T is real whenever ``l`` maps Hermitian matrices to Hermitian
-    matrices, which every ``lindblad_superop`` does in exact arithmetic. That
-    includes the Hamiltonian defect up to ``tol_herm`` that ``LindbladModel``
-    admits: it adds -i (H - H^dag) / 2 to D, which moves the trace (at a
-    rate of at most n tol_herm) but not the Hermiticity of D X + X D^dag.
-    So the imaginary part dropped here is roundoff, and ``ValidationFailure``
-    is raised when it exceeds ``GENERATOR_DEFECT_TOL`` times max(1, largest
-    |entry| of G). A dropped part E would in any case move the Hermitian
-    part of exp(t (G + i E)) only at second order, O((t |E|)^2): its
-    first-order term is anti-Hermitian.
-    """
+    For Hermitian X, L(X) = D X + X D^dag + sum_j gamma_j^2 S_j X S_j^dag is
+    the Hermitian part of K(X) = 2 D X + sum_j gamma_j^2 S_j X S_j^dag, and
+    Re(T^H vec Y) are the frame coordinates of the Hermitian part of Y. So
+    G = Re(T^H K T) exactly, for any drift and jumps, with
+    K = 2 (I kron D) + sum_j gamma_j^2 conj(S_j) kron S_j built from
+    ``model.drift``, the jumps and the rates: one Kronecker product fewer
+    than ``lindblad_superop``, and no imaginary part to drop."""
+    n = model.dim
+    k = np.kron(np.eye(n), 2.0 * model.drift)
+    for s, g in zip(model.jumps, model.rates):
+        k += (g * g) * np.kron(s.conj(), s)
     pos = _frame(n)
-    lt = _frame_rows(l[np.ix_(pos, pos)].T, n, -1j).T  # L T, rows still gathered
-    k = _frame_rows(lt, n, 1j)
-    g = np.ascontiguousarray(k.real)
-    defect = float(np.abs(k.imag).max())
-    bound = GENERATOR_DEFECT_TOL * max(1.0, float(np.abs(g).max()))
-    if not defect <= bound:  # a NaN defect fails here too
-        raise ValidationFailure(
-            f"generator does not preserve Hermiticity: imaginary part {defect:.3e} "
-            f"of its real-frame matrix exceeds {bound:.1e}"
-        )
-    return g
+    kt = _frame_rows(k[np.ix_(pos, pos)].T, n, -1j).T  # K T, rows still gathered
+    return np.ascontiguousarray(_frame_rows(kt, n, 1j).real)
 
 
 def _check_times(t_final: float, dt: float) -> None:
@@ -526,7 +519,7 @@ def _propagate(model: LindbladModel, states, times) -> np.ndarray:
     if any(s.dim != n for s in states):
         raise DimMismatch(f"model dim {n} vs states {', '.join(str(s.dim) for s in states)}")
     check_scan_budget(ts.size, len(states), n)
-    g = _real_generator(lindblad_superop(model), n)
+    g = _real_generator(model)
     block = _frame_coords(np.stack([s.matrix for s in states]), n)  # (n^2, states)
     coords = np.empty((n * n, ts.size, len(states)))
     rounding = float(4 * np.spacing(ts.max()))
@@ -564,9 +557,9 @@ def _stacked_bs_values(mats: np.ndarray, tols: Tolerances) -> list[float] | None
     ``_point_bs_value``.
 
     The first eigensolve verifies all 2P states (trace drift, then those of
-    ``validate_density`` and ``require_faithful``), the second the P cores
-    B B^dag of ``_pair_core``, each core still decomposed on its own; BS's
-    own sum, ``_f_trace`` with x log x, takes all P values at once. A state
+    ``validate_density`` and ``require_faithful``), the second the P pair
+    cores, each still decomposed on its own, inside ``entropy._bs_values``,
+    which sums all P values at once as ``bs_entropy`` sums one. A state
     divided by its trace has unit trace, and a spectrum above
     ``eps_faithful >= 0`` clears ``PSD_FLOOR``, so the floor is the one
     bound of a state left to check after its eigensolve."""
@@ -582,7 +575,7 @@ def _stacked_bs_values(mats: np.ndarray, tols: Tolerances) -> list[float] | None
             return None
         rho_eig = SpectralDecomposition(vals[:p], vecs[:p])
         sigma_eig = SpectralDecomposition(vals[p:], vecs[p:])
-        return _f_trace(*_pair_core(rho_eig, sigma_eig, tols), _xlogx, tols).tolist()
+        return _bs_values(rho_eig, sigma_eig, tols).tolist()
     except QunravelError:
         return None
 

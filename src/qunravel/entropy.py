@@ -28,7 +28,7 @@ Tr[sigma f(core)] is sum_i f(c_i) (w_sigma @ |U|^2)_i (``populations``).
 Umegaki needs no core. The other Gram product, sqrt(rho) sigma^{-1} sqrt(rho)
 in rho's eigenbasis, is not formed: it carries sigma^{-1} there, and near
 eigenvalues of 1e-10 its eigensolve can return a negative one. ``_pair_core``
-serves one pair and the stack of ``contraction_scan``.
+serves one pair and, through ``_bs_values``, the stack of ``contraction_scan``.
 
 Per-pair sharing. The common basis (``unr_entropy``, then ``common_basis``
 in ``qunravel entropy``) and the core with its weights, which BS and every
@@ -98,6 +98,12 @@ def _f_trace(core: SpectralDecomposition, weights: np.ndarray, f, tols: Toleranc
     """Tr[sigma f(core)] = sum_i f(c_i) <v_i|sigma|v_i>, summed alike on a
     pair's core and on each core of a stack."""
     return (core.mapped(f, tols.eps_faithful) * weights).sum(-1)
+
+
+def _bs_values(rho_eig: SpectralDecomposition, sigma_eig: SpectralDecomposition, tols: Tolerances):
+    """BS of one faithful pair's verified spectra, or of each pair of a stack:
+    x log x summed on the pair core."""
+    return _f_trace(*_pair_core(rho_eig, sigma_eig, tols), _xlogx, tols)
 
 
 def _pair_core(rho_eig: SpectralDecomposition, sigma_eig: SpectralDecomposition, tols: Tolerances):

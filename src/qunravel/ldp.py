@@ -270,11 +270,11 @@ def ball_log_probabilities(exp: LdpExperiment, sample_sizes) -> list[float]:
     must be a positive integer, and ``BudgetExceeded`` reports the
     enumeration size of the first that leaves the supported range. The
     distinct sizes are then enumerated in one pass of ``_blocks``, whose
-    row 0 is every vector's size: each block is screened once, against one
-    size or a column of sizes, and cut where that row changes. Each size's
-    vectors are summed by a max-shifted log-sum-exp, and the pieces of a
-    size split over several blocks by ``logaddexp``. An empty event gives
-    -inf.
+    row 0 is every vector's size: each block is screened once, against its
+    column of sizes, and its hits are split into runs where their size
+    changes. Each size's vectors are summed by a max-shifted log-sum-exp,
+    and the pieces of a size split over several blocks by ``logaddexp``. An
+    empty event gives -inf.
     """
     sizes = [positive_count(n, "sample size") for n in sample_sizes]
     k = exp.cb.dim
@@ -289,16 +289,15 @@ def ball_log_probabilities(exp: LdpExperiment, sample_sizes) -> list[float]:
     log_prob = dict.fromkeys(sizes, -math.inf)
     for block in _blocks([plan], plan, k):  # row 0, each vector's size, ascends
         row_n, counts = block[0], block[1:].T
-        cuts = [] if row_n[0] == row_n[-1] else (np.flatnonzero(np.diff(row_n)) + 1).tolist()
-        hits = np.flatnonzero(_ball_mask(exp, counts, row_n[:, None] if cuts else row_n[0]))
-        bounds = np.searchsorted(hits, cuts).tolist() if cuts else []
-        for lo, hi in zip([0] + bounds, bounds + [len(hits)]):
-            if hi > lo:
-                n = int(row_n[hits[lo]])
-                logp = _log_pmf(counts[hits[lo:hi]].astype(float), n, exp.log_weights)
-                top = float(logp.max())
-                total = top + math.log(float(np.exp(logp - top).sum()))
-                log_prob[n] = float(np.logaddexp(log_prob[n], total))
+        hits = np.flatnonzero(_ball_mask(exp, counts, row_n[:, None]))
+        if not hits.size:
+            continue
+        for run in np.split(hits, np.flatnonzero(np.diff(row_n[hits])) + 1):
+            n = int(row_n[run[0]])
+            logp = _log_pmf(counts[run].astype(float), n, exp.log_weights)
+            top = float(logp.max())
+            total = top + math.log(float(np.exp(logp - top).sum()))
+            log_prob[n] = float(np.logaddexp(log_prob[n], total))
     return [log_prob[n] for n in sizes]
 
 

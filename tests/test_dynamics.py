@@ -546,7 +546,7 @@ def test_contraction_matches_per_point_evolution(times):
 
 
 def test_contraction_builds_one_generator_and_one_propagator_per_gap(monkeypatch):
-    calls = {"superop": 0, "expm": 0}
+    calls = {"generator": 0, "expm": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -554,14 +554,14 @@ def test_contraction_builds_one_generator_and_one_propagator_per_gap(monkeypatch
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(dynamics, "lindblad_superop", counted("superop", lindblad_superop))
+    monkeypatch.setattr(dynamics, "_real_generator", counted("generator", dynamics._real_generator))
     monkeypatch.setattr(dynamics, "expm", counted("expm", dynamics.expm))
     rng = RngStream(100)
     times = np.linspace(0.0, 2.0, 21)
     contraction_scan(
         random_model(2, rng), sample_faithful(2, rng), sample_faithful(2, rng), times
     )
-    assert calls["superop"] == 1
+    assert calls["generator"] == 1
     # the 20 gaps hold 5 floats that differ only in their last bits
     assert calls["expm"] == 1
 
@@ -597,7 +597,7 @@ def test_a_flow_holds_one_propagator_at_a_time():
 
 def test_a_generator_over_budget_raises_before_it_is_built(monkeypatch):
     built = []
-    monkeypatch.setattr(dynamics, "lindblad_superop", built.append)
+    monkeypatch.setattr(dynamics, "_real_generator", built.append)
     # 39^4 generator entries fit the budget, 40^4 do not
     dynamics.check_scan_budget(1, 1, 39)
     model = LindbladModel(np.zeros((40, 40)))
@@ -627,8 +627,9 @@ def test_contraction_grid_over_budget_raises_before_any_propagator(monkeypatch):
 
 def test_trace_drift_raises_with_time_stamp(monkeypatch):
     # a generator that leaks trace at rate 0.01, which no LindbladModel builds
-    leaky = lambda model: lindblad_superop(model) - 0.01 * np.eye(model.dim**2)
-    monkeypatch.setattr(dynamics, "lindblad_superop", leaky)
+    real_generator = dynamics._real_generator
+    leaky = lambda model: real_generator(model) - 0.01 * np.eye(model.dim**2)
+    monkeypatch.setattr(dynamics, "_real_generator", leaky)
     rng = RngStream(101)
     rho = sample_faithful(2, rng)
     sigma = sample_faithful(2, rng)
