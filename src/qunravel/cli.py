@@ -31,11 +31,9 @@ import numpy as np
 from .commonbasis import common_basis, dual_consistency
 from .dynamics import MAX_SCAN_ENTRIES, LindbladModel, check_scan_budget, contraction_scan
 from .entropy import bs_entropy, umegaki, unr_entropy
-from .errors import (
-    BudgetExceeded, ContractionViolation, NotHermitian, QunravelError, ValidationError
-)
+from .errors import BudgetExceeded, ContractionViolation, QunravelError, ValidationError
 from .ldp import ball_log_probabilities, make_experiment
-from .matcore import Tolerances, hermitize, hermiticity_defect
+from .matcore import Tolerances, _hermitized
 from .states import RngStream, sample_faithful, trace_distance, validate_density
 
 __all__ = ["main", "entry"]
@@ -150,17 +148,19 @@ def _load_model(path: str, tols: Tolerances) -> LindbladModel:
     dim, h, jumps, rates = _fields(obj, path, "dim", "hamiltonian", jumps=[], rates=[])
     dim = _number(dim, int, f"{path}:dim")
     h = _parse_matrix(h, dim, f"{path}:hamiltonian")
-    defect = hermiticity_defect(h)
-    if defect > tols.tol_herm:
-        raise NotHermitian(
-            f"{path}:hamiltonian defect {defect:.3e} exceeds tol_herm={tols.tol_herm:.1e}"
-        )
+    try:  # under the run's tol_herm; the model then gets an exactly Hermitian H
+        h, _ = _hermitized(h, tols)
+    except QunravelError as exc:
+        raise type(exc)(f"{path}:hamiltonian: {exc}") from None
     jumps = tuple(
         _parse_matrix(rows, dim, f"{path}:jumps[{i}]")
         for i, rows in enumerate(_typed(jumps, list, f"{path}:jumps"))
     )
     rates = tuple(_number(g, float, f"{path}:rates") for g in _typed(rates, list, f"{path}:rates"))
-    return LindbladModel(hermitize(h), jumps, rates)
+    try:
+        return LindbladModel(h, jumps, rates)
+    except (QunravelError, ValueError) as exc:  # same class, so the same exit code
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -91,8 +91,8 @@ from .matcore import (
     DEFAULT_TOLS,
     SpectralDecomposition,
     Tolerances,
+    _hermitized,
     herm_eig_stack,
-    hermiticity_defect,
     hold,
     is_square,
 )
@@ -136,9 +136,12 @@ class LindbladModel:
     """Generator data: Hamiltonian, jump operators, coupling rates, and the
     drift D = -i H - 1/2 sum_j gamma_j^2 S_j^dag S_j built from them.
 
-    A rate must be finite and nonnegative, and D must be finite; else
-    ``ValueError`` names the rate, or the first jump whose term overflows D.
-    The model keeps read-only copies of its arrays (``hold``)."""
+    H must be square (else ``DimMismatch``) and pass the checks of ``herm_eig``
+    before its eigensolve: finite, within ``tol_herm`` of Hermitian, and a
+    Frobenius sum of squares below overflow, ||H||_F < ~1.34e154 (else
+    ``NotHermitian``). A rate must be finite and nonnegative, and D must be
+    finite; else ``ValueError`` names the rate, or the first jump whose term
+    overflows D. The model keeps read-only copies of its arrays (``hold``)."""
 
     hamiltonian: np.ndarray
     jumps: tuple[np.ndarray, ...] = ()
@@ -149,11 +152,10 @@ class LindbladModel:
         h = np.array(self.hamiltonian, dtype=complex, order="C")  # the caller's stays its own
         if not is_square(h.shape):
             raise DimMismatch(f"Hamiltonian must be square with d >= 1, got shape {h.shape}")
-        if not np.isfinite(h).all():
-            raise NotHermitian("Hamiltonian has non-finite entries")
-        defect = hermiticity_defect(h)
-        if defect > DEFAULT_TOLS.tol_herm:
-            raise NotHermitian(f"Hamiltonian defect {defect:.3e} exceeds tolerance")
+        try:
+            _hermitized(h, DEFAULT_TOLS)  # h itself is kept, so the drift reads it as given
+        except NotHermitian as exc:
+            raise NotHermitian(f"Hamiltonian: {exc}") from None
         jumps = tuple(np.array(s, dtype=complex, order="C") for s in self.jumps)
         for s in jumps:
             if s.shape != h.shape:
@@ -409,8 +411,9 @@ def sse_trajectory(
     amps = np.empty((steps + 1, model.dim), dtype=complex)
     log_weights = np.zeros(steps + 1)
     amps[0] = psi0.amplitudes
-    for i, (p, logw) in enumerate(_sse_steps(model, amps[:1], noise, dt), start=1):
-        amps[i], log_weights[i] = p[0], logw[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step fails its norm check
+        for i, (p, logw) in enumerate(_sse_steps(model, amps[:1], noise, dt), start=1):
+            amps[i], log_weights[i] = p[0], logw[0]
     return Trajectory(dt * np.arange(steps + 1), amps, log_weights, rng.seed, rng.stream_id)
 
 
@@ -455,8 +458,9 @@ def evolve_ensemble(
             rng.split(a * n_per_atom + i).gen.standard_normal(out=noise[i])
         noise *= math.sqrt(dt)
         block = np.broadcast_to(row, (n_per_atom, model.dim))
-        for last, logw in _sse_steps(model, block, noise, dt, a * n_per_atom):
-            pass  # only the final step is kept
+        with np.errstate(over="ignore", invalid="ignore"):  # as in sse_trajectory
+            for last, logw in _sse_steps(model, block, noise, dt, a * n_per_atom):
+                pass  # only the final step is kept
         finals.append(last)
         logws.append(logw)
     del noise  # the merge's screen never sits on top of the noise
@@ -519,12 +523,13 @@ def _propagate(model: LindbladModel, states, times) -> np.ndarray:
     if any(s.dim != n for s in states):
         raise DimMismatch(f"model dim {n} vs states {', '.join(str(s.dim) for s in states)}")
     check_scan_budget(ts.size, len(states), n)
-    g = _real_generator(model)
     block = _frame_coords(np.stack([s.matrix for s in states]), n)  # (n^2, states)
     coords = np.empty((n * n, ts.size, len(states)))
     rounding = float(4 * np.spacing(ts.max()))
     held_gap, held = math.inf, None
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state fails its trace check
+    # a generator or a state that overflows fails the trace check of its state
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _real_generator(model)
         for k, gap in enumerate(np.diff(ts, prepend=0.0).tolist()):
             if gap > 0:
                 if not abs(gap - held_gap) <= rounding:

@@ -59,7 +59,6 @@ __all__ = [
     "DEFAULT_TOLS",
     "SpectralDecomposition",
     "hermitize",
-    "hermiticity_defect",
     "herm_eig",
     "herm_eig_stack",
     "spectral_fn",
@@ -149,14 +148,6 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return half + half.conj().swapaxes(-1, -2)
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """Largest entry of |M - M^dag|, taken from the exact halves so that a finite
-    M overflows nowhere; inf when it exceeds double precision."""
-    half = 0.5 * np.asarray(mat)
-    # a Python float doubles to inf silently
-    return 2.0 * float(np.abs(half - half.conj().T).max())
-
-
 def hold(record, **values) -> None:
     """Set fields of a frozen checked record, each array among them or in a tuple
     field made read-only first. The arrays must be the record's own, never a caller's."""
@@ -202,8 +193,9 @@ def _finite_norm(m: np.ndarray) -> float:
 
 def _hermitized(mat: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, float]:
     """The checks of ``herm_eig`` before ``eigh``: a square, finite matrix
-    within ``tol_herm`` of Hermitian whose hermitized norm is finite. Returns
-    the hermitized matrix and its Frobenius norm."""
+    within ``tol_herm`` of Hermitian whose hermitized Frobenius sum of squares
+    does not overflow, so ||M||_F < ~1.34e154 (``NotHermitian`` otherwise).
+    Returns the hermitized matrix and its Frobenius norm."""
     m = np.asarray(mat, dtype=complex)
     if not is_square(m.shape):
         raise NotHermitian(f"expected a square matrix with d >= 1, got shape {m.shape}")
@@ -263,8 +255,9 @@ def herm_eig(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomp
     ``V diag(w) V^dag`` misses the input or the columns are not orthonormal. The
     round-trip budget scales with the matrix norm: backend accuracy is
     relative, and inputs here range from unit-trace states to their inverses.
-    A matrix whose norm overflows double precision once hermitized cannot be
-    verified and fails as ``NotHermitian``.
+    A matrix whose Frobenius sum of squares overflows double precision once
+    hermitized, so ||M||_F >= ~1.34e154, cannot be verified and fails as
+    ``NotHermitian``.
     """
     return _verified_eig(*_hermitized(mat, tols), tols)
 

@@ -225,6 +225,44 @@ def test_contraction_looser_tol_herm_accepts_model(capsys, tmp_path):
     assert json.loads(out)["metadata"]["tolerance_overrides"] == {"tol_herm": 1e-6}
 
 
+OVERFLOW = "matrix norm overflows double precision once hermitized"
+DEFECT = "max |M - M^dag| entry 1.000e-08 exceeds tol_herm=1.0e-10"
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, flags, message",
+    [
+        ([[1e200, 0.0], [0.0, -1e200]], (), OVERFLOW),  # its sum of squares overflows
+        ([[1.0, 1e-8], [0.0, -1.0]], ("--tol-herm", "1e-6"), None),
+        ([[1.0, 1e-8], [0.0, -1.0]], (), DEFECT),
+    ],
+    ids=["norm-overflows", "defect-within-run-tol-herm", "defect-above-default-tol-herm"],
+)
+def test_contraction_checks_the_hamiltonian_as_herm_eig_does(
+    capsys, tmp_path, hamiltonian, flags, message
+):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dim": 2, "hamiltonian": hamiltonian}))
+    code, out, err = run(capsys, "contraction", str(path), RHO_X, SIGMA_Y, "--steps", "3", *flags)
+    if message is None:
+        assert code == 0
+        assert json.loads(out)["monotone_within_slack"] is True
+    else:
+        assert (code, out) == (2, "")
+        error = {"error": "NotHermitian", "message": f"{path}:hamiltonian: {message}"}
+        assert json.loads(err) == error
+
+
+def test_contraction_names_the_model_file_in_a_model_error(capsys, tmp_path):
+    path = tmp_path / "counts.json"
+    jump = [[0.0, 1.0], [0.0, 0.0]]
+    path.write_text(json.dumps({"dim": 2, "hamiltonian": np.zeros((2, 2)).tolist(),
+                                "jumps": [jump], "rates": []}))
+    code, out, err = run(capsys, "contraction", str(path), RHO_X, SIGMA_Y)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "DimMismatch", "message": f"{path}: 1 jumps but 0 rates"}
+
+
 def test_contraction_tighter_tol_herm_rejects_model(capsys, tmp_path):
     model = write_model(tmp_path, 1e-11)
     code, _, _ = run(capsys, "contraction", model, RHO_X, SIGMA_Y, "--steps", "3")
@@ -478,7 +516,7 @@ def test_contraction_rejects_a_model_whose_drift_overflows_as_input_error(capsys
     assert code == 2
     assert out == ""
     assert json.loads(err) == {
-        "error": "ValueError", "message": "jump 0 at rate 1.0 overflows the drift"
+        "error": "ValueError", "message": f"{path}: jump 0 at rate 1.0 overflows the drift"
     }
 
 

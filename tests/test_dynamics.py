@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qunravel import (
     DiscreteEnsemble,
@@ -18,6 +20,8 @@ from qunravel import (
     contraction_scan,
     evolve_ensemble,
     haar_pure,
+    herm_eig,
+    hermitize,
     lindblad_evolve,
     lindblad_superop,
     realize,
@@ -798,6 +802,59 @@ def test_model_rejects_a_rate_whose_square_overflows():
                 call(LindbladModel(np.zeros((2, 2)), (SM,), (1e200,)))
     # the largest rate whose square is finite still builds a generator
     LindbladModel(np.zeros((2, 2)), (SM,), (1e154,))
+
+
+def test_flows_report_an_overflowing_generator_or_step_through_their_checks():
+    # D = -1e308 is finite, so the model builds, but 2 D in the generator and the
+    # first Euler step overflow: each flow fails its trace or norm check, unwarned
+    s = np.diag([1e154, 0.0]).astype(complex)
+    model = LindbladModel(np.zeros((2, 2)), (s, s), (1.0, 1.0))
+    rho, sigma = validate_density(np.eye(2) / 2), validate_density(np.diag([0.7, 0.3]))
+    mu0 = DiscreteEnsemble((KET0,), np.array([1.0]))
+    explosion = r"^norm inf left \[0\.5, 2\] at step 0 \(trajectory 0, t=0\.1\)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationFailure, match=r"^trace drifted to nan at t=1\.0 "):
+            lindblad_evolve(model, rho, 1.0)
+        with pytest.raises(ValidationFailure, match=r"^trace drifted to nan at t=0\.5 "):
+            contraction_scan(model, rho, sigma, np.linspace(0.0, 1.0, 3))
+        with pytest.raises(StepExplosion, match=explosion):
+            sse_trajectory(model, KET0, 0.1, 0.1, RngStream(1))
+        with pytest.raises(StepExplosion, match=explosion):
+            evolve_ensemble(model, mu0, 0.1, 0.1, 2, RngStream(1))
+
+
+@st.composite
+def hamiltonian_candidates(draw):
+    """A 2 x 2 or 3 x 3 Hermitian matrix at an entry scale from {1, 1e100,
+    1e155, 1e200}, plus an anti-Hermitian part of size 1e-12 to 1e-8, and at
+    times one NaN or infinite entry."""
+    d = draw(st.sampled_from([2, 3]))
+    unit = arrays(float, (d, d), elements=st.floats(-1.0, 1.0))
+    re, im, anti_re, anti_im = (draw(unit) for _ in range(4))
+    scale = draw(st.sampled_from([1.0, 1e100, 1e155, 1e200]))
+    size = 10.0 ** draw(st.floats(-12.0, -8.0))
+    h = scale * hermitize(re + 1j * im) + (1j * size) * hermitize(anti_re + 1j * anti_im)
+    bad = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    if bad is not None:
+        h[draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))] = bad
+    return h
+
+
+def not_hermitian_message(call, h):
+    try:
+        call(h)
+    except NotHermitian as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(hamiltonian_candidates())
+def test_model_rejects_a_hamiltonian_exactly_when_herm_eig_does(h):
+    want = not_hermitian_message(herm_eig, h)
+    got = not_hermitian_message(LindbladModel, h)
+    assert got == (None if want is None else f"Hamiltonian: {want}")
 
 
 def test_step_count_rejects_an_overflowing_quotient():

@@ -23,7 +23,6 @@ def test_each_public_name_is_its_defining_modules_object():
             home = getattr(obj, "__module__", module.__name__)
             if callable(obj) and home.startswith("qunravel."):
                 assert getattr(sys.modules[home], name) is obj
-    assert qunravel.hermiticity_defect is matcore.hermiticity_defect
     assert qunravel.TOL_MATCH is ensembles.TOL_MATCH
 
 
